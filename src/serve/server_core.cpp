@@ -56,10 +56,10 @@ ServerCore::resolveBatch(const Request *reqs, std::size_t n,
     stats_.maxBatch = std::max<std::uint64_t>(stats_.maxBatch, n);
 
     // Slot-prefetch ladder over the batch's cache-probing requests,
-    // exactly as NetworkSim::inject() runs it over a cycle's
-    // injection attempts: pull the probe line of request i+4 while
-    // request i resolves, so the per-probe DRAM miss overlaps the
-    // current resolution instead of stalling the next one.
+    // as NetworkSim::inject() runs one over a cycle's injection
+    // attempts: pull the probe line of request i+4 while request i
+    // resolves, so the per-probe DRAM miss overlaps the current
+    // resolution instead of stalling the next one.
     const bool lad = cfg_.scheme == sim::RoutingScheme::TsdtSender &&
                      !faults_.empty();
     constexpr std::size_t kGuess = 4;

@@ -14,10 +14,10 @@
  *
  * Batching is the perf core (docs/SERVING.md): a batch pins one
  * fault epoch, claims the serving mutex once, walks the route
- * cache with the same slot-prefetch ladder NetworkSim::inject()
- * uses (probe i+4 while resolving i), and appends every response to
- * one output buffer the caller flushes with one write() per
- * connection.  One-at-a-time resolution (cfg.batching = false at
+ * cache with a slot-prefetch ladder (probe i+4 while resolving i;
+ * NetworkSim::inject() prefetches the same way), and appends every
+ * response to one output buffer the caller flushes with one write()
+ * per connection.  One-at-a-time resolution (cfg.batching = false at
  * the server layer — the engine itself just sees batches of 1)
  * re-pins, re-locks and re-flushes per request; bench_serve
  * measures the gap.

@@ -43,6 +43,28 @@ fastTsdtKind(Label j, unsigned i, const core::TsdtTag &tag)
  */
 constexpr std::size_t kDynamicCacheMaxBytes = 4u << 20;
 
+/**
+ * Run @p search — a REROUTE on packet @p id's behalf — with the
+ * packet's identity parked in the thread-local trace bridge, so
+ * reroute.cpp can emit its Reroute events into @p sink.
+ */
+template <class Search>
+inline void
+withRouteTrace([[maybe_unused]] obs::TraceSink *sink,
+               [[maybe_unused]] std::uint64_t id,
+               [[maybe_unused]] Cycle now, Search &&search)
+{
+#if IADM_TRACE
+    if (__builtin_expect(sink != nullptr, 0)) {
+        obs::routeTraceContext() = {sink, id, now};
+        search();
+        obs::routeTraceContext().sink = nullptr;
+        return;
+    }
+#endif
+    search();
+}
+
 } // namespace
 
 const char *
@@ -100,8 +122,9 @@ NetworkSim::NetworkSim(const SimConfig &cfg,
         topo_.stages() <= Packet::kMaxTracedStages) {
         rcache_ = RouteCache(cfg.netSize, cfg.routeCacheCapacity);
         rcacheEnabled_ = cfg.routeCache;
+        probes_.reserve(cfg.netSize);
     }
-    pending_.reserve(cfg.netSize);
+    attempts_.reserve(cfg.netSize);
     // Intra-sim sharding: clamp, partition rows contiguously, and
     // spin up the persistent pool.  SsdtBalanced is pinned serial —
     // its emptier-queue choice reads next-stage depths mid-scan,
@@ -308,191 +331,249 @@ NetworkSim::materializePath(const Packet &p) const
 void
 NetworkSim::inject()
 {
-    const unsigned n = ltab_.stages();
+    // The batch's resolution mode.  Fault-free sender tags are the
+    // plain initial tags: cheaper to recompute than to probe for, so
+    // the cache sits this out.  The dynamic scheme's fill (an
+    // initial tag, decoded to a path only at packet construction) is
+    // almost as cheap, so memoizing it only pays while the table
+    // stays cache-resident (kDynamicCacheMaxBytes above; the
+    // compressed entries put the full auto-sized table of N <= 362
+    // under the bound).
+    Resolve mode = Resolve::InitialTag;
+    if (cfg_.scheme == RoutingScheme::TsdtSender && !faults_.empty())
+        mode = rcacheEnabled_ ? Resolve::Cached : Resolve::Reroute;
+    else if (cfg_.scheme == RoutingScheme::TsdtDynamic &&
+             rcacheEnabled_ &&
+             rcache_.capacity() * sizeof(RouteCache::Entry) <=
+                 kDynamicCacheMaxBytes)
+        mode = Resolve::CachedPath;
 
-    // Phase 1: collect this cycle's injection attempts.  The RNG
+    // Draw phase: collect this cycle's injection attempts.  The RNG
     // draw order — gate, then chance, then destination pick, per
     // source in ascending order — matches the unbatched loop bit
-    // for bit, so batching cannot perturb any random stream.
+    // for bit, so neither batching nor sharding can perturb any
+    // random stream.
     if (gated_)
         traffic_->beginCycle(now_);
-    pending_.clear();
+    attempts_.clear();
     for (Label s = 0; s < cfg_.netSize; ++s) {
         const bool open = gated_ ? traffic_->gate(s, rng_) : true;
         if (!rng_.chance(cfg_.injectionRate) || !open)
             continue;
-        pending_.push_back({s, traffic_->pick(s, rng_)});
+        attempts_.push_back({s, traffic_->pick(s, rng_)});
     }
-    if (pending_.empty())
+    if (attempts_.empty())
         return;
-
-    // Phase 2: resolve tags (through the fault-epoch route cache
-    // when enabled) and construct packets in their slab slots.  A
-    // packet id is consumed per attempt — before routability or
-    // queue-space checks — exactly as the unbatched loop did.
-    const bool sender = cfg_.scheme == RoutingScheme::TsdtSender;
-    // Fault-free sender tags are the plain initial tags: cheaper to
-    // recompute than to probe for, so the cache sits this out.  The
-    // dynamic scheme's fill (an initial tag, decoded to a path only
-    // at packet construction) is almost as cheap, so memoizing it
-    // only pays while the table stays cache-resident
-    // (kDynamicCacheMaxBytes above; the compressed entries put the
-    // full auto-sized table of N <= 362 under the bound).
-    const bool use_cache =
-        rcacheEnabled_ &&
-        (sender ? !faults_.empty()
-                : rcache_.capacity() * sizeof(RouteCache::Entry) <=
-                      kDynamicCacheMaxBytes);
+    const std::size_t cnt = attempts_.size();
+    // Attempt i consumes packet id first_id + i — before routability
+    // or queue-space checks — exactly as the unbatched loop did.
+    const std::uint64_t first_id = nextPacketId_;
+    nextPacketId_ += cnt;
     const std::uint64_t version = faults_.version();
-    const std::uint64_t evict0 =
-        use_cache ? rcache_.stats().evictions : 0;
-    const std::size_t cnt = pending_.size();
-    constexpr std::size_t kGuess = 4;
-    if (use_cache) {
-        for (std::size_t i = 0; i < cnt && i < kGuess; ++i)
-            rcache_.prefetch(pending_[i].src, pending_[i].dst);
+
+    // Probe phase (serial): claim cache slots in attempt order, so
+    // the hit/miss/eviction sequence is the one-at-a-time sequence.
+    // acquire() decides from header fields it sets itself, never
+    // from a fill's payload, so every fill can wait for the next
+    // phase.  Each slot is prefetched four probes ahead.
+    probes_.clear();
+    if (mode == Resolve::Cached || mode == Resolve::CachedPath) {
+        const std::uint8_t content = mode == Resolve::Cached
+                                         ? RouteCache::Entry::kUniversal
+                                         : 0;
+        const std::uint64_t evict0 = rcache_.stats().evictions;
+        constexpr std::size_t kAhead = 4;
+        for (std::size_t i = 0; i < cnt && i < kAhead; ++i)
+            rcache_.prefetch(attempts_[i].src, attempts_[i].dst);
+        for (std::size_t i = 0; i < cnt; ++i) {
+            if (i + kAhead < cnt)
+                rcache_.prefetch(attempts_[i + kAhead].src,
+                                 attempts_[i + kAhead].dst);
+            const InjectAttempt &at = attempts_[i];
+            const auto [e, hit] =
+                rcache_.acquire(at.src, at.dst, version, content);
+            probes_.push_back({*e, hit ? nullptr : e});
+            if (hit)
+                metrics_.recordRouteCacheHit();
+            else
+                metrics_.recordRouteCacheMiss();
+        }
+        metrics_.recordRouteCacheEvictions(rcache_.stats().evictions -
+                                           evict0);
     }
-    for (std::size_t i = 0; i < cnt; ++i) {
-        if (use_cache && i + kGuess < cnt)
-            rcache_.prefetch(pending_[i + kGuess].src,
-                             pending_[i + kGuess].dst);
-        const Label src = pending_[i].src;
-        const Label dst = pending_[i].dst;
-        const std::uint64_t id = nextPacketId_++;
-        core::TsdtTag tag;
-        bool has_tag = false;
-        unsigned reroutes = 0;
-        const RouteCache::Entry *path_entry = nullptr;
-        if (sender) {
-            if (faults_.empty()) {
-                // Nothing blocked: REROUTE would trace the initial
-                // path, find it clear and return the initial tag
-                // untouched — skip its path search (and its
-                // allocations) entirely.
-                tag = core::initialTag(n, dst);
-                has_tag = true;
-            } else if (use_cache) {
-                // Memoized REROUTE: one computation per (src, dst)
-                // per fault epoch, replayed (tag, reroute count and
-                // FAIL bit alike) for every later packet.
-#if IADM_TRACE
-                // A cache miss re-runs REROUTE inside the resolve
-                // call; park the identity so reroute.cpp can emit
-                // Reroute events through the thread-local bridge.
-                if (__builtin_expect(trace_ != nullptr, 0))
-                    obs::routeTraceContext() = {trace_, id, now_};
-#endif
-                const auto [entry, hit] = rcache_.resolveUniversal(
-                    topo_, faults_, src, dst);
-#if IADM_TRACE
-                if (__builtin_expect(trace_ != nullptr, 0))
-                    obs::routeTraceContext().sink = nullptr;
-#endif
-                if (hit)
-                    metrics_.recordRouteCacheHit();
-                else
-                    metrics_.recordRouteCacheMiss();
-                IADM_TRACE_EVENT(trace_,
-                                 hit ? obs::EventKind::CacheHit
-                                     : obs::EventKind::CacheMiss,
-                                 id, now_, 0, src,
-                                 obs::TraceEvent::kNoLink, dst, dst,
-                                 0);
-                if (!entry->ok()) {
-                    metrics_.recordUnroutable();
-                    IADM_TRACE_EVENT(
-                        trace_, obs::EventKind::Drop, id, now_, 0,
-                        src, obs::TraceEvent::kNoLink, dst, dst, 0,
-                        obs::TraceEvent::kFlagNotEnqueued |
-                            obs::TraceEvent::kFlagUnroutable);
-                    continue;
-                }
-                tag = entry->tagFor(n);
-                has_tag = true;
-                reroutes = entry->reroutes;
-            } else {
-                // The sender computes a blockage-avoiding tag
-                // against the global blockage map via REROUTE.
-#if IADM_TRACE
-                if (__builtin_expect(trace_ != nullptr, 0))
-                    obs::routeTraceContext() = {trace_, id, now_};
-#endif
-                auto rr =
-                    core::universalRoute(topo_, faults_, src, dst);
-#if IADM_TRACE
-                if (__builtin_expect(trace_ != nullptr, 0))
-                    obs::routeTraceContext().sink = nullptr;
-#endif
-                if (!rr.ok) {
-                    metrics_.recordUnroutable();
-                    IADM_TRACE_EVENT(
-                        trace_, obs::EventKind::Drop, id, now_, 0,
-                        src, obs::TraceEvent::kNoLink, dst, dst, 0,
-                        obs::TraceEvent::kFlagNotEnqueued |
-                            obs::TraceEvent::kFlagUnroutable);
-                    continue;
-                }
-                tag = rr.tag;
-                has_tag = true;
-                reroutes =
-                    rr.corollary41 + rr.backtrackStats.bitsChanged;
+
+    // Fill + build phase: contiguous blocks of attempts, one per
+    // shard, or the whole batch on this thread when the step is
+    // serial.  Sources are distinct within a cycle, so every attempt
+    // and stage-0 queue is written by exactly one block.
+    const auto fillBuild = [&](std::size_t lo, std::size_t hi) {
+        switch (mode) {
+          case Resolve::InitialTag:
+            return injectFillBuild<Resolve::InitialTag>(
+                version, first_id, lo, hi);
+          case Resolve::Reroute:
+            return injectFillBuild<Resolve::Reroute>(version, first_id,
+                                                     lo, hi);
+          case Resolve::Cached:
+            return injectFillBuild<Resolve::Cached>(version, first_id,
+                                                    lo, hi);
+          case Resolve::CachedPath:
+            return injectFillBuild<Resolve::CachedPath>(
+                version, first_id, lo, hi);
+        }
+    };
+    merging_ = true;
+    if (shardedActive()) {
+        const std::size_t per = (cnt + shards_ - 1) / shards_;
+        const std::function<void(unsigned)> job = [&](unsigned k) {
+            const std::size_t lo = std::min(cnt, k * per);
+            fillBuild(lo, std::min(cnt, lo + per));
+        };
+        pool_->run(job);
+    } else {
+        fillBuild(0, cnt);
+    }
+    merging_ = false;
+
+    // Commit phase (serial, attempt order): write fills back to their
+    // claimed slots — a later claim of the same slot lands last, as
+    // in one-at-a-time resolution — then fold counters and stage-0
+    // bookkeeping.
+    for (const CacheProbe &pr : probes_) {
+        if (pr.claim != nullptr)
+            *pr.claim = pr.entry;
+    }
+    for (const InjectAttempt &at : attempts_) {
+        switch (at.outcome) {
+          case InjectAttempt::Outcome::Unroutable:
+            metrics_.recordUnroutable();
+            break;
+          case InjectAttempt::Outcome::Throttled:
+            metrics_.recordThrottled();
+            break;
+          case InjectAttempt::Outcome::Injected:
+            // Sources are distinct, so a row holding one packet was
+            // empty before this cycle's injection.
+            ++stageSize_[0];
+            if (queues_.size(queues_.qid(0, at.src)) == 1) {
+                ++stageOccupied_[0];
+                setOccupied(0, at.src);
             }
-        } else if (cfg_.scheme == RoutingScheme::TsdtDynamic &&
-                   use_cache) {
-            // Dynamic TSDT packets start from the initial tag; the
-            // cache memoizes the packet-embedded path trace that
-            // cachePath() would otherwise redo per packet.
-            const auto [entry, hit] =
-                rcache_.acquire(src, dst, version, 0);
+            ++inFlight_;
+            if (feedback_)
+                traffic_->onInject(at.src);
+            metrics_.recordInjected();
+            break;
+        }
+    }
+}
+
+template <NetworkSim::Resolve M>
+void
+NetworkSim::injectFillBuild(std::uint64_t version,
+                            std::uint64_t first_id, std::size_t lo,
+                            std::size_t hi)
+{
+    const unsigned n = ltab_.stages();
+    for (std::size_t i = lo; i < hi; ++i) {
+        InjectAttempt &at = attempts_[i];
+        const Label src = at.src;
+        const Label dst = at.dst;
+        const std::uint64_t id = first_id + i;
+        core::TsdtTag tag;
+        unsigned reroutes = 0;
+        bool ok = true;
+        if constexpr (M == Resolve::InitialTag) {
+            tag = core::initialTag(n, dst);
+        } else if constexpr (M == Resolve::Reroute) {
+            // The sender computes a blockage-avoiding tag against
+            // the global blockage map via REROUTE.
+            core::CompactRoute cr;
+            withRouteTrace(trace_, id, now_, [&] {
+                cr = core::universalRouteCompact(topo_, faults_, src,
+                                                 dst);
+            });
+            ok = cr.ok;
+            tag = cr.tag;
+            reroutes = cr.reroutes;
+        } else if constexpr (M == Resolve::Cached) {
+            // Memoized REROUTE: one computation per (src, dst) per
+            // fault epoch, replayed (tag, reroute count and FAIL bit
+            // alike) for every later packet.
+            CacheProbe &pr = probes_[i];
+            const bool hit = pr.claim == nullptr;
+            if (hit) {
+                RouteCache::checkUniversalHit(pr.entry, topo_, faults_,
+                                              src, dst);
+            } else {
+                withRouteTrace(trace_, id, now_, [&] {
+                    RouteCache::fillUniversal(pr.entry, topo_, faults_,
+                                              src, dst);
+                });
+            }
             IADM_TRACE_EVENT(trace_,
                              hit ? obs::EventKind::CacheHit
                                  : obs::EventKind::CacheMiss,
-                             id, now_, 0, src,
-                             obs::TraceEvent::kNoLink, dst, dst, 0);
-            if (hit) {
-                metrics_.recordRouteCacheHit();
+                             id, now_, 0, src, obs::TraceEvent::kNoLink,
+                             dst, dst, 0);
+            ok = pr.entry.ok();
+            tag = pr.entry.tagFor(n);
+            reroutes = pr.entry.reroutes;
+        } else {
+            static_assert(M == Resolve::CachedPath);
+            // Dynamic TSDT packets start from the initial tag; the
+            // cache memoizes the packet-embedded path trace that
+            // cachePath() would otherwise redo per packet.
+            CacheProbe &pr = probes_[i];
+            const bool hit = pr.claim == nullptr;
+            IADM_TRACE_EVENT(trace_,
+                             hit ? obs::EventKind::CacheHit
+                                 : obs::EventKind::CacheMiss,
+                             id, now_, 0, src, obs::TraceEvent::kNoLink,
+                             dst, dst, 0);
+            if (!hit) {
+                // The initial tag's all-state-C path: delta word 0.
+                pr.entry.delta = 0;
+                pr.entry.reroutes = 0;
+                pr.entry.flags |= RouteCache::Entry::kOk;
+            }
+            tag = pr.entry.tagFor(n);
 #ifdef IADM_SANITIZE_BUILD
+            if (hit) {
+                // Decode the hit and replay it against the link
+                // table — the cross-check that pins decodeDelta() to
+                // the simulator's own topology.
                 const core::TsdtTag fresh = core::initialTag(n, dst);
-                IADM_ASSERT(fresh == entry->tagFor(n),
-                            "route cache hit diverged (tag) for ",
-                            src, "->", dst);
-                // Decode the compressed entry and replay it against
-                // the link table — the cross-check that pins
-                // decodeDelta() to the simulator's own topology.
+                IADM_ASSERT(fresh == tag,
+                            "route cache hit diverged (tag) for ", src,
+                            "->", dst);
                 std::uint16_t chk[RouteCache::kMaxPathSw];
-                core::decodeDelta(src, dst, entry->delta, n, chk);
+                core::decodeDelta(src, dst, pr.entry.delta, n, chk);
                 Label jv = src;
                 for (unsigned st = 0; st <= n; ++st) {
                     IADM_ASSERT(chk[st] == jv,
-                                "route cache hit diverged (path) "
-                                "for ",
+                                "route cache hit diverged (path) for ",
                                 src, "->", dst, " at stage ", st);
                     if (st < n)
                         jv = ltab_.to(st, jv,
                                       fastTsdtKind(jv, st, fresh));
                 }
-#endif
-            } else {
-                metrics_.recordRouteCacheMiss();
-                // The initial tag's all-state-C path: delta word 0.
-                entry->delta = 0;
-                entry->reroutes = 0;
-                entry->flags |= RouteCache::Entry::kOk;
             }
-            tag = entry->tagFor(n);
-            path_entry = entry;
-        } else {
-            tag = core::initialTag(n, dst);
+#endif
         }
-        // Build the packet directly in its slab slot; every live
-        // field of the stale slot is overwritten (pathSw is only
-        // read while pathValid).
-        Packet *slot = emplaceAt(0, src);
-        if (slot == nullptr) {
-            metrics_.recordThrottled();
-            IADM_TRACE_EVENT(trace_, obs::EventKind::Drop, id, now_,
-                             0, src, obs::TraceEvent::kNoLink, dst,
-                             dst, 0,
+        if (!ok) {
+            at.outcome = InjectAttempt::Outcome::Unroutable;
+            IADM_TRACE_EVENT(trace_, obs::EventKind::Drop, id, now_, 0,
+                             src, obs::TraceEvent::kNoLink, dst, dst, 0,
+                             obs::TraceEvent::kFlagNotEnqueued |
+                                 obs::TraceEvent::kFlagUnroutable);
+            continue;
+        }
+        const std::size_t q = queues_.qid(0, src);
+        if (queues_.full(q)) {
+            at.outcome = InjectAttempt::Outcome::Throttled;
+            IADM_TRACE_EVENT(trace_, obs::EventKind::Drop, id, now_, 0,
+                             src, obs::TraceEvent::kNoLink, dst, dst, 0,
                              obs::TraceEvent::kFlagNotEnqueued);
             continue;
         }
@@ -500,41 +581,39 @@ NetworkSim::inject()
                          src, obs::TraceEvent::kNoLink, dst,
                          static_cast<Label>(tag.destination()),
                          static_cast<Label>(tag.stateBits()));
-        slot->id = id;
-        slot->injected = now_;
-        slot->movedAt = ~Cycle{0};
-        slot->tag = tag;
-        slot->src = src;
-        slot->dst = dst;
-        slot->reroutes = reroutes;
-        slot->resumeStage = 0;
-        // The tag (when sender-computed) was resolved against the
-        // current fault epoch: in-flight re-resolution triggers only
-        // once the version moves past this stamp.
-        slot->lastEpoch = static_cast<std::uint16_t>(version);
-        slot->hasTag = has_tag;
-        slot->goingBack = false;
-        slot->undeliverable = false;
-        if (path_entry != nullptr) {
+        // Build the packet directly in its slab slot; every live
+        // field of the stale slot is overwritten (pathSw is only
+        // read while pathValid).
+        Packet &p = queues_.emplaceBack(q);
+        p.id = id;
+        p.injected = now_;
+        p.movedAt = ~Cycle{0};
+        p.tag = tag;
+        p.src = src;
+        p.dst = dst;
+        p.reroutes = reroutes;
+        p.resumeStage = 0;
+        // A sender tag was resolved against the current fault epoch:
+        // in-flight re-resolution triggers only once the version
+        // moves past this stamp.
+        p.lastEpoch = static_cast<std::uint16_t>(version);
+        p.hasTag = cfg_.scheme == RoutingScheme::TsdtSender;
+        p.goingBack = false;
+        p.undeliverable = false;
+        if constexpr (M == Resolve::CachedPath) {
             // Expand the compressed delta straight into the packet's
             // path buffer — the decode IS the fill (~n integer ops,
             // no table loads; see core::decodeDelta).
-            core::decodeDelta(src, dst, path_entry->delta, n,
-                              slot->pathSw);
-            slot->pathValid = true;
+            core::decodeDelta(src, dst, probes_[i].entry.delta, n,
+                              p.pathSw);
+            p.pathValid = true;
         } else {
-            slot->pathValid = false;
+            p.pathValid = false;
             if (cfg_.scheme == RoutingScheme::TsdtDynamic)
-                cachePath(*slot);
+                cachePath(p);
         }
-        ++inFlight_;
-        if (feedback_)
-            traffic_->onInject(src);
-        metrics_.recordInjected();
+        at.outcome = InjectAttempt::Outcome::Injected;
     }
-    if (use_cache)
-        metrics_.recordRouteCacheEvictions(rcache_.stats().evictions -
-                                           evict0);
 }
 
 template <RoutingScheme S, bool Traced>
@@ -1080,270 +1159,6 @@ NetworkSim::advanceStage(unsigned stage)
     IADM_PANIC("unreachable scheme");
 }
 
-void
-NetworkSim::injectSharded()
-{
-    const unsigned n = ltab_.stages();
-
-    // Draw phase: byte-identical to inject()'s — the RNG stream must
-    // not depend on the shard count.  (Closed-loop patterns never
-    // reach this path: feedback_ pins shards_ = 1 at construction,
-    // so onInject/onRetire hooks live only in the serial loop.)
-    if (gated_)
-        traffic_->beginCycle(now_);
-    pending_.clear();
-    for (Label s = 0; s < cfg_.netSize; ++s) {
-        const bool open = gated_ ? traffic_->gate(s, rng_) : true;
-        if (!rng_.chance(cfg_.injectionRate) || !open)
-            continue;
-        pending_.push_back({s, traffic_->pick(s, rng_)});
-    }
-    if (pending_.empty())
-        return;
-
-    // Serially pre-assign the ids the unbatched loop would hand out:
-    // attempt i (source order) consumed one id regardless of
-    // routability or queue space.
-    const std::size_t cnt = pending_.size();
-    const std::uint64_t base = nextPacketId_;
-    nextPacketId_ += cnt;
-
-    const bool sender = cfg_.scheme == RoutingScheme::TsdtSender;
-    // Same cache gate as inject() — see the comment there.
-    const bool use_cache =
-        rcacheEnabled_ &&
-        (sender ? !faults_.empty()
-                : rcache_.capacity() * sizeof(RouteCache::Entry) <=
-                      kDynamicCacheMaxBytes);
-    const std::uint64_t version = faults_.version();
-    const std::uint64_t evict0 =
-        use_cache ? rcache_.stats().evictions : 0;
-
-    // Probe phase (serial): claim cache slots in attempt order so
-    // the hit/miss/eviction sequence is exactly the serial one.
-    // Fills never influence probe outcomes (acquire() reads only the
-    // header fields it sets itself), so they defer to the parallel
-    // phase.  Hits are snapshotted — a later claim of this batch may
-    // evict the hit's slot before construction reads it.
-    islots_.assign(cnt, InjectSlot{});
-    // Claims of this batch still pointing into the table.  When a
-    // later claim evicts one, the earlier claim redirects to its
-    // pre-seeded local copy: serially it would have been filled and
-    // consumed before the eviction.
-    std::vector<std::pair<RouteCache::Entry *, std::size_t>> claims;
-    const auto stageClaim = [&](std::size_t i, RouteCache::Entry *e,
-                                bool hit) {
-        InjectSlot &sl = islots_[i];
-        if (hit) {
-            metrics_.recordRouteCacheHit();
-            sl.local = *e;
-            sl.entry = &sl.local;
-            sl.hitCheck = true;
-            return;
-        }
-        metrics_.recordRouteCacheMiss();
-        for (auto it = claims.rbegin(); it != claims.rend(); ++it) {
-            if (it->first == e && islots_[it->second].entry == e) {
-                islots_[it->second].entry =
-                    &islots_[it->second].local;
-                break;
-            }
-        }
-        sl.local = *e; // claim-time header, in case of redirection
-        sl.entry = e;
-        sl.needFill = true;
-        claims.push_back({e, i});
-    };
-    for (std::size_t i = 0; i < cnt; ++i) {
-        InjectSlot &sl = islots_[i];
-        const Label src = pending_[i].src;
-        const Label dst = pending_[i].dst;
-        if (sender) {
-            if (faults_.empty()) {
-                sl.kind = InjectSlot::Kind::SenderPlain;
-            } else if (use_cache) {
-                sl.kind = InjectSlot::Kind::SenderEntry;
-                const auto [e, hit] = rcache_.acquire(
-                    src, dst, version,
-                    RouteCache::Entry::kUniversal);
-                stageClaim(i, e, hit);
-            } else {
-                sl.kind = InjectSlot::Kind::SenderUncached;
-                sl.entry = &sl.local;
-                sl.needFill = true;
-            }
-        } else if (cfg_.scheme == RoutingScheme::TsdtDynamic &&
-                   use_cache) {
-            sl.kind = InjectSlot::Kind::DynamicEntry;
-            const auto [e, hit] = rcache_.acquire(src, dst, version, 0);
-            stageClaim(i, e, hit);
-        } else {
-            sl.kind = InjectSlot::Kind::PlainTag;
-        }
-    }
-    if (use_cache)
-        metrics_.recordRouteCacheEvictions(rcache_.stats().evictions -
-                                           evict0);
-
-    // Fill + construct phase (parallel): shard k owns a contiguous
-    // block of attempts.  Sources are distinct within a cycle, so
-    // every stage-0 queue (and every claimed cache entry) is written
-    // by exactly one shard; stage totals and inFlight_ fold in the
-    // serial epilogue.
-    shardDirty_ = true;
-    merging_ = true;
-    const std::size_t per = (cnt + shards_ - 1) / shards_;
-    const std::function<void(unsigned)> job = [&](unsigned k) {
-        ShardScratch &sc = shard_[k];
-        Metrics &sm = shardMetrics_[k];
-        sc.filled.clear();
-        const std::size_t lo = std::min(cnt, k * per);
-        const std::size_t hi = std::min(cnt, lo + per);
-        for (std::size_t i = lo; i < hi; ++i) {
-            InjectSlot &sl = islots_[i];
-            const Label src = pending_[i].src;
-            const Label dst = pending_[i].dst;
-            if (sl.needFill) {
-                switch (sl.kind) {
-                  case InjectSlot::Kind::SenderEntry:
-                    RouteCache::fillUniversal(*sl.entry, topo_,
-                                              faults_, src, dst);
-                    break;
-                  case InjectSlot::Kind::SenderUncached: {
-                    const auto rr = core::universalRoute(
-                        topo_, faults_, src, dst);
-                    // The local entry never entered the table, so
-                    // stamp the key tagFor() derives the
-                    // destination bits from.
-                    sl.local.key =
-                        RouteCache::Entry::packKey(src, dst);
-                    sl.local.delta = static_cast<std::uint16_t>(
-                        rr.tag.stateBits());
-                    const unsigned rcount =
-                        rr.corollary41 +
-                        rr.backtrackStats.bitsChanged;
-                    IADM_ASSERT(rcount <= 0xffffu,
-                                "reroute count ", rcount,
-                                " overflows the compressed entry");
-                    sl.local.reroutes =
-                        static_cast<std::uint16_t>(rcount);
-                    if (rr.ok)
-                        sl.local.flags |= RouteCache::Entry::kOk;
-                    break;
-                  }
-                  case InjectSlot::Kind::DynamicEntry: {
-                    // The initial tag's all-state-C path: delta 0.
-                    RouteCache::Entry &e = *sl.entry;
-                    e.delta = 0;
-                    e.reroutes = 0;
-                    e.flags |= RouteCache::Entry::kOk;
-                    break;
-                  }
-                  default:
-                    break;
-                }
-            }
-#ifdef IADM_SANITIZE_BUILD
-            if (sl.hitCheck) {
-                if (sl.kind == InjectSlot::Kind::SenderEntry) {
-                    RouteCache::checkUniversalHit(sl.local, topo_,
-                                                  faults_, src, dst);
-                } else {
-                    const core::TsdtTag fresh =
-                        core::initialTag(n, dst);
-                    IADM_ASSERT(fresh == sl.local.tagFor(n),
-                                "route cache hit diverged (tag) "
-                                "for ",
-                                src, "->", dst);
-                    std::uint16_t chk[RouteCache::kMaxPathSw];
-                    core::decodeDelta(src, dst, sl.local.delta, n,
-                                      chk);
-                    Label jv = src;
-                    for (unsigned st = 0; st <= n; ++st) {
-                        IADM_ASSERT(chk[st] == jv,
-                                    "route cache hit diverged "
-                                    "(path) for ",
-                                    src, "->", dst, " at stage ",
-                                    st);
-                        if (st < n)
-                            jv = ltab_.to(
-                                st, jv,
-                                fastTsdtKind(jv, st, fresh));
-                    }
-                }
-            }
-#endif
-            core::TsdtTag tag;
-            bool has_tag = false;
-            unsigned reroutes = 0;
-            const RouteCache::Entry *path_entry = nullptr;
-            switch (sl.kind) {
-              case InjectSlot::Kind::PlainTag:
-                tag = core::initialTag(n, dst);
-                break;
-              case InjectSlot::Kind::SenderPlain:
-                tag = core::initialTag(n, dst);
-                has_tag = true;
-                break;
-              case InjectSlot::Kind::SenderEntry:
-              case InjectSlot::Kind::SenderUncached:
-                if (!sl.entry->ok()) {
-                    sm.recordUnroutable();
-                    continue;
-                }
-                tag = sl.entry->tagFor(n);
-                has_tag = true;
-                reroutes = sl.entry->reroutes;
-                break;
-              case InjectSlot::Kind::DynamicEntry:
-                tag = sl.entry->tagFor(n);
-                path_entry = sl.entry;
-                break;
-            }
-            const std::size_t q = queues_.qid(0, src);
-            if (queues_.full(q)) {
-                sm.recordThrottled();
-                continue;
-            }
-            Packet &slot = queues_.emplaceBack(q);
-            slot.id = base + i;
-            slot.injected = now_;
-            slot.movedAt = ~Cycle{0};
-            slot.tag = tag;
-            slot.src = src;
-            slot.dst = dst;
-            slot.reroutes = reroutes;
-            slot.resumeStage = 0;
-            slot.lastEpoch = static_cast<std::uint16_t>(version);
-            slot.hasTag = has_tag;
-            slot.goingBack = false;
-            slot.undeliverable = false;
-            if (path_entry != nullptr) {
-                core::decodeDelta(src, dst, path_entry->delta, n,
-                                  slot.pathSw);
-                slot.pathValid = true;
-            } else {
-                slot.pathValid = false;
-                if (cfg_.scheme == RoutingScheme::TsdtDynamic)
-                    cachePath(slot);
-            }
-            sc.filled.push_back(src);
-            sm.recordInjected();
-        }
-    };
-    pool_->run(job);
-    merging_ = false;
-
-    // Serial epilogue: fold the shared counters in fixed shard order.
-    for (unsigned k = 0; k < shards_; ++k) {
-        for (const Label src : shard_[k].filled) {
-            ++stageSize_[0];
-            reconcileRow(0, src);
-            ++inFlight_;
-        }
-    }
-}
-
 template <RoutingScheme S>
 void
 NetworkSim::shardServiceRows(unsigned stage, unsigned k, Label offset,
@@ -1784,14 +1599,13 @@ NetworkSim::step()
     events_.runUntil(now_);
     if (faults_.version() != faultsVersion_)
         refreshFaultView();
+    inject();
     if (shardedActive()) {
-        injectSharded();
         for (unsigned stage = ltab_.stages(); stage-- > 0;) {
             ++epoch_;
             advanceStageShardedDispatch(stage);
         }
     } else {
-        inject();
         for (unsigned stage = ltab_.stages(); stage-- > 0;) {
             ++epoch_; // resets every acceptance count to zero, O(1)
             advanceStage(stage);

@@ -294,15 +294,54 @@ class NetworkSim
     bool feedback_ = false;
 
     // --- batched injection through the route cache ----------------
+    //
+    // inject() runs one cycle's attempts through four phases (docs/
+    // SIMULATOR.md, "Intra-simulation sharding"): draw (serial RNG
+    // order), probe (serial cache claims), fill + build (route fills
+    // and packet construction, split into contiguous blocks of
+    // attempts across the shard pool, or one block on the caller
+    // when the step is serial), and commit (serial: cache
+    // write-back, counters, stage-0 bookkeeping).
     RouteCache rcache_;       //!< per-sim: sweeps stay share-nothing
     bool rcacheEnabled_ = false;
-    /** One cycle's injection draws, collected before resolution. */
-    struct PendingInjection
+
+    /** How one cycle's attempts resolve their routes. */
+    enum class Resolve : std::uint8_t
     {
+        InitialTag, //!< initial tag, nothing to search
+        Reroute,    //!< sender REROUTE per attempt (no cache)
+        Cached,     //!< sender REROUTE through the route cache
+        CachedPath, //!< dynamic initial-tag path through the cache
+    };
+    /** One injection attempt, staged between the phases. */
+    struct InjectAttempt
+    {
+        enum class Outcome : std::uint8_t
+        {
+            Injected,
+            Throttled,  //!< stage-0 queue full
+            Unroutable, //!< REROUTE found no path
+        };
         Label src;
         Label dst;
+        Outcome outcome = Outcome::Injected;
     };
-    std::vector<PendingInjection> pending_; //!< scratch, size N
+    /** A cached-mode attempt's probe result, index-aligned with
+     *  attempts_. */
+    struct CacheProbe
+    {
+        /** The hit's snapshot, or the claim's header plus its fill.
+         *  A snapshot because a later claim of the same batch may
+         *  evict the slot before the build reads it. */
+        RouteCache::Entry entry;
+        /** Table slot a miss writes its fill back to (commit phase,
+         *  in attempt order, so a later claim of the same slot
+         *  overwrites it exactly as it would have serially); null
+         *  on a hit. */
+        RouteCache::Entry *claim = nullptr;
+    };
+    std::vector<InjectAttempt> attempts_; //!< scratch, size <= N
+    std::vector<CacheProbe> probes_;      //!< scratch, cached modes
 
     // --- intra-simulation sharding (docs/SIMULATOR.md) ------------
     //
@@ -345,7 +384,6 @@ class NetworkSim
         std::vector<MoveProposal> props; //!< phase A output
         std::vector<Label> pops;   //!< rows popped in phase A
         std::vector<MoveGrant> grants; //!< phase B output
-        std::vector<Label> filled; //!< rows injected into (inject)
     };
     std::vector<ShardScratch> shard_;
     /** Per-shard Metrics deltas.  Folding into metrics_ is lazy
@@ -355,25 +393,6 @@ class NetworkSim
     mutable std::vector<Metrics> shardMetrics_;
     mutable bool shardDirty_ = false;
 
-    /** Per-attempt staging for the sharded two-phase inject. */
-    struct InjectSlot
-    {
-        enum class Kind : std::uint8_t
-        {
-            PlainTag,       //!< initial tag, hasTag = false
-            SenderPlain,    //!< initial tag, hasTag = true
-            SenderEntry,    //!< sender outcome via cache entry
-            SenderUncached, //!< universalRoute into local
-            DynamicEntry,   //!< dynamic path trace via cache entry
-        };
-        RouteCache::Entry local; //!< hit snapshot / redirected fill
-        RouteCache::Entry *entry = nullptr; //!< construct reads here
-        Kind kind = Kind::PlainTag;
-        bool needFill = false; //!< run the fill phase for this slot
-        bool hitCheck = false; //!< sanitize cross-check in fill
-    };
-    std::vector<InjectSlot> islots_; //!< scratch, size = attempts
-
     /** True iff @p s resolves routing tags at injection time. */
     static bool
     schemeResolvesTags(RoutingScheme s)
@@ -382,7 +401,19 @@ class NetworkSim
                s == RoutingScheme::TsdtDynamic;
     }
 
+    /** Draw, probe, fill + build and commit this cycle's attempts. */
     void inject();
+
+    /**
+     * Fill + build phase for attempts [lo, hi): resolve each route
+     * (cache fill, REROUTE or initial tag) and construct the packet
+     * in its stage-0 slab slot.  Writes only these attempts, their
+     * probes and their (distinct) stage-0 queues, so disjoint ranges
+     * run concurrently; shared counters wait for the commit phase.
+     */
+    template <Resolve M>
+    void injectFillBuild(std::uint64_t version, std::uint64_t first_id,
+                         std::size_t lo, std::size_t hi);
 
     /** Dispatch to the scheme-specialized service loop. */
     void advanceStage(unsigned stage);
@@ -407,9 +438,6 @@ class NetworkSim
 
     /** Re-sync a row's occupancy bit / counters with its queue. */
     void reconcileRow(unsigned stage, Label j);
-
-    /** Sharded inject: serial draws/probes, parallel fill+build. */
-    void injectSharded();
 
     /** Dispatch to the scheme-specialized sharded service loop. */
     void advanceStageShardedDispatch(unsigned stage);
@@ -508,43 +536,6 @@ class NetworkSim
         occWords_[static_cast<std::size_t>(stage) *
                       occWordsPerStage_ +
                   (j >> 6)] &= ~(std::uint64_t{1} << (j & 63));
-    }
-
-    /**
-     * Claim the tail slot of (stage, j) for in-place construction;
-     * nullptr when full.  The slot holds a stale packet: the caller
-     * must overwrite every live field (pathSw may stay stale — it
-     * is only read while pathValid).
-     */
-    Packet *
-    emplaceAt(unsigned stage, Label j)
-    {
-        const std::size_t q = queues_.qid(stage, j);
-        if (queues_.full(q))
-            return nullptr;
-        const bool was_empty = queues_.empty(q);
-        Packet &slot = queues_.emplaceBack(q);
-        ++stageSize_[stage];
-        if (was_empty) {
-            ++stageOccupied_[stage];
-            setOccupied(stage, j);
-        }
-        return &slot;
-    }
-
-    bool
-    pushAt(unsigned stage, Label j, Packet &&p)
-    {
-        const std::size_t q = queues_.qid(stage, j);
-        const bool was_empty = queues_.empty(q);
-        if (!queues_.push(q, std::move(p)))
-            return false;
-        ++stageSize_[stage];
-        if (was_empty) {
-            ++stageOccupied_[stage];
-            setOccupied(stage, j);
-        }
-        return true;
     }
 
     void

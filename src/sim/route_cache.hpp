@@ -170,8 +170,8 @@ class RouteCache
      * miss.  Returns (entry, hit): on a hit the entry is valid and
      * must not be written; on a miss it has key/version/mode set
      * and is otherwise blank, and the caller must fill delta /
-     * reroutes and the kOk flag before the next acquire.  Stats are
-     * updated.
+     * reroutes and the kOk flag — in place before the next acquire,
+     * or through the batch discipline below.  Stats are updated.
      */
     std::pair<Entry *, bool> acquire(Label src, Label dst,
                                      std::uint64_t version,
@@ -188,21 +188,22 @@ class RouteCache
                      const fault::FaultSet &faults, Label src,
                      Label dst);
 
-    // --- split probe/fill for sharded batch resolution ------------
+    // --- split probe/fill for batch resolution --------------------
     //
-    // A sharded injector cannot interleave probes and fills the way
-    // resolveUniversal() does: probes mutate the table (claims,
-    // evictions) and must stay serial to keep the exact serial
-    // hit/miss/eviction sequence, while fills are the expensive part
-    // and are safe to parallelize — each claimed entry is written by
-    // exactly one attempt, and probe decisions read only the header
-    // fields (key/version/flags mode bit) that acquire() itself
-    // sets, never the payload a fill writes.  The insertion
-    // discipline is therefore: claim every slot of the batch through
-    // acquire() under the serial epoch guard, snapshot hits (a later
-    // claim of the batch may evict a hit's slot), redirect
-    // claims whose slot a later claim of the same batch evicted,
-    // then fill the claimed entries concurrently.
+    // A batch resolver (NetworkSim::inject) does not interleave
+    // probes and fills the way resolveUniversal() does: probes
+    // mutate the table (claims, evictions) and stay serial to keep
+    // the one-at-a-time hit/miss/eviction sequence, while fills are
+    // the expensive part and may run on any thread.  Probe decisions
+    // read only the header fields (key/version/flags mode bit) that
+    // acquire() itself sets, never the payload a fill writes, so the
+    // fills can wait.  The discipline: acquire() every attempt of
+    // the batch in order and copy each returned entry out (a hit is
+    // then a stable snapshot, a miss a claim-time header), fill the
+    // copies, and write each filled copy back to its claimed slot in
+    // attempt order.  A slot claimed twice in one batch then ends
+    // with the later claim's fill, as one-at-a-time resolution
+    // leaves it.
 
     /**
      * Fill a freshly acquire()d universal-mode entry from REROUTE

@@ -15,7 +15,10 @@
  *  - EventQueue callbacks staged from worker shards must drain in
  *    (shard, staging order), independent of thread scheduling;
  *  - inFlight() accounting must survive park-and-retry packets whose
- *    backward walks cross shard boundaries mid-fault-epoch.
+ *    backward walks cross shard boundaries mid-fault-epoch;
+ *  - batched injection (serial probes, fills on any shard, write-back
+ *    in attempt order) must replay one-at-a-time route resolution,
+ *    even when a cycle's later claims evict its earlier ones.
  */
 
 #include <gtest/gtest.h>
@@ -23,9 +26,14 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
+#include "fault/injection.hpp"
+#include "obs/trace_sink.hpp"
+#include "sim/route_cache.hpp"
 #include "sim/sweep.hpp"
 
 namespace iadm {
@@ -451,6 +459,172 @@ TEST(ShardInFlight, ShardedTwinTracksSerialTwinCycleByCycle)
     EXPECT_EQ(a.latencyHistogram(), b.latencyHistogram());
     EXPECT_EQ(a.routeCacheHits(), b.routeCacheHits());
     EXPECT_EQ(a.routeCacheMisses(), b.routeCacheMisses());
+}
+
+// --- injection: one probe/fill/build path at every shard count ----
+
+/**
+ * N=64 under enough static link faults that some pairs are
+ * unroutable.  A 16-slot route cache is a single probe window, so
+ * every busy cycle's later claims evict its earlier ones before
+ * their fills are written back.
+ */
+NetworkSim
+makeInjectSim(RoutingScheme scheme, unsigned shards,
+              std::size_t cache_capacity)
+{
+    SimConfig cfg;
+    cfg.netSize = 64;
+    cfg.scheme = scheme;
+    cfg.injectionRate = 0.5;
+    cfg.seed = 7;
+    cfg.routeCacheCapacity = cache_capacity;
+    cfg.maxPacketAge = 200;
+    cfg.shards = shards;
+    const topo::IadmTopology topo(cfg.netSize);
+    Rng rng(99);
+    return NetworkSim(cfg, TrafficSpec{}.make(cfg.netSize),
+                      fault::randomLinkFaults(topo, 12, rng));
+}
+
+/**
+ * The batched injector (probe every attempt, then fill, then write
+ * fills back in attempt order) must reproduce resolving each attempt
+ * one at a time: the traced run's CacheHit/CacheMiss sequence is
+ * replayed through a fresh cache one resolveUniversal-style call at
+ * a time, and every probe outcome, every injected tag and the final
+ * hit/miss/eviction totals must agree.  Sender REROUTE searches
+ * (the only source of Reroute events under static faults) must
+ * belong to misses: a hit replays its entry without searching.
+ */
+TEST(ShardInject, BatchedProbesReplayOneAtATimeResolution)
+{
+    if (!obs::traceCompiledIn())
+        GTEST_SKIP() << "needs IADM_TRACE hooks";
+    for (const RoutingScheme scheme :
+         {RoutingScheme::TsdtSender, RoutingScheme::TsdtDynamic}) {
+        for (const std::size_t capacity : {std::size_t{16},
+                                           std::size_t{0}}) {
+            SCOPED_TRACE(std::string(routingSchemeName(scheme)) +
+                         " capacity " + std::to_string(capacity));
+            NetworkSim s = makeInjectSim(scheme, 1, capacity);
+            ASSERT_NE(s.routeCache(), nullptr);
+            obs::TraceSink sink(std::size_t{1} << 18);
+            s.setTraceSink(&sink);
+            s.run(300);
+            ASSERT_EQ(sink.droppedOldest(), 0u);
+
+            const bool sender = scheme == RoutingScheme::TsdtSender;
+            const std::uint8_t content =
+                sender ? RouteCache::Entry::kUniversal : 0;
+            const unsigned n = s.topology().stages();
+            RouteCache ref(64, s.routeCache()->capacity());
+            std::unordered_map<std::uint64_t, RouteCache::Entry> want;
+            std::unordered_map<std::uint64_t, bool> missed;
+            std::size_t probes = 0;
+            std::vector<std::uint64_t> searched;
+            for (const obs::TraceEvent &e : sink.snapshot()) {
+                if (e.kind == obs::EventKind::CacheHit ||
+                    e.kind == obs::EventKind::CacheMiss) {
+                    const auto [entry, hit] = ref.acquire(
+                        e.sw, e.aux, s.faults().version(), content);
+                    if (!hit && sender) {
+                        RouteCache::fillUniversal(*entry, s.topology(),
+                                                  s.faults(), e.sw,
+                                                  e.aux);
+                    } else if (!hit) {
+                        entry->flags |= RouteCache::Entry::kOk;
+                        entry->delta = 0;
+                        entry->reroutes = 0;
+                    }
+                    ASSERT_EQ(hit, e.kind == obs::EventKind::CacheHit)
+                        << "probe " << probes << ": " << e.sw << "->"
+                        << e.aux;
+                    want[e.packet] = *entry;
+                    missed[e.packet] = !hit;
+                    ++probes;
+                } else if (e.kind == obs::EventKind::Inject) {
+                    ASSERT_EQ(want.count(e.packet), 1u);
+                    const RouteCache::Entry &w = want[e.packet];
+                    EXPECT_TRUE(w.ok());
+                    EXPECT_EQ(e.tagState, w.tagFor(n).stateBits())
+                        << "packet " << e.packet;
+                } else if (e.kind == obs::EventKind::Drop &&
+                           (e.flags &
+                            obs::TraceEvent::kFlagUnroutable) &&
+                           (e.flags &
+                            obs::TraceEvent::kFlagNotEnqueued)) {
+                    ASSERT_EQ(want.count(e.packet), 1u);
+                    EXPECT_FALSE(want[e.packet].ok())
+                        << "packet " << e.packet;
+                } else if (e.kind == obs::EventKind::Reroute &&
+                           sender) {
+                    // A miss's search runs before its CacheMiss event.
+                    searched.push_back(e.packet);
+                }
+            }
+            for (const std::uint64_t id : searched)
+                EXPECT_TRUE(missed[id])
+                    << "REROUTE ran for a cache hit, packet " << id;
+            const Metrics &m = s.metrics();
+            EXPECT_EQ(probes, m.routeCacheHits() + m.routeCacheMisses());
+            EXPECT_EQ(ref.stats().hits, m.routeCacheHits());
+            EXPECT_EQ(ref.stats().misses, m.routeCacheMisses());
+            EXPECT_EQ(ref.stats().evictions, m.routeCacheEvictions());
+            EXPECT_EQ(ref.stats().evictions == 0, capacity == 0);
+            EXPECT_GT(m.routeCacheHits(), 0u);
+            if (sender) {
+                EXPECT_FALSE(searched.empty());
+                EXPECT_GT(m.unroutable(), 0u);
+            }
+        }
+    }
+}
+
+/**
+ * The same in-batch eviction churn at 2 and 4 shards: fills run on
+ * worker threads and land at commit, so every counter — cache
+ * totals included — must match the one-shard run, which in turn
+ * routes exactly like the uncached run.
+ */
+TEST(ShardInject, ShardedBatchesMatchOneShardUnderInBatchEvictions)
+{
+    for (const RoutingScheme scheme :
+         {RoutingScheme::TsdtSender, RoutingScheme::TsdtDynamic}) {
+        SCOPED_TRACE(routingSchemeName(scheme));
+        NetworkSim uncached = makeInjectSim(scheme, 1, 16);
+        uncached.setRouteCacheEnabled(false);
+        uncached.run(300);
+        NetworkSim one = makeInjectSim(scheme, 1, 16);
+        one.run(300);
+        const Metrics &u = uncached.metrics();
+        const Metrics &o = one.metrics();
+        EXPECT_GT(o.routeCacheEvictions(), 0u);
+        EXPECT_EQ(o.injected(), u.injected());
+        EXPECT_EQ(o.delivered(), u.delivered());
+        EXPECT_EQ(o.unroutable(), u.unroutable());
+        EXPECT_EQ(o.totalHops(), u.totalHops());
+        for (const unsigned shards : {2u, 4u}) {
+            NetworkSim s = makeInjectSim(scheme, shards, 16);
+            ASSERT_EQ(s.shards(), shards);
+            s.run(300);
+            const Metrics &m = s.metrics();
+            EXPECT_EQ(m.injected(), o.injected()) << shards;
+            EXPECT_EQ(m.delivered(), o.delivered()) << shards;
+            EXPECT_EQ(m.throttled(), o.throttled()) << shards;
+            EXPECT_EQ(m.unroutable(), o.unroutable()) << shards;
+            EXPECT_EQ(m.totalHops(), o.totalHops()) << shards;
+            EXPECT_EQ(m.totalReroutes(), o.totalReroutes()) << shards;
+            EXPECT_EQ(m.latencyHistogram(), o.latencyHistogram())
+                << shards;
+            EXPECT_EQ(m.routeCacheHits(), o.routeCacheHits()) << shards;
+            EXPECT_EQ(m.routeCacheMisses(), o.routeCacheMisses())
+                << shards;
+            EXPECT_EQ(m.routeCacheEvictions(), o.routeCacheEvictions())
+                << shards;
+            EXPECT_EQ(s.inFlight(), one.inFlight()) << shards;
+        }
+    }
 }
 
 } // namespace
