@@ -51,13 +51,13 @@
  *
  * --shards S is the paired A/B for intra-simulation sharding:
  * every configuration runs serial (SimConfig::shards = 1) and again
- * sharded across S worker threads, and each rung reports its
- * *effective* shard count in a "shards" field (SsdtBalanced pins
- * itself serial, so its sharded rung records 1).  Sharding is
- * byte-deterministic, so the paired rungs must agree on delivered /
- * hops exactly — the A/B isolates pure scheduling overhead or
- * speedup.  Meaningful speedups need >= S free cores; see
- * docs/PERF.md for the single-core methodology note.
+ * with its injection fill + build split across S worker threads,
+ * and each rung reports its *effective* shard count in a "shards"
+ * field (clamped to N).  Sharding is byte-deterministic, so the
+ * paired rungs must agree on delivered / hops exactly — the A/B
+ * isolates pure scheduling overhead or speedup.  Meaningful
+ * speedups need >= S free cores; docs/PERF.md has the measured
+ * ladders.
  *
  * --net-size 0 (default) runs the full {64, 256, 1024} ladder; a
  * specific size runs only that one (the perf-smoke ctest uses

@@ -30,10 +30,11 @@
  *
  * The single-owner contract also interacts with intra-simulation
  * sharding (SimConfig::shards): a sink's event order is defined to
- * be the serial service order, and recording is an unsynchronized
- * store, so a simulator with an attached sink pins itself to the
- * serial step — sharded execution resumes when the sink is
- * detached.  See docs/SIMULATOR.md "Intra-simulation sharding".
+ * be the serial order, and recording is an unsynchronized store, so
+ * a simulator with an attached sink runs its injection fill + build
+ * phase (the only phase shards split) as one block on the caller —
+ * sharded fills resume when the sink is detached.  See
+ * docs/SIMULATOR.md "Intra-simulation sharding".
  */
 
 #ifndef IADM_OBS_TRACE_SINK_HPP

@@ -29,43 +29,4 @@ EventQueue::nextTime() const
     return heap_.top().time;
 }
 
-void
-EventQueue::setShardCount(unsigned shards)
-{
-    if (staging_.size() < shards)
-        staging_.resize(shards);
-}
-
-void
-EventQueue::scheduleFromShard(unsigned shard, Cycle when,
-                              Callback fn)
-{
-    IADM_ASSERT(shard < staging_.size(),
-                "scheduleFromShard: shard ", shard,
-                " outside setShardCount(", staging_.size(), ")");
-    staging_[shard].push_back({when, std::move(fn)});
-}
-
-void
-EventQueue::commitShardSchedules()
-{
-    // Fixed shard order, then local staging order: the seqs handed
-    // out here depend only on what each shard staged, never on how
-    // the worker threads were scheduled.
-    for (auto &stage : staging_) {
-        for (auto &e : stage)
-            schedule(e.time, std::move(e.fn));
-        stage.clear();
-    }
-}
-
-std::size_t
-EventQueue::staged() const
-{
-    std::size_t total = 0;
-    for (const auto &stage : staging_)
-        total += stage.size();
-    return total;
-}
-
 } // namespace iadm::sim

@@ -38,48 +38,11 @@ class EventQueue
     /** Time of the earliest pending event. */
     Cycle nextTime() const;
 
-    // --- sharded scheduling (docs/SIMULATOR.md, "Determinism") ----
-    //
-    // schedule() hands out seq_ tie-break numbers in call order,
-    // which assumes a single scheduling thread: calls racing from a
-    // sharded service loop would interleave seqs nondeterministically
-    // (and corrupt the heap outright).  Sharded callers instead stage
-    // entries per shard — scheduleFromShard() is thread-safe across
-    // *distinct* shard ids, with no locking — and the owner commits
-    // the staged entries serially in fixed shard order, so the final
-    // ordering key is the deterministic (shard, localSeq) pair no
-    // matter how the worker threads interleaved.
-
-    /** Size the per-shard staging buffers (idempotent). */
-    void setShardCount(unsigned shards);
-
-    /**
-     * Stage @p fn for cycle @p when from shard @p shard.  Not
-     * visible to pending()/runUntil() until commitShardSchedules().
-     */
-    void scheduleFromShard(unsigned shard, Cycle when, Callback fn);
-
-    /**
-     * Drain every staged entry into the heap, shard 0 first, each
-     * shard's entries in its local staging order.  Must be called
-     * from the owning thread between sharded phases (the simulator
-     * does so at the start of each step).
-     */
-    void commitShardSchedules();
-
-    /** Staged-but-uncommitted entry count (tests/diagnostics). */
-    std::size_t staged() const;
-
   private:
     struct Entry
     {
         Cycle time;
         std::uint64_t seq; //!< FIFO tie-break for equal times
-        Callback fn;
-    };
-    struct StagedEntry
-    {
-        Cycle time;
         Callback fn;
     };
     struct Later
@@ -93,7 +56,6 @@ class EventQueue
     };
     std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
     std::uint64_t seq_ = 0;
-    std::vector<std::vector<StagedEntry>> staging_; //!< per shard
 };
 
 } // namespace iadm::sim

@@ -49,45 +49,6 @@ Metrics::recordDelivered(const Packet &p, Cycle now)
 }
 
 void
-Metrics::merge(const Metrics &other)
-{
-    IADM_ASSERT(nSize_ == other.nSize_ &&
-                    nStages_ == other.nStages_,
-                "Metrics::merge across different network shapes");
-    const auto addVec = [](std::vector<std::uint64_t> &dst,
-                           const std::vector<std::uint64_t> &src) {
-        for (std::size_t i = 0; i < dst.size(); ++i)
-            dst[i] += src[i];
-    };
-    injected_ += other.injected_;
-    delivered_ += other.delivered_;
-    throttled_ += other.throttled_;
-    unroutable_ += other.unroutable_;
-    dropped_ += other.dropped_;
-    latencySum_ += other.latencySum_;
-    maxLatency_ = std::max(maxLatency_, other.maxLatency_);
-    latencyCapped_ = latencyCapped_ || other.latencyCapped_;
-    backtrackHops_ += other.backtrackHops_;
-    routeCacheHits_ += other.routeCacheHits_;
-    routeCacheMisses_ += other.routeCacheMisses_;
-    routeCacheEvictions_ += other.routeCacheEvictions_;
-    for (unsigned r = 0; r < kDropReasons; ++r)
-        dropsByReason_[r] += other.dropsByReason_[r];
-    faultDowns_ += other.faultDowns_;
-    faultUps_ += other.faultUps_;
-    deliveredDuringFaults_ += other.deliveredDuringFaults_;
-    recoveries_ += other.recoveries_;
-    recoveryWaitSum_ += other.recoveryWaitSum_;
-    addVec(dropsByStage_, other.dropsByStage_);
-    addVec(stalls_, other.stalls_);
-    addVec(reroutes_, other.reroutes_);
-    addVec(hopsByLink_, other.hopsByLink_);
-    addVec(depthSum_, other.depthSum_);
-    addVec(depthSamples_, other.depthSamples_);
-    addVec(latencyHist_, other.latencyHist_);
-}
-
-void
 Metrics::sampleQueueDepth(unsigned stage, std::size_t depth)
 {
     depthSum_[stage] += depth;

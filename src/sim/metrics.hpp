@@ -244,21 +244,6 @@ class Metrics
     std::string summary(Cycle cycles) const;
 
     /**
-     * Fold another Metrics instance (same network shape) into this
-     * one.  Commutative and associative by construction: every
-     * stored field is a plain sum, an element-wise vector sum, a max
-     * (maxLatency_) or a boolean OR (latencyCapped_) — the averaged
-     * and derived report fields (avg_recovery_wait, avg_latency,
-     * percentiles, rates) are computed from the raw accumulators at
-     * read time, never stored.  This is what makes per-shard metric
-     * deltas mergeable in any grouping with byte-identical reports:
-     * a naive merge of the *derived* values (averaging the
-     * averages) is order- and partition-sensitive and wrong —
-     * see shard_test.cpp's regression.
-     */
-    void merge(const Metrics &other);
-
-    /**
      * Register every counter into @p reg under the "sim." prefix
      * (docs/OBSERVABILITY.md lists the names).  @p cycles scales the
      * derived rates, exactly as in the sweep report.

@@ -125,43 +125,14 @@ NetworkSim::NetworkSim(const SimConfig &cfg,
         probes_.reserve(cfg.netSize);
     }
     attempts_.reserve(cfg.netSize);
-    // Intra-sim sharding: clamp, partition rows contiguously, and
-    // spin up the persistent pool.  SsdtBalanced is pinned serial —
-    // its emptier-queue choice reads next-stage depths mid-scan,
-    // which no deterministic merge can decompose (docs/SIMULATOR.md).
-    shards_ = cfg.shards == 0 ? 1 : cfg.shards;
-    if (shards_ > cfg.netSize)
-        shards_ = static_cast<unsigned>(cfg.netSize);
-    if (cfg.scheme == RoutingScheme::SsdtBalanced)
-        shards_ = 1;
-    // Closed-loop traffic gets onRetire callbacks from the service
-    // loop, which shards would run concurrently: pin serial, exactly
-    // like SsdtBalanced.
-    if (feedback_)
-        shards_ = 1;
-    if (shards_ > 1) {
-        rowsPerShard_ =
-            static_cast<Label>((cfg.netSize + shards_ - 1) / shards_);
-        pool_ = std::make_unique<ShardPool>(shards_);
-        shard_.resize(shards_);
-        shardMetrics_.reserve(shards_);
-        for (unsigned k = 0; k < shards_; ++k)
-            shardMetrics_.emplace_back(cfg.netSize, topo_.stages());
-        events_.setShardCount(shards_);
-    }
+    // Intra-sim sharding splits only the injection fill + build
+    // phase, which reads no queue depths and calls no traffic hook,
+    // so every scheme and traffic pattern may shard.
+    const unsigned shards =
+        std::clamp<unsigned>(cfg.shards, 1, cfg.netSize);
+    if (shards > 1)
+        pool_ = std::make_unique<ShardPool>(shards);
     refreshFaultView();
-}
-
-void
-NetworkSim::foldShardMetrics() const
-{
-    if (!shardDirty_)
-        return;
-    shardDirty_ = false;
-    for (auto &m : shardMetrics_) {
-        metrics_.merge(m);
-        m = Metrics(cfg_.netSize, topo_.stages());
-    }
 }
 
 void
@@ -178,49 +149,17 @@ void
 NetworkSim::resetMetrics()
 {
     metrics_ = Metrics(cfg_.netSize, topo_.stages());
-    for (auto &m : shardMetrics_)
-        m = Metrics(cfg_.netSize, topo_.stages());
-    shardDirty_ = false;
 }
 
 std::size_t
 NetworkSim::inFlight() const
 {
 #ifdef IADM_SANITIZE_BUILD
-    // Shard-aware: while worker phases run (merging_), per-shard
-    // deltas have not been folded into inFlight_ yet and a totalSize
-    // scan would race with in-flight queue commits — the cross-check
-    // is only meaningful between phases, where phase C has restored
-    // the invariant.
-    IADM_ASSERT(merging_ || inFlight_ == queues_.totalSize(),
+    IADM_ASSERT(inFlight_ == queues_.totalSize(),
                 "inFlight counter drift: ", inFlight_,
                 " != ", queues_.totalSize());
 #endif
     return inFlight_;
-}
-
-void
-NetworkSim::reconcileRow(unsigned stage, Label j)
-{
-    // Idempotent: compares the occupancy bit against the final queue
-    // state, so a row touched by several phase records settles after
-    // the first call and the rest are no-ops.
-    const std::size_t q = queues_.qid(stage, j);
-    const std::size_t w =
-        static_cast<std::size_t>(stage) * occWordsPerStage_ +
-        (j >> 6);
-    const std::uint64_t bit = std::uint64_t{1} << (j & 63);
-    const bool marked = (occWords_[w] & bit) != 0;
-    const bool occupied = !queues_.empty(q);
-    if (marked == occupied)
-        return;
-    if (occupied) {
-        occWords_[w] |= bit;
-        ++stageOccupied_[stage];
-    } else {
-        occWords_[w] &= ~bit;
-        --stageOccupied_[stage];
-    }
 }
 
 void
@@ -404,8 +343,9 @@ NetworkSim::inject()
 
     // Fill + build phase: contiguous blocks of attempts, one per
     // shard, or the whole batch on this thread when the step is
-    // serial.  Sources are distinct within a cycle, so every attempt
-    // and stage-0 queue is written by exactly one block.
+    // serial or traced (a TraceSink is single-owner).  Sources are
+    // distinct within a cycle, so every attempt and stage-0 queue is
+    // written by exactly one block.
     const auto fillBuild = [&](std::size_t lo, std::size_t hi) {
         switch (mode) {
           case Resolve::InitialTag:
@@ -422,18 +362,17 @@ NetworkSim::inject()
                 version, first_id, lo, hi);
         }
     };
-    merging_ = true;
-    if (shardedActive()) {
-        const std::size_t per = (cnt + shards_ - 1) / shards_;
-        const std::function<void(unsigned)> job = [&](unsigned k) {
+    if (pool_ != nullptr &&
+        !(obs::traceCompiledIn() && trace_ != nullptr)) {
+        const std::size_t per =
+            (cnt + pool_->shards() - 1) / pool_->shards();
+        pool_->run([&](unsigned k) {
             const std::size_t lo = std::min(cnt, k * per);
             fillBuild(lo, std::min(cnt, lo + per));
-        };
-        pool_->run(job);
+        });
     } else {
         fillBuild(0, cnt);
     }
-    merging_ = false;
 
     // Commit phase (serial, attempt order): write fills back to their
     // claimed slots — a later claim of the same slot lands last, as
@@ -618,8 +557,7 @@ NetworkSim::injectFillBuild(std::uint64_t version,
 
 template <RoutingScheme S, bool Traced>
 std::optional<topo::Link>
-NetworkSim::chooseLink(unsigned stage, Label j, Packet &p,
-                       Metrics &m)
+NetworkSim::chooseLink(unsigned stage, Label j, Packet &p)
 {
     // Constant null when untraced: every hook below folds away and
     // this instantiation matches a trace-off build's code exactly.
@@ -656,7 +594,7 @@ NetworkSim::chooseLink(unsigned stage, Label j, Packet &p,
         if (flip) {
             ssdtState_.flip(stage, j);
             ++p.reroutes;
-            m.recordReroute(stage);
+            metrics_.recordReroute(stage);
             IADM_TRACE_EVENT(
                 trace, obs::EventKind::StateFlip, p.id, now_, stage,
                 j, static_cast<std::uint8_t>(spare_kind),
@@ -683,11 +621,11 @@ NetworkSim::chooseLink(unsigned stage, Label j, Packet &p,
             core::rerouteFromSwitch(topo_, faults_, stage, j, p.tag);
         if (!re)
             return std::nullopt;
-        m.recordRecovery(
+        metrics_.recordRecovery(
             now_ - (p.movedAt == ~Cycle{0} ? p.injected : p.movedAt));
         p.tag = *re;
         ++p.reroutes;
-        m.recordReroute(stage);
+        metrics_.recordReroute(stage);
         IADM_TRACE_EVENT(trace, obs::EventKind::Reroute, p.id, now_,
                          stage, j, obs::TraceEvent::kNoLink, 1,
                          static_cast<Label>(p.tag.destination()),
@@ -708,7 +646,7 @@ NetworkSim::chooseLink(unsigned stage, Label j, Packet &p,
                 p.tag.flipStateBit(stage);
                 cachePath(p);
                 ++p.reroutes;
-                m.recordReroute(stage);
+                metrics_.recordReroute(stage);
                 IADM_TRACE_EVENT(
                     trace, obs::EventKind::Reroute, p.id, now_,
                     stage, j, static_cast<std::uint8_t>(spare_kind),
@@ -739,7 +677,7 @@ NetworkSim::chooseLink(unsigned stage, Label j, Packet &p,
         p.tag = *re;
         cachePath(p);
         ++p.reroutes;
-        m.recordReroute(stage);
+        metrics_.recordReroute(stage);
         IADM_TRACE_EVENT(trace, obs::EventKind::Reroute, p.id, now_,
                          stage, j, obs::TraceEvent::kNoLink,
                          stats.bitsChanged,
@@ -765,7 +703,7 @@ NetworkSim::chooseLink(unsigned stage, Label j, Packet &p,
         if (!fview_.isBlocked(
                 ltab_.index(stage, j, topo::LinkKind::Minus))) {
             ++p.reroutes;
-            m.recordReroute(stage);
+            metrics_.recordReroute(stage);
             IADM_TRACE_EVENT(
                 trace, obs::EventKind::Reroute, p.id, now_, stage,
                 j,
@@ -1008,8 +946,7 @@ NetworkSim::advanceStageImpl(unsigned stage)
             head.goingBack = false;
         }
 
-        const auto link =
-            chooseLink<S, Traced>(stage, j, head, metrics_);
+        const auto link = chooseLink<S, Traced>(stage, j, head);
         if constexpr (S == RoutingScheme::TsdtDynamic) {
             if (retried && !head.undeliverable)
                 metrics_.recordRecovery(
@@ -1159,304 +1096,6 @@ NetworkSim::advanceStage(unsigned stage)
     IADM_PANIC("unreachable scheme");
 }
 
-template <RoutingScheme S>
-void
-NetworkSim::shardServiceRows(unsigned stage, unsigned k, Label offset,
-                             bool deliver)
-{
-    static_assert(S != RoutingScheme::SsdtBalanced,
-                  "the balanced scheme's mid-scan queue-depth reads "
-                  "are order-dependent by definition; it never "
-                  "shards");
-    ShardScratch &sc = shard_[k];
-    Metrics &sm = shardMetrics_[k];
-    sc.props.clear();
-    sc.pops.clear();
-    sc.grants.clear();
-
-    const Label lo =
-        std::min<Label>(cfg_.netSize,
-                        static_cast<Label>(k) * rowsPerShard_);
-    const Label hi = std::min<Label>(cfg_.netSize, lo + rowsPerShard_);
-    if (lo >= hi)
-        return;
-    const std::uint64_t *words =
-        &occWords_[static_cast<std::size_t>(stage) *
-                   occWordsPerStage_];
-
-    // Ascending-row iteration over the shard's set bits.  Row order
-    // within this phase is immaterial: every decision reads only
-    // state that is stable for the whole phase or exclusive to the
-    // row, so only the recorded serial rank matters — the rotated
-    // service order is reimposed by the rank-sorted grant scan.
-    unsigned wi = lo >> 6;
-    const unsigned w_last = (hi - 1) >> 6;
-    std::uint64_t word = words[wi] & (~std::uint64_t{0} << (lo & 63));
-    for (;;) {
-        if (wi == w_last && (hi & 63) != 0)
-            word &= (std::uint64_t{1} << (hi & 63)) - 1;
-        while (word != 0) {
-            const auto b =
-                static_cast<unsigned>(std::countr_zero(word));
-            word &= word - 1;
-            const Label j = static_cast<Label>((wi << 6) | b);
-
-            const std::size_t q = queues_.qid(stage, j);
-            Packet &head = queues_.front(q);
-            if (head.movedAt == now_)
-                continue; // one hop per packet per cycle
-            const auto rank = static_cast<Label>((j - offset) & mask_);
-
-            // See advanceStageImpl for the disposition rationale;
-            // drops pop here (head_ is row-exclusive) and defer the
-            // shared counters to the phase C record drain.
-            const auto parkOrDrop = [&](const Packet &h) {
-                const bool dynamic_env =
-                    events_.pending() != 0 || !churn_.empty();
-                const bool aged =
-                    cfg_.maxPacketAge != 0 &&
-                    now_ - h.injected >= cfg_.maxPacketAge;
-                if (dynamic_env && !aged) {
-                    sm.recordStall(stage);
-                    return;
-                }
-                sm.recordDropped(stage, DropReason::Unroutable);
-                queues_.dropFront(q);
-                sc.pops.push_back(j);
-            };
-
-            [[maybe_unused]] bool retried = false;
-            if constexpr (S == RoutingScheme::TsdtDynamic) {
-                if (head.undeliverable) {
-                    const auto ep = static_cast<std::uint16_t>(
-                        faults_.version());
-                    if (head.lastEpoch == ep) {
-                        parkOrDrop(head);
-                        continue;
-                    }
-                    head.undeliverable = false;
-                    retried = true;
-                }
-            }
-
-            if (head.goingBack) {
-                if (stage > head.resumeStage) {
-                    // The backward walk contends for a stage-1 slot
-                    // exactly like a forward move contends for a
-                    // stage+1 slot: propose, and let the rank-ordered
-                    // grant scan apply the full check.
-                    sc.props.push_back(
-                        {rank, j, pathSwitchAt(head, stage - 1),
-                         topo::LinkKind::Straight, true});
-                    continue;
-                }
-                head.goingBack = false;
-            }
-
-            const auto link =
-                chooseLink<S, false>(stage, j, head, sm);
-            if constexpr (S == RoutingScheme::TsdtDynamic) {
-                if (retried && !head.undeliverable)
-                    sm.recordRecovery(
-                        now_ - (head.movedAt == ~Cycle{0}
-                                    ? head.injected
-                                    : head.movedAt));
-            }
-            if (!link) {
-                if constexpr (S == RoutingScheme::TsdtDynamic) {
-                    if (head.undeliverable) {
-                        parkOrDrop(head);
-                        continue;
-                    }
-                }
-                if (cfg_.maxPacketAge != 0 &&
-                    now_ - head.injected >= cfg_.maxPacketAge) {
-                    sm.recordDropped(stage, DropReason::Expired);
-                    queues_.dropFront(q);
-                    sc.pops.push_back(j);
-                    continue;
-                }
-                sm.recordStall(stage);
-                continue;
-            }
-            if (!deliver) {
-                sc.props.push_back(
-                    {rank, j, link->to, link->kind, false});
-            } else {
-                sm.recordHop(*link);
-                IADM_ASSERT(link->to == head.dst,
-                            "delivery at wrong output: ", link->to,
-                            " != ", head.dst);
-                sm.recordDelivered(head, now_ + 1);
-                if (fview_.anyBlocked())
-                    sm.recordFaultedDelivery();
-                queues_.dropFront(q);
-                sc.pops.push_back(j);
-            }
-        }
-        if (wi == w_last)
-            break;
-        word = words[++wi];
-    }
-}
-
-void
-NetworkSim::shardCommitMoves(unsigned stage, unsigned k,
-                             unsigned accept_limit)
-{
-    ShardScratch &sc = shard_[k];
-    Metrics &sm = shardMetrics_[k];
-
-    // Collect every proposal whose destination row this shard owns.
-    // Reading the other shards' proposal vectors is safe: phase A
-    // completed before this phase was dispatched (ShardPool::run is
-    // a barrier), and phase B never appends to props.
-    std::vector<const MoveProposal *> cands;
-    for (unsigned a = 0; a < shards_; ++a) {
-        for (const MoveProposal &p : shard_[a].props) {
-            if (shardOf(p.toJ) == k)
-                cands.push_back(&p);
-        }
-    }
-    if (cands.empty())
-        return;
-    // (destination queue, serial rank) order.  Backward and forward
-    // proposals on the same toJ target different stages, so the
-    // backward bit is part of the queue key; ranks are unique per
-    // source switch, so the sort is a deterministic total order.
-    std::sort(cands.begin(), cands.end(),
-              [](const MoveProposal *a, const MoveProposal *b) {
-                  if (a->toJ != b->toJ)
-                      return a->toJ < b->toJ;
-                  if (a->backward != b->backward)
-                      return !a->backward && b->backward;
-                  return a->rank < b->rank;
-              });
-
-    const std::size_t cap = queues_.capacity();
-    std::size_t i = 0;
-    while (i < cands.size()) {
-        std::size_t e = i + 1;
-        while (e < cands.size() && cands[e]->toJ == cands[i]->toJ &&
-               cands[e]->backward == cands[i]->backward)
-            ++e;
-        const bool backward = cands[i]->backward;
-        const unsigned to_stage = backward ? stage - 1 : stage + 1;
-        const Label to_j = cands[i]->toJ;
-        const std::size_t dq = queues_.qid(to_stage, to_j);
-        // During the serial scan a destination queue's size changes
-        // only through that scan's own grants — refills of this
-        // stage happen in other cycles and deliveries pop from the
-        // last stage only.  So size-at-rank-r equals the phase-B
-        // entry size plus this group's earlier grants, and the
-        // serial accept counter (forward moves only, reset per
-        // stage) is this group's forward grant count.
-        std::size_t size = queues_.size(dq);
-        unsigned granted = 0;
-        for (; i < e; ++i) {
-            const MoveProposal &p = *cands[i];
-            if (size >= cap ||
-                (!backward && granted >= accept_limit)) {
-                // Denied-grant heads age out like link-blocked ones
-                // (see advanceStageImpl); touching the source queue
-                // here is safe for the same reason moveFront below
-                // is — a head proposes to exactly one destination,
-                // so no other shard reaches this fq in phase B.
-                const std::size_t fq0 = queues_.qid(stage, p.fromJ);
-                if (cfg_.maxPacketAge != 0 &&
-                    now_ - queues_.front(fq0).injected >=
-                        cfg_.maxPacketAge) {
-                    sm.recordDropped(stage, DropReason::Expired);
-                    queues_.dropFront(fq0);
-                    sc.pops.push_back(p.fromJ);
-                    continue;
-                }
-                sm.recordStall(stage);
-                continue;
-            }
-            const std::size_t fq = queues_.qid(stage, p.fromJ);
-            Packet &head = queues_.front(fq);
-            head.movedAt = now_;
-            if (backward) {
-                if (to_stage == head.resumeStage)
-                    head.goingBack = false;
-                sm.recordBacktrackHop();
-            } else {
-                sm.recordHop(ltab_.link(stage, p.fromJ, p.kind));
-                ++granted;
-            }
-            queues_.moveFront(fq, dq);
-            ++size;
-            sc.grants.push_back({p.fromJ, to_stage, to_j});
-        }
-    }
-}
-
-template <RoutingScheme S>
-void
-NetworkSim::advanceStageSharded(unsigned stage)
-{
-    const bool deliver = stage + 1 == ltab_.stages();
-    const unsigned accept_limit = cfg_.crossbarSwitches ? 3 : 1;
-
-    metrics_.sampleStageDepths(stage, stageSize_[stage],
-                               cfg_.netSize);
-    if (stageOccupied_[stage] == 0)
-        return;
-
-    const auto offset = static_cast<Label>(now_ & mask_);
-    // The dirty mark must precede the worker phases: flipping it
-    // from a worker would race the (mutable, lazily folded) flag.
-    shardDirty_ = true;
-    merging_ = true;
-    // Phase A: service own rows; cross-row moves become rank-stamped
-    // proposals, pops (drops/deliveries) leave shared counters to C.
-    const std::function<void(unsigned)> phase_a = [&](unsigned k) {
-        shardServiceRows<S>(stage, k, offset, deliver);
-    };
-    pool_->run(phase_a);
-    // Phase B: each shard grants the proposals targeting its own
-    // rows, replaying the serial rotated order per destination.
-    const std::function<void(unsigned)> phase_b = [&](unsigned k) {
-        shardCommitMoves(stage, k, accept_limit);
-    };
-    pool_->run(phase_b);
-    merging_ = false;
-    // Phase C: drain bookkeeping records in fixed shard order.
-    for (unsigned k = 0; k < shards_; ++k) {
-        ShardScratch &sc = shard_[k];
-        for (const Label j : sc.pops) {
-            --stageSize_[stage];
-            --inFlight_;
-            reconcileRow(stage, j);
-        }
-        for (const MoveGrant &g : sc.grants) {
-            --stageSize_[stage];
-            ++stageSize_[g.toStage];
-            reconcileRow(stage, g.fromJ);
-            reconcileRow(g.toStage, g.toJ);
-        }
-    }
-}
-
-void
-NetworkSim::advanceStageShardedDispatch(unsigned stage)
-{
-    switch (cfg_.scheme) {
-      case RoutingScheme::SsdtStatic:
-        return advanceStageSharded<RoutingScheme::SsdtStatic>(stage);
-      case RoutingScheme::TsdtSender:
-        return advanceStageSharded<RoutingScheme::TsdtSender>(stage);
-      case RoutingScheme::DistanceTag:
-        return advanceStageSharded<RoutingScheme::DistanceTag>(stage);
-      case RoutingScheme::TsdtDynamic:
-        return advanceStageSharded<RoutingScheme::TsdtDynamic>(stage);
-      case RoutingScheme::SsdtBalanced:
-        break; // pinned serial at construction; pool_ never exists
-    }
-    IADM_PANIC("unreachable sharded scheme");
-}
-
 void
 NetworkSim::setHealthMonitor(obs::HealthMonitor *m)
 {
@@ -1466,9 +1105,8 @@ NetworkSim::setHealthMonitor(obs::HealthMonitor *m)
     const auto &hc = m->config();
     healthNextScan_ = now_ + hc.checkInterval;
     healthWinStart_ = now_;
-    const Metrics &mt = metrics();
-    healthWinDelivered_ = mt.delivered();
-    healthWinLatSum_ = mt.latencySum();
+    healthWinDelivered_ = metrics_.delivered();
+    healthWinLatSum_ = metrics_.latencySum();
 }
 
 std::size_t
@@ -1567,9 +1205,8 @@ NetworkSim::healthTick()
     const Cycle done = now_ + 1; // cycles completed incl. this one
     if (hc.windowCycles != 0 &&
         done - healthWinStart_ >= hc.windowCycles) {
-        const Metrics &mt = metrics(); // folds shard deltas
-        const std::uint64_t d = mt.delivered();
-        const std::uint64_t ls = mt.latencySum();
+        const std::uint64_t d = metrics_.delivered();
+        const std::uint64_t ls = metrics_.latencySum();
         const std::uint64_t dd = d - healthWinDelivered_;
         const std::uint64_t dl = ls - healthWinLatSum_;
         hm.steadyState().addWindow(
@@ -1585,7 +1222,7 @@ NetworkSim::healthTick()
     }
     if (done >= healthNextScan_) {
         healthScan();
-        hm.noteDelivered(done, metrics().delivered());
+        hm.noteDelivered(done, metrics_.delivered());
         healthNextScan_ = done + hc.checkInterval;
     }
 }
@@ -1595,25 +1232,15 @@ NetworkSim::step()
 {
     if (now_ >= churnNext_)
         runChurn();
-    events_.commitShardSchedules();
     events_.runUntil(now_);
     if (faults_.version() != faultsVersion_)
         refreshFaultView();
     inject();
-    if (shardedActive()) {
-        for (unsigned stage = ltab_.stages(); stage-- > 0;) {
-            ++epoch_;
-            advanceStageShardedDispatch(stage);
-        }
-    } else {
-        for (unsigned stage = ltab_.stages(); stage-- > 0;) {
-            ++epoch_; // resets every acceptance count to zero, O(1)
-            advanceStage(stage);
-        }
+    for (unsigned stage = ltab_.stages(); stage-- > 0;) {
+        ++epoch_; // resets every acceptance count to zero, O(1)
+        advanceStage(stage);
     }
     if constexpr (obs::healthCompiledIn()) {
-        // Post-join: every shard phase of this cycle has completed,
-        // so the scan reads settled queue state serially.
         if (__builtin_expect(health_ != nullptr, 0))
             healthTick();
     }

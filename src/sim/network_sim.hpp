@@ -17,7 +17,7 @@
  * ring-buffer QueueArena slab, and the dynamic TSDT scheme reads
  * the path cached in each packet instead of re-tracing its tag.
  * step() performs no heap allocation and no virtual topology calls
- * in steady state.
+ * in steady state, at any shard count.
  */
 
 #ifndef IADM_SIM_NETWORK_SIM_HPP
@@ -95,18 +95,17 @@ struct SimConfig
     Cycle maxPacketAge = 0;
 
     /**
-     * Worker shards inside one simulation: switch rows of each
-     * stage are partitioned into this many contiguous shards and
-     * serviced in parallel (docs/SIMULATOR.md, "Determinism").
-     * Deterministic by construction — metrics, queues and report
-     * bytes are identical at any shard count.  1 (the default)
-     * keeps the serial step, with no pool, no scratch buffers and
-     * no synchronization.  Clamped to netSize.  SsdtBalanced
-     * always runs serially (its emptier-queue choice reads
-     * next-stage depths mid-scan, which is order-dependent by
-     * definition), as does any simulator with a trace sink
-     * attached (a TraceSink is single-owner and event order must
-     * stay deterministic).
+     * Worker shards inside one simulation: each cycle's injection
+     * attempts are split into this many contiguous blocks whose
+     * route fills and packet builds run in parallel (docs/
+     * SIMULATOR.md, "Intra-simulation sharding").  Draw, probe,
+     * commit and the per-stage service loop stay serial, so
+     * metrics, queues and report bytes are identical at any shard
+     * count.  1 (the default) runs the fill + build block on the
+     * caller, with no pool and no synchronization.  Clamped to
+     * netSize.  A simulator with a trace sink attached fills
+     * serially (a TraceSink is single-owner and its event order
+     * must stay deterministic).
      */
     unsigned shards = 1;
 };
@@ -127,19 +126,15 @@ class NetworkSim
 
     Cycle now() const { return now_; }
     const SimConfig &config() const { return cfg_; }
-    const Metrics &metrics() const
-    {
-        foldShardMetrics();
-        return metrics_;
-    }
-    Metrics &metrics()
-    {
-        foldShardMetrics();
-        return metrics_;
-    }
+    const Metrics &metrics() const { return metrics_; }
+    Metrics &metrics() { return metrics_; }
 
     /** Effective shard count (cfg.shards clamped; 1 = serial). */
-    unsigned shards() const { return shards_; }
+    unsigned
+    shards() const
+    {
+        return pool_ != nullptr ? pool_->shards() : 1;
+    }
     const topo::IadmTopology &topology() const { return topo_; }
     const fault::FaultSet &faults() const { return faults_; }
 
@@ -223,7 +218,7 @@ class NetworkSim
      * HealthConfig::checkInterval cycles and a steady-state rollup
      * window every HealthConfig::windowCycles.  Unlike the trace
      * sink the monitor does not force a sharded sim serial: it runs
-     * after the cycle's shard phases have joined.
+     * after the cycle's injection and service have completed.
      */
     void setHealthMonitor(obs::HealthMonitor *m);
     obs::HealthMonitor *healthMonitor() const { return health_; }
@@ -236,13 +231,7 @@ class NetworkSim
     Rng rng_;
     Cycle now_ = 0;
     std::uint64_t nextPacketId_ = 0;
-    /**
-     * Serial accumulation stream.  With shards > 1 some counters
-     * accumulate in shardMetrics_ instead and are folded in on
-     * access (foldShardMetrics) — hence mutable: folding happens
-     * behind the const metrics() accessor.
-     */
-    mutable Metrics metrics_;
+    Metrics metrics_;
     EventQueue events_;
     core::NetworkState ssdtState_;
     obs::TraceSink *trace_ = nullptr; //!< null = tracing disabled
@@ -288,9 +277,8 @@ class NetworkSim
     Label mask_ = 0;     //!< netSize - 1 (N is a power of two)
     bool gated_ = true;  //!< traffic_->gated(), cached at build
     /** traffic_->closedLoop(), cached at build.  When set, the
-     *  pattern gets onInject/onRetire feedback and the simulator is
-     *  pinned serial (shards = 1) so retirement callbacks fire from
-     *  single-threaded code only (see traffic.hpp). */
+     *  pattern gets onInject/onRetire feedback, both from serial
+     *  code (see traffic.hpp). */
     bool feedback_ = false;
 
     // --- batched injection through the route cache ----------------
@@ -342,56 +330,8 @@ class NetworkSim
     };
     std::vector<InjectAttempt> attempts_; //!< scratch, size <= N
     std::vector<CacheProbe> probes_;      //!< scratch, cached modes
-
-    // --- intra-simulation sharding (docs/SIMULATOR.md) ------------
-    //
-    // With shards_ > 1 each stage's service scan runs as three
-    // phases: (A) every shard services its own contiguous row range
-    // in parallel — packet-local and own-row work commits in place,
-    // cross-row moves become rank-stamped proposals; (B) shards
-    // grant the proposals targeting their own destination rows, in
-    // serial rank order, reproducing the serial contention outcome
-    // exactly; (C) the owner drains per-shard bookkeeping records
-    // in fixed shard order.  The serial path (shards_ == 1) never
-    // touches any of this.
-    unsigned shards_ = 1;   //!< effective count (cfg clamped)
-    Label rowsPerShard_ = 0;
-    std::unique_ptr<ShardPool> pool_; //!< null when serial
-    /** True while worker phases run: bookkeeping counters lag the
-     *  queue state until the merge completes, so the IADM_SANITIZE
-     *  inFlight cross-check must not fire mid-merge. */
-    bool merging_ = false;
-
-    /** A cross-row packet move proposed in phase A. */
-    struct MoveProposal
-    {
-        Label rank; //!< serial service rank of the source switch
-        Label fromJ;
-        Label toJ;
-        topo::LinkKind kind; //!< forward proposals only
-        bool backward;
-    };
-    /** A move committed in phase B (bookkeeping record). */
-    struct MoveGrant
-    {
-        Label fromJ;
-        unsigned toStage;
-        Label toJ;
-    };
-    /** Per-shard scratch; reused every phase, cleared in place. */
-    struct ShardScratch
-    {
-        std::vector<MoveProposal> props; //!< phase A output
-        std::vector<Label> pops;   //!< rows popped in phase A
-        std::vector<MoveGrant> grants; //!< phase B output
-    };
-    std::vector<ShardScratch> shard_;
-    /** Per-shard Metrics deltas.  Folding into metrics_ is lazy
-     *  (hopsByLink_ alone is ~1.2 MB at N=4096 — a per-cycle fold
-     *  would dwarf the serviced work); mutable for the same reason
-     *  metrics_ is. */
-    mutable std::vector<Metrics> shardMetrics_;
-    mutable bool shardDirty_ = false;
+    /** Runs the fill + build blocks; null when serial. */
+    std::unique_ptr<ShardPool> pool_;
 
     /** True iff @p s resolves routing tags at injection time. */
     static bool
@@ -418,43 +358,6 @@ class NetworkSim
     /** Dispatch to the scheme-specialized service loop. */
     void advanceStage(unsigned stage);
 
-    /** True when this step must take the sharded path. */
-    bool
-    shardedActive() const
-    {
-        return pool_ != nullptr &&
-               !(obs::traceCompiledIn() && trace_ != nullptr);
-    }
-
-    /** Shard owning switch row @p j (contiguous partition). */
-    unsigned
-    shardOf(Label j) const
-    {
-        return static_cast<unsigned>(j / rowsPerShard_);
-    }
-
-    /** Merge per-shard Metrics deltas into metrics_ (lazy). */
-    void foldShardMetrics() const;
-
-    /** Re-sync a row's occupancy bit / counters with its queue. */
-    void reconcileRow(unsigned stage, Label j);
-
-    /** Dispatch to the scheme-specialized sharded service loop. */
-    void advanceStageShardedDispatch(unsigned stage);
-
-    /** Sharded service of one stage (phases A/B/C). */
-    template <RoutingScheme S>
-    void advanceStageSharded(unsigned stage);
-
-    /** Phase A: shard @p k services rows it owns at @p stage. */
-    template <RoutingScheme S>
-    void shardServiceRows(unsigned stage, unsigned k, Label offset,
-                          bool deliver);
-
-    /** Phase B: shard @p k grants proposals into rows it owns. */
-    void shardCommitMoves(unsigned stage, unsigned k,
-                          unsigned accept_limit);
-
     /**
      * Service every occupied queue of one stage.  Templated on the
      * scheme so chooseLink() inlines into the loop with the scheme
@@ -469,20 +372,16 @@ class NetworkSim
 
     /**
      * Choose the output link for the head packet of (stage, j) under
-     * scheme @p S; returns nullopt to stall this cycle.  Counter
-     * updates go to @p m — metrics_ on the serial path, the
-     * caller's shard delta on the sharded one — so both paths run
-     * the identical routing logic.
+     * scheme @p S; returns nullopt to stall this cycle.
      */
     template <RoutingScheme S, bool Traced>
     std::optional<topo::Link> chooseLink(unsigned stage, Label j,
-                                         Packet &p, Metrics &m);
+                                         Packet &p);
 
     /**
      * Cold body of the per-cycle health hook: cadences rollup
      * windows and wait-for scans.  Runs after the cycle's service
-     * phases complete (post-join on the sharded path), so it reads
-     * settled queue state.
+     * loop completes, so it reads settled queue state.
      */
     __attribute__((noinline, cold)) void healthTick();
 

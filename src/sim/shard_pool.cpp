@@ -27,17 +27,18 @@ ShardPool::~ShardPool()
 }
 
 void
-ShardPool::run(const std::function<void(unsigned)> &fn)
+ShardPool::dispatch(Job job, const void *fn)
 {
     {
         std::lock_guard<std::mutex> lk(m_);
         IADM_ASSERT(job_ == nullptr, "ShardPool::run is not reentrant");
-        job_ = &fn;
+        job_ = job;
+        fn_ = fn;
         remaining_ = shards_ - 1;
         ++generation_;
     }
     cvStart_.notify_all();
-    fn(0); // the caller is shard 0
+    job(fn, 0); // the caller is shard 0
     std::unique_lock<std::mutex> lk(m_);
     cvDone_.wait(lk, [this] { return remaining_ == 0; });
     job_ = nullptr;
@@ -48,7 +49,8 @@ ShardPool::workerLoop(unsigned shard)
 {
     std::uint64_t seen = 0;
     for (;;) {
-        const std::function<void(unsigned)> *job;
+        Job job;
+        const void *fn;
         {
             std::unique_lock<std::mutex> lk(m_);
             cvStart_.wait(lk,
@@ -57,8 +59,9 @@ ShardPool::workerLoop(unsigned shard)
             if (stop_)
                 return;
             job = job_;
+            fn = fn_;
         }
-        (*job)(shard);
+        job(fn, shard);
         {
             std::lock_guard<std::mutex> lk(m_);
             if (--remaining_ == 0)

@@ -6,10 +6,12 @@
  * S - 1 parked worker threads; the calling thread acts as shard 0.
  * run(fn) invokes fn(k) once for every shard k in [0, S) and
  * returns only when all invocations have finished — a dispatch
- * barrier, not a task queue.  The sharded service loop calls run()
- * a handful of times per stage per cycle, so workers park on a
- * condition variable between dispatches instead of being respawned
- * (thread creation would dominate the serviced work at small N).
+ * barrier, not a task queue.  The simulator calls run() once per
+ * cycle, for the injection fill + build blocks, so workers park on
+ * a condition variable between dispatches instead of being
+ * respawned (thread creation would dominate the work at small N).
+ * run() takes the callable by reference and never copies it, so a
+ * dispatch performs no heap allocation.
  *
  * The pool provides the synchronization edges the sharded step
  * relies on: everything written before run() is visible to every
@@ -23,7 +25,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -48,9 +49,22 @@ class ShardPool
      * on the calling thread — and wait for all of them to finish.
      * Not reentrant; one dispatch at a time.
      */
-    void run(const std::function<void(unsigned)> &fn);
+    template <class Fn>
+    void
+    run(const Fn &fn)
+    {
+        dispatch(
+            [](const void *f, unsigned k) {
+                (*static_cast<const Fn *>(f))(k);
+            },
+            &fn);
+    }
 
   private:
+    /** Type-erased job: calls the run() callable at @p f. */
+    using Job = void (*)(const void *f, unsigned shard);
+
+    void dispatch(Job job, const void *fn);
     void workerLoop(unsigned shard);
 
     unsigned shards_;
@@ -58,7 +72,8 @@ class ShardPool
     std::mutex m_;
     std::condition_variable cvStart_;
     std::condition_variable cvDone_;
-    const std::function<void(unsigned)> *job_ = nullptr;
+    Job job_ = nullptr;
+    const void *fn_ = nullptr;
     std::uint64_t generation_ = 0; //!< bumps per dispatch (and stop)
     unsigned remaining_ = 0;       //!< workers still in flight
     bool stop_ = false;

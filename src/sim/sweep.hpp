@@ -265,11 +265,12 @@ struct SweepOptions
      * Intra-simulation shard count handed to every replicate's
      * SimConfig::shards; 0 and 1 both mean serial.  Orthogonal to
      * workers: each of the `workers` cell workers steps its own
-     * simulator, and that simulator in turn services switch rows on
-     * `simShards` threads — total threads ≈ workers * simShards, so
-     * size the product, not each knob, to the machine.  Sharding is
-     * metric-exact (sweep JSON is byte-identical at any value); it
-     * pays on big-N cells and costs barrier overhead on small ones.
+     * simulator, and that simulator in turn splits its injection
+     * fill + build phase across `simShards` threads — total threads
+     * ≈ workers * simShards, so size the product, not each knob, to
+     * the machine.  Sharding is metric-exact (sweep JSON is
+     * byte-identical at any value); docs/PERF.md has its measured
+     * cost.
      */
     unsigned simShards = 1;
 

@@ -22,11 +22,11 @@
  * every element it stores — a head_/tail_ cursor pair and the slab
  * slots of one queue — belongs to exactly one queue, so concurrent
  * access is safe as long as no two threads touch the *same* queue.
- * The sharded step relies on this: phase A pops only from rows the
- * shard owns, phase B pushes only into destination queues routed to
- * the owning shard, and a barrier separates the phases.  There are
- * no arena-global mutable members to race on (slots_/mask_ are set
- * at construction).
+ * The sharded injector relies on this: each fill + build block
+ * builds packets only into the stage-0 queues of its own attempts'
+ * sources, which are distinct within a cycle.  There are no
+ * arena-global mutable members to race on (slots_/mask_ are set at
+ * construction).
  */
 
 #ifndef IADM_SIM_SWITCH_MODEL_HPP

@@ -4,16 +4,15 @@
  *
  * Concurrency contract: the simulator invokes every mutating hook —
  * gate(), pick(), beginCycle(), onInject(), onRetire() — from serial
- * code only.  gate/pick/beginCycle run in the injection draw phase,
- * which is serial even on a sharded simulator (the RNG stream must
- * not depend on the shard count); onInject fires from the serial
- * injection epilogue; and onRetire fires from the service loop,
- * which is why a closed-loop pattern (closedLoop() == true) pins its
- * simulator to shards = 1, exactly like SsdtBalanced.  Patterns may
- * therefore keep plain per-source state, but that state must be
- * per-source *bytes or wider* — never std::vector<bool>, whose
- * packed words would make any future concurrent use a data race by
- * construction.
+ * code only, at any shard count.  gate/pick/beginCycle run in the
+ * injection draw phase (the RNG stream must not depend on the shard
+ * count); onInject fires from the serial injection commit; and
+ * onRetire fires from the service loop, which is always serial.
+ * Only the injection fill + build phase runs on shard threads, and
+ * it calls no hook.  Patterns may therefore keep plain per-source
+ * state, but that state must be per-source *bytes or wider* — never
+ * std::vector<bool>, whose packed words would make any future
+ * concurrent use a data race by construction.
  */
 
 #ifndef IADM_SIM_TRAFFIC_HPP
@@ -76,8 +75,7 @@ class TrafficPattern
     /**
      * True when the pattern needs injection/retirement feedback
      * (closed-loop load).  The simulator then calls onInject /
-     * onRetire and runs serially (shards pinned to 1) so the
-     * retirement callbacks fire from single-threaded code.
+     * onRetire, both from serial code (see the file comment).
      */
     virtual bool
     closedLoop() const

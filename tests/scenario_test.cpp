@@ -388,24 +388,44 @@ TEST(ScenarioClosedLoop, WindowGatesAfterOutstandingLimit)
     EXPECT_TRUE(pattern->gate(0, rng));
 }
 
-TEST(ScenarioClosedLoop, SimulatorPinsShardsSerialForFeedback)
+TEST(ScenarioClosedLoop, ShardedRunKeepsWindowAndMatchesSerial)
 {
-    SimConfig cfg;
-    cfg.netSize = 64;
-    cfg.scheme = RoutingScheme::TsdtSender;
-    cfg.injectionRate = 0.9;
-    cfg.shards = 8;
-    cfg.seed = 3;
-    NetworkSim s(
-        cfg, TrafficSpec::parse("shape:closed:2").value().make(64));
-    EXPECT_EQ(s.shards(), 1u)
-        << "closed-loop traffic must run serial (onRetire fires "
-           "from the service loop)";
-    s.run(400);
-    // The window cap binds: with at most 2 outstanding per source,
-    // the live packet count can never exceed 2N.
-    EXPECT_LE(s.inFlight(), std::size_t{128});
-    EXPECT_GT(s.metrics().delivered(), 0u);
+    // Closed-loop feedback fires from serial code only (onInject at
+    // the injection commit, onRetire from the service loop), so a
+    // sharded simulator keeps its shards and must stay in lockstep
+    // with its one-shard twin.
+    const auto make = [](unsigned shards) {
+        SimConfig cfg;
+        cfg.netSize = 64;
+        cfg.scheme = RoutingScheme::TsdtSender;
+        cfg.injectionRate = 0.9;
+        cfg.shards = shards;
+        cfg.seed = 3;
+        return NetworkSim(
+            cfg,
+            TrafficSpec::parse("shape:closed:2").value().make(64));
+    };
+    NetworkSim serial = make(1);
+    NetworkSim sharded = make(8);
+    ASSERT_EQ(sharded.shards(), 8u);
+    for (Cycle c = 0; c < 400; ++c) {
+        serial.step();
+        sharded.step();
+        // The window cap binds: with at most 2 outstanding per
+        // source, the live packet count can never exceed 2N.
+        ASSERT_LE(sharded.inFlight(), std::size_t{128})
+            << "window exceeded at cycle " << c;
+        ASSERT_EQ(sharded.inFlight(), serial.inFlight())
+            << "sharded twin diverged at cycle " << c;
+    }
+    const Metrics &a = serial.metrics();
+    const Metrics &b = sharded.metrics();
+    EXPECT_GT(b.delivered(), 0u);
+    EXPECT_EQ(a.injected(), b.injected());
+    EXPECT_EQ(a.delivered(), b.delivered());
+    EXPECT_EQ(a.throttled(), b.throttled());
+    EXPECT_EQ(a.totalHops(), b.totalHops());
+    EXPECT_EQ(a.latencyHistogram(), b.latencyHistogram());
 }
 
 TEST(ScenarioClosedLoop, OutstandingWindowBoundsInFlightEveryCycle)

@@ -5,6 +5,7 @@
  * events and the metrics machinery.
  */
 
+#include <atomic>
 #include <cstdlib>
 #include <functional>
 #include <new>
@@ -19,13 +20,14 @@
 // Global operator new instrumented with a call counter so
 // Sim.SteadyStateStepPerformsNoHeapAllocation below can prove the
 // flat hot path's no-allocation claim (docs/PERF.md) instead of
-// asserting it by inspection.
-static std::uint64_t g_heapAllocs = 0;
+// asserting it by inspection.  Atomic: a sharded simulator's worker
+// threads run inside step() too.
+static std::atomic<std::uint64_t> g_heapAllocs{0};
 
 void *
 operator new(std::size_t size)
 {
-    ++g_heapAllocs;
+    g_heapAllocs.fetch_add(1, std::memory_order_relaxed);
     if (void *p = std::malloc(size != 0 ? size : 1))
         return p;
     throw std::bad_alloc{};
@@ -294,24 +296,30 @@ TEST(Sim, SteadyStateStepPerformsNoHeapAllocation)
     // The flat hot path (docs/PERF.md) must not touch the heap once
     // the network reaches steady state: queues live in the arena
     // slab, link lookups in the precomputed table, paths in the
-    // packets.  (The fault-repair BACKTRACK of the dynamic scheme
-    // is the documented cold-path exception; without blockages it
-    // never runs.)
-    for (const auto scheme :
-         {RoutingScheme::SsdtStatic, RoutingScheme::SsdtBalanced,
-          RoutingScheme::TsdtSender, RoutingScheme::DistanceTag,
-          RoutingScheme::TsdtDynamic}) {
-        SimConfig cfg;
-        cfg.netSize = 32;
-        cfg.scheme = scheme;
-        cfg.injectionRate = 0.35;
-        NetworkSim s(cfg, uniform(32));
-        s.run(200); // fill the queues into steady state
-        const std::uint64_t before = g_heapAllocs;
-        s.run(100);
-        EXPECT_EQ(g_heapAllocs, before)
-            << "heap allocation in steady-state step() under "
-            << routingSchemeName(scheme);
+    // packets, and a sharded step dispatches its fill + build blocks
+    // without wrapping them in a heap-backed callable.  (The
+    // fault-repair BACKTRACK of the dynamic scheme is the documented
+    // cold-path exception; without blockages it never runs.)
+    for (const unsigned shards : {1u, 4u}) {
+        for (const auto scheme :
+             {RoutingScheme::SsdtStatic, RoutingScheme::SsdtBalanced,
+              RoutingScheme::TsdtSender, RoutingScheme::DistanceTag,
+              RoutingScheme::TsdtDynamic}) {
+            SimConfig cfg;
+            cfg.netSize = 32;
+            cfg.scheme = scheme;
+            cfg.injectionRate = 0.35;
+            cfg.shards = shards;
+            NetworkSim s(cfg, uniform(32));
+            ASSERT_EQ(s.shards(), shards);
+            s.run(200); // fill the queues into steady state
+            const std::uint64_t before = g_heapAllocs.load();
+            s.run(100);
+            EXPECT_EQ(g_heapAllocs.load(), before)
+                << "heap allocation in steady-state step() under "
+                << routingSchemeName(scheme) << " at " << shards
+                << " shards";
+        }
     }
 }
 

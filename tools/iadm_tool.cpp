@@ -25,6 +25,7 @@
  * s (straight), p (+2^i), m (-2^i); e.g. "1:0:s 0:1:m".
  */
 
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -155,6 +156,28 @@ printVersion()
               << "; IADM_SANITIZE=" << (sanitize ? "on" : "off")
               << ")\n";
     return 0;
+}
+
+/**
+ * Parse a thread count (--workers, --shards) into @p out: a decimal
+ * integer >= 1.  Anything else — atoi would read "-1" as 4294967295
+ * threads and "abc" as serial — prints a diagnostic and returns
+ * false; the caller exits 2.
+ */
+bool
+parseCount(const char *cmd, const std::string &flag,
+           const std::string &val, unsigned &out)
+{
+    unsigned v = 0;
+    const char *end = val.data() + val.size();
+    const auto [p, ec] = std::from_chars(val.data(), end, v);
+    if (ec != std::errc{} || p != end || v < 1) {
+        std::cerr << cmd << ": " << flag
+                  << " wants an integer >= 1, got '" << val << "'\n";
+        return false;
+    }
+    out = v;
+    return true;
 }
 
 std::vector<std::string>
@@ -427,8 +450,9 @@ cmdSim(Label n_size, const std::string &scheme, double rate,
             cfg.maxPacketAge = static_cast<sim::Cycle>(
                 std::strtoull(extra[++i].c_str(), nullptr, 10));
         } else if (extra[i] == "--shards" && i + 1 < extra.size()) {
-            cfg.shards =
-                static_cast<unsigned>(std::atoi(extra[++i].c_str()));
+            if (!parseCount("sim", extra[i], extra[i + 1], cfg.shards))
+                return 2;
+            ++i;
         } else {
             std::cerr << "sim: bad flag " << extra[i] << "\n";
             return 2;
@@ -769,11 +793,11 @@ cmdSweep(const std::vector<std::string> &args)
                 static_cast<std::uint64_t>(std::strtoull(
                     val.c_str(), nullptr, 10));
         } else if (flag == "--workers") {
-            workers =
-                static_cast<unsigned>(std::atoi(val.c_str()));
+            if (!parseCount("sweep", flag, val, workers))
+                return 2;
         } else if (flag == "--shards") {
-            sim_shards =
-                static_cast<unsigned>(std::atoi(val.c_str()));
+            if (!parseCount("sweep", flag, val, sim_shards))
+                return 2;
         } else if (flag == "--out") {
             out_path = val;
         } else if (flag == "--trace-dir") {
