@@ -13,7 +13,7 @@
  * Usage:
  *   bench_hotpath [--cycles N] [--net-size N] [--rate R]
  *                 [--faults K] [--no-cache] [--out FILE]
- *                 [--traffic uniform|transpose|bitrev|hotspot]
+ *                 [--traffic SPEC]
  *                 [--trace-overhead] [--health-overhead]
  *                 [--churn-overhead] [--shards S] [--cache-pairs]
  *
@@ -67,7 +67,11 @@
  * fault-epoch route cache earns its keep) is always on the perf
  * trajectory; --faults K pins a single blockage count instead, and
  * --no-cache disables the route cache for an uncached baseline of
- * the same binary.  The binary re-reads and schema-checks its own
+ * the same binary.  --traffic takes any scenario spec
+ * (sim/scenario.hpp, e.g. "transpose" or
+ * "shape:bursty:16:64/dst:hotspot:0:0.2"), validated at every N
+ * before anything runs; the report's "traffic" field is the spec's
+ * canonical name.  The binary re-reads and schema-checks its own
  * report before exiting, so a malformed document fails the run.
  */
 
@@ -86,6 +90,7 @@
 #include "obs/health.hpp"
 #include "obs/trace_sink.hpp"
 #include "sim/network_sim.hpp"
+#include "sim/scenario.hpp"
 #include "sim/sweep.hpp"
 
 namespace {
@@ -106,21 +111,9 @@ struct Options
     bool healthOverhead = false;
     bool churnOverhead = false;
     unsigned shards = 0; //!< 0 = no paired sharding rungs
-    std::string traffic = "uniform"; //!< uniform|transpose|bitrev|hotspot
+    ScenarioSpec traffic; //!< uniform unless --traffic
     std::string out = "BENCH_hotpath.json";
 };
-
-std::unique_ptr<TrafficPattern>
-makeTraffic(const std::string &name, Label n_size)
-{
-    if (name == "transpose")
-        return makeTransposeTraffic(n_size);
-    if (name == "bitrev")
-        return makeBitReversalTraffic(n_size);
-    if (name == "hotspot")
-        return std::make_unique<HotspotTraffic>(n_size, 0, 0.2);
-    return std::make_unique<UniformTraffic>(n_size);
-}
 
 struct ConfigResult
 {
@@ -179,8 +172,7 @@ runConfig(Label n_size, RoutingScheme scheme, std::size_t fault_links,
                                fault_links}
                      .make(topo, frng);
     }
-    NetworkSim s(cfg, makeTraffic(opt.traffic, n_size),
-                 std::move(faults));
+    NetworkSim s(cfg, opt.traffic.make(n_size), std::move(faults));
     if (sink != nullptr) {
         sink->clear();
         s.setTraceSink(sink);
@@ -253,7 +245,7 @@ writeReport(std::ostream &os, const Options &opt,
     w.key("injection_rate");
     w.value(opt.rate);
     w.key("traffic");
-    w.value(opt.traffic);
+    w.value(opt.traffic.name());
     w.key("configs");
     w.beginArray();
     for (const auto &r : results) {
@@ -386,12 +378,10 @@ parseArgs(int argc, char **argv, Options &opt)
                 const char *v = next();
                 if (!v)
                     return false;
-                opt.traffic = v;
-                if (opt.traffic != "uniform" &&
-                    opt.traffic != "transpose" &&
-                    opt.traffic != "bitrev" &&
-                    opt.traffic != "hotspot")
+                const auto spec = ScenarioSpec::parse(v);
+                if (!spec)
                     return false;
+                opt.traffic = *spec;
             } else if (flag == "--out") {
                 const char *v = next();
                 if (!v)
@@ -420,8 +410,7 @@ main(int argc, char **argv)
     if (!parseArgs(argc, argv, opt)) {
         std::cerr << "usage: bench_hotpath [--cycles N] "
                      "[--net-size N] [--rate R] [--faults K] "
-                     "[--no-cache] [--traffic "
-                     "uniform|transpose|bitrev|hotspot] "
+                     "[--no-cache] [--traffic SPEC] "
                      "[--trace-overhead] [--health-overhead] "
                      "[--churn-overhead] "
                      "[--shards S] [--cache-pairs] [--out FILE]\n";
@@ -431,6 +420,13 @@ main(int argc, char **argv)
     const std::vector<Label> sizes =
         opt.netSize != 0 ? std::vector<Label>{opt.netSize}
                          : std::vector<Label>{64, 256, 1024};
+    for (const Label n_size : sizes) {
+        if (const auto err = opt.traffic.validate(n_size)) {
+            std::cerr << "bench_hotpath: invalid --traffic '"
+                      << opt.traffic.name() << "': " << *err << "\n";
+            return 2;
+        }
+    }
     const std::vector<RoutingScheme> schemes{
         RoutingScheme::SsdtStatic, RoutingScheme::SsdtBalanced,
         RoutingScheme::TsdtSender, RoutingScheme::DistanceTag,

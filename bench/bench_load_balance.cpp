@@ -103,8 +103,7 @@ printReport()
                  "--\n";
     SweepGrid hot = c6;
     hot.injectionRates = {0.3};
-    hot.traffics = {
-        TrafficSpec{TrafficSpec::Kind::Hotspot, 0, 0.2}};
+    hot.traffics = {ScenarioSpec::parse("hotspot:0:0.2").value()};
     const auto hot_results =
         sweepAndSave(hot, "load_balance_hotspot");
     for (const auto &cr : hot_results) {
@@ -129,8 +128,7 @@ BM_SimCyclesPerSecond(benchmark::State &state)
     cfg.scheme = RoutingScheme::SsdtBalanced;
     cfg.injectionRate = 0.3;
     cfg.seed = 77;
-    NetworkSim s(cfg,
-                 std::make_unique<UniformTraffic>(cfg.netSize));
+    NetworkSim s(cfg, ScenarioSpec{}.make(cfg.netSize));
     for (auto _ : state)
         s.step();
     state.SetItemsProcessed(
@@ -146,8 +144,7 @@ BM_SimSchemes(benchmark::State &state)
     cfg.scheme = static_cast<RoutingScheme>(state.range(0));
     cfg.injectionRate = 0.3;
     cfg.seed = 78;
-    NetworkSim s(cfg,
-                 std::make_unique<UniformTraffic>(cfg.netSize));
+    NetworkSim s(cfg, ScenarioSpec{}.make(cfg.netSize));
     for (auto _ : state)
         s.step();
     state.SetLabel(routingSchemeName(cfg.scheme));

@@ -62,10 +62,10 @@
 #include "common/rng.hpp"
 #include "core/reroute.hpp"
 #include "serve/server.hpp"
-#include "sim/sweep.hpp"
 #include "serve/server_core.hpp"
 #include "serve/wire.hpp"
 #include "sim/network_sim.hpp"
+#include "sim/scenario.hpp"
 
 namespace {
 
@@ -119,7 +119,7 @@ makeMix(const std::string &mix, Label n_size, std::size_t q,
         mix == "uniform" || mix == "perm" || mix == "hotspot";
     std::unique_ptr<sim::TrafficPattern> pattern;
     if (!legacy) {
-        const auto spec = sim::TrafficSpec::parse(mix);
+        const auto spec = sim::ScenarioSpec::parse(mix);
         if (!spec) {
             std::cerr << "bad mix / scenario spec: " << mix << "\n";
             std::exit(2);

@@ -12,6 +12,7 @@
 #include <iostream>
 
 #include "sim/network_sim.hpp"
+#include "sim/scenario.hpp"
 
 int
 main(int argc, char **argv)
@@ -22,16 +23,20 @@ main(int argc, char **argv)
         argc > 1 ? static_cast<Label>(std::atoi(argv[1])) : 32;
     const Cycle cycles = 10000;
 
+    // Traffic is a scenario spec (docs/SIMULATOR.md, "Scenario
+    // grammar"): a destination source plus optional load shapers.
     const auto run = [&](const char *title, RoutingScheme scheme,
-                         std::unique_ptr<TrafficPattern> traffic,
-                         double rate, fault::FaultSet faults = {},
+                         const char *traffic, double rate,
+                         fault::FaultSet faults = {},
                          bool storm = false) {
         SimConfig cfg;
         cfg.netSize = n_size;
         cfg.scheme = scheme;
         cfg.injectionRate = rate;
         cfg.seed = 4242;
-        NetworkSim s(cfg, std::move(traffic), std::move(faults));
+        NetworkSim s(cfg,
+                     ScenarioSpec::parse(traffic).value().make(n_size),
+                     std::move(faults));
         if (storm) {
             const topo::IadmTopology t(n_size);
             Rng rng(7);
@@ -65,21 +70,21 @@ main(int argc, char **argv)
               << cycles << " measured cycles) ==\n";
 
     run("uniform / ssdt-balanced", RoutingScheme::SsdtBalanced,
-        std::make_unique<UniformTraffic>(n_size), 0.35);
+        "uniform", 0.35);
     run("hotspot / ssdt-balanced", RoutingScheme::SsdtBalanced,
-        std::make_unique<HotspotTraffic>(n_size, 0, 0.25), 0.3);
+        "hotspot:0:0.25", 0.3);
     run("bursty / ssdt-balanced", RoutingScheme::SsdtBalanced,
-        std::make_unique<BurstyTraffic>(n_size, 60.0, 120.0), 0.6);
+        "bursty:60:120", 0.6);
     // Transpose needs an even bit count; fall back to bit reversal.
     if (log2Floor(n_size) % 2 == 0) {
         run("transpose perm / tsdt", RoutingScheme::TsdtSender,
-            makeTransposeTraffic(n_size), 0.4);
+            "transpose", 0.4);
     } else {
         run("bit-reversal perm / tsdt", RoutingScheme::TsdtSender,
-            makeBitReversalTraffic(n_size), 0.4);
+            "bitrev", 0.4);
     }
-    run("uniform+storm / ssdt", RoutingScheme::SsdtStatic,
-        std::make_unique<UniformTraffic>(n_size), 0.3, {}, true);
+    run("uniform+storm / ssdt", RoutingScheme::SsdtStatic, "uniform",
+        0.3, {}, true);
 
     // Static faults: dynamic in-network rerouting vs sender tags.
     const topo::IadmTopology t(n_size);
@@ -90,11 +95,8 @@ main(int argc, char **argv)
         fs.blockLink(all[idx]);
     fault::FaultSet fs2 = fs;
     run("6 static faults / tsdt-sender", RoutingScheme::TsdtSender,
-        std::make_unique<UniformTraffic>(n_size), 0.3,
-        std::move(fs));
-    run("6 static faults / tsdt-dynamic",
-        RoutingScheme::TsdtDynamic,
-        std::make_unique<UniformTraffic>(n_size), 0.3,
-        std::move(fs2));
+        "uniform", 0.3, std::move(fs));
+    run("6 static faults / tsdt-dynamic", RoutingScheme::TsdtDynamic,
+        "uniform", 0.3, std::move(fs2));
     return 0;
 }

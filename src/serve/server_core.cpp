@@ -482,6 +482,10 @@ ServerCore::parseFaultArg(const topo::IadmTopology &net,
     if (spec.empty() || spec == "none")
         return true;
     if (const auto sc = sim::FaultScenario::parse(spec)) {
+        if (const auto bad = sc->validate(net.size())) {
+            err = *bad;
+            return false;
+        }
         Rng rng(seed ^ 0x5eedfa17ull);
         out.merge(sc->make(net, rng));
         return true;

@@ -185,7 +185,8 @@ class ServerCore
      * Build the static FaultSet for `--faults SPEC`: either a
      * seed-derived sweep scenario ("links:4", "switches:2", ...) or
      * a comma-separated list of explicit "stage:from:kind" specs.
-     * Returns false (with a diagnostic in @p err) on a bad spec.
+     * Returns false (with a diagnostic in @p err) on a bad spec,
+     * including a scenario whose count exceeds what N offers.
      */
     static bool parseFaultArg(const topo::IadmTopology &net,
                               const std::string &spec,

@@ -1,11 +1,10 @@
 #include "sim/scenario.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <sstream>
 
 #include "common/json_writer.hpp"
 #include "common/logging.hpp"
+#include "common/parse.hpp"
 #include "core/multicast.hpp"
 #include "core/tsdt.hpp"
 #include "fault/fault_set.hpp"
@@ -21,41 +20,6 @@ namespace {
  *  destination sets. */
 constexpr std::uint64_t kMcastSalt = 0x3ca57a6e5eed5ull;
 
-std::vector<std::string>
-splitOn(const std::string &s, char sep)
-{
-    std::vector<std::string> parts;
-    std::string cur;
-    std::istringstream is(s);
-    while (std::getline(is, cur, sep))
-        parts.push_back(cur);
-    return parts;
-}
-
-bool
-parseDouble(const std::string &s, double &out)
-{
-    try {
-        std::size_t pos = 0;
-        out = std::stod(s, &pos);
-        return pos == s.size() && std::isfinite(out);
-    } catch (...) {
-        return false;
-    }
-}
-
-bool
-parseU64(const std::string &s, std::uint64_t &out)
-{
-    try {
-        std::size_t pos = 0;
-        out = std::stoull(s, &pos);
-        return pos == s.size() && !s.empty() && s[0] != '-';
-    } catch (...) {
-        return false;
-    }
-}
-
 unsigned
 labelBits(Label n_size)
 {
@@ -66,37 +30,6 @@ labelBits(Label n_size)
 }
 
 // --- destination sources ------------------------------------------
-
-/** Hotspot with a hot *set*: the hot draw picks uniformly among the
- *  hot nodes.  The single-node case is materialized as the legacy
- *  HotspotTraffic instead, whose draw stream it would not match
- *  (one extra uniform() per hot pick). */
-class MultiHotspotTraffic : public TrafficPattern
-{
-  public:
-    MultiHotspotTraffic(Label n_size, std::vector<Label> hot,
-                        double hot_fraction)
-        : nSize_(n_size), hot_(std::move(hot)),
-          hotFraction_(hot_fraction)
-    {
-    }
-
-    Label
-    pick(Label, Rng &rng) override
-    {
-        if (rng.chance(hotFraction_))
-            return hot_[rng.uniform(hot_.size())];
-        return static_cast<Label>(rng.uniform(nSize_));
-    }
-
-    std::string name() const override { return "hotspot-set"; }
-    bool gated() const override { return false; }
-
-  private:
-    Label nSize_;
-    std::vector<Label> hot_;
-    double hotFraction_;
-};
 
 /**
  * Multicast storm: sources are partitioned into @p groups round-robin
@@ -170,7 +103,6 @@ class McastTraffic : public TrafficPattern
         return d;
     }
 
-    std::string name() const override { return "mcast"; }
     bool gated() const override { return false; }
 
   private:
@@ -190,12 +122,12 @@ class McastTraffic : public TrafficPattern
 class ScenarioTraffic : public TrafficPattern
 {
   public:
-    ScenarioTraffic(ScenarioSpec spec, Label n_size,
-                    std::unique_ptr<TrafficPattern> base)
-        : spec_(std::move(spec)), base_(std::move(base))
+    ScenarioTraffic(const std::vector<ShaperSpec> &shapers,
+                    Label n_size, std::unique_ptr<TrafficPattern> base)
+        : base_(std::move(base))
     {
-        st_.reserve(spec_.shapers.size());
-        for (const ShaperSpec &sh : spec_.shapers) {
+        st_.reserve(shapers.size());
+        for (const ShaperSpec &sh : shapers) {
             ShaperState s;
             s.spec = sh;
             switch (sh.kind) {
@@ -222,8 +154,6 @@ class ScenarioTraffic : public TrafficPattern
         return base_->pick(src, rng);
     }
 
-    std::string name() const override { return spec_.name(); }
-
     bool
     gate(Label src, Rng &rng) override
     {
@@ -232,7 +162,9 @@ class ScenarioTraffic : public TrafficPattern
             bool g = true;
             switch (s.spec.kind) {
               case ShaperSpec::Kind::Bursty: {
-                // One draw on both branches (see BurstyTraffic).
+                // Exactly one draw on both branches, so the draw
+                // count per (cycle, source) never depends on the
+                // chain state.
                 const bool was_on = s.on[src] != 0;
                 if (was_on) {
                     if (rng.chance(s.pOnToOff))
@@ -308,7 +240,6 @@ class ScenarioTraffic : public TrafficPattern
         std::vector<std::uint32_t> out; //!< closed, per-source count
     };
 
-    ScenarioSpec spec_;
     std::unique_ptr<TrafficPattern> base_;
     std::vector<ShaperState> st_;
     bool closed_ = false;
@@ -321,10 +252,9 @@ parseHotNodes(const std::string &s, std::vector<Label> &out)
 {
     out.clear();
     for (const auto &piece : splitOn(s, '+')) {
-        std::uint64_t v = 0;
-        if (!parseU64(piece, v))
+        Label node = 0;
+        if (!parseUnsigned(piece, node))
             return false;
-        const auto node = static_cast<Label>(v);
         if (std::find(out.begin(), out.end(), node) != out.end())
             return false; // duplicate hot node
         out.push_back(node);
@@ -365,18 +295,14 @@ parseDst(const std::vector<std::string> &p, DstSpec &d)
     if (p[0] == "shift") {
         d.kind = DstSpec::Kind::Perm;
         d.perm = DstSpec::PermFamily::Shift;
-        std::uint64_t v = 0;
-        if (p.size() != 2 || !parseU64(p[1], v) || v == 0)
-            return false;
-        d.permArg = static_cast<Label>(v);
-        return true;
+        return p.size() == 2 && parseUnsigned(p[1], d.permArg) &&
+               d.permArg != 0;
     }
     if (p[0] == "perm") {
         d.kind = DstSpec::Kind::Perm;
         if (p.size() < 2)
             return false;
         const std::string &fam = p[1];
-        std::uint64_t v = 0;
         if (fam == "shift" || fam == "complement" ||
             fam == "exchange") {
             d.perm = fam == "shift"
@@ -384,12 +310,11 @@ parseDst(const std::vector<std::string> &p, DstSpec &d)
                          : fam == "complement"
                                ? DstSpec::PermFamily::Complement
                                : DstSpec::PermFamily::Exchange;
-            if (p.size() != 3 || !parseU64(p[2], v))
+            if (p.size() != 3 || !parseUnsigned(p[2], d.permArg))
                 return false;
-            if (d.perm != DstSpec::PermFamily::Exchange && v == 0)
-                return false; // shift 0 / mask 0 = identity typo
-            d.permArg = static_cast<Label>(v);
-            return true;
+            // shift 0 / mask 0 = identity typo
+            return d.perm == DstSpec::PermFamily::Exchange ||
+                   d.permArg != 0;
         }
         if (p.size() != 2)
             return false;
@@ -409,15 +334,9 @@ parseDst(const std::vector<std::string> &p, DstSpec &d)
     }
     if (p[0] == "mcast") {
         d.kind = DstSpec::Kind::Multicast;
-        std::uint64_t g = 0, f = 0;
-        if (p.size() != 3 || !parseU64(p[1], g) ||
-            !parseU64(p[2], f))
-            return false;
-        if (g == 0 || f < 2)
-            return false;
-        d.groups = static_cast<std::uint32_t>(g);
-        d.fanout = static_cast<std::uint32_t>(f);
-        return true;
+        return p.size() == 3 && parseUnsigned(p[1], d.groups) &&
+               parseUnsigned(p[2], d.fanout) && d.groups != 0 &&
+               d.fanout >= 2;
     }
     return false;
 }
@@ -438,7 +357,7 @@ parseShaper(const std::vector<std::string> &p, ShaperSpec &s)
         s.kind = ShaperSpec::Kind::Ramp;
         if (p.size() != 4 || !parseDouble(p[1], s.rampFrom) ||
             !parseDouble(p[2], s.rampTo) ||
-            !parseU64(p[3], s.rampCycles))
+            !parseUnsigned(p[3], s.rampCycles))
             return false;
         return s.rampFrom >= 0.0 && s.rampFrom <= 1.0 &&
                s.rampTo >= 0.0 && s.rampTo <= 1.0 &&
@@ -446,21 +365,25 @@ parseShaper(const std::vector<std::string> &p, ShaperSpec &s)
     }
     if (p[0] == "closed") {
         s.kind = ShaperSpec::Kind::Closed;
-        std::uint64_t w = 0;
-        if (p.size() != 2 || !parseU64(p[1], w) || w == 0)
-            return false;
-        s.window = static_cast<std::uint32_t>(w);
-        return true;
+        return p.size() == 2 && parseUnsigned(p[1], s.window) &&
+               s.window != 0;
     }
     return false;
 }
 
+/**
+ * The destination clause.  @p bare (an unshaped spec) drops the
+ * `dst:` and `perm:` prefixes from the four destinations that
+ * predate the grammar, so they print their legacy report names —
+ * "uniform", "hotspot:N:F" (one hot node), "bitrev", "transpose" —
+ * which the golden fixtures freeze.
+ */
 std::string
-dstName(const DstSpec &d)
+dstName(const DstSpec &d, bool bare)
 {
     switch (d.kind) {
       case DstSpec::Kind::Uniform:
-        return "dst:uniform";
+        return bare ? "uniform" : "dst:uniform";
       case DstSpec::Kind::Hotspot: {
         std::string nodes;
         for (std::size_t i = 0; i < d.hotNodes.size(); ++i) {
@@ -468,7 +391,8 @@ dstName(const DstSpec &d)
                 nodes += '+';
             nodes += std::to_string(d.hotNodes[i]);
         }
-        return "dst:hotspot:" + nodes + ":" +
+        const bool legacy = bare && d.hotNodes.size() == 1;
+        return (legacy ? "hotspot:" : "dst:hotspot:") + nodes + ":" +
                jsonNumber(d.hotFraction);
       }
       case DstSpec::Kind::Perm:
@@ -476,9 +400,9 @@ dstName(const DstSpec &d)
           case DstSpec::PermFamily::Shift:
             return "dst:perm:shift:" + std::to_string(d.permArg);
           case DstSpec::PermFamily::BitReversal:
-            return "dst:perm:bitrev";
+            return bare ? "bitrev" : "dst:perm:bitrev";
           case DstSpec::PermFamily::Transpose:
-            return "dst:perm:transpose";
+            return bare ? "transpose" : "dst:perm:transpose";
           case DstSpec::PermFamily::Complement:
             return "dst:perm:complement:" +
                    std::to_string(d.permArg);
@@ -515,6 +439,27 @@ shaperName(const ShaperSpec &s, bool first)
     return "?";
 }
 
+perm::Permutation
+dstPerm(const DstSpec &d, Label n_size)
+{
+    switch (d.perm) {
+      case DstSpec::PermFamily::Shift:
+        return perm::shiftPerm(n_size, d.permArg);
+      case DstSpec::PermFamily::BitReversal:
+        return perm::bitReversalPerm(n_size);
+      case DstSpec::PermFamily::Transpose:
+        return perm::transposePerm(n_size);
+      case DstSpec::PermFamily::Complement:
+        return perm::bitComplementPerm(n_size, d.permArg);
+      case DstSpec::PermFamily::Shuffle:
+        return perm::perfectShufflePerm(n_size);
+      case DstSpec::PermFamily::Exchange:
+        return perm::exchangePerm(n_size,
+                                  static_cast<unsigned>(d.permArg));
+    }
+    IADM_PANIC("unreachable perm family");
+}
+
 std::unique_ptr<TrafficPattern>
 makeDst(const DstSpec &d, Label n_size)
 {
@@ -522,36 +467,11 @@ makeDst(const DstSpec &d, Label n_size)
       case DstSpec::Kind::Uniform:
         return std::make_unique<UniformTraffic>(n_size);
       case DstSpec::Kind::Hotspot:
-        if (d.hotNodes.size() == 1) {
-            // Single hot node: the legacy pattern, whose RNG draw
-            // stream (chance, then uniform) is frozen by the golden
-            // fixtures.
-            return std::make_unique<HotspotTraffic>(
-                n_size, d.hotNodes[0], d.hotFraction);
-        }
-        return std::make_unique<MultiHotspotTraffic>(
-            n_size, d.hotNodes, d.hotFraction);
+        return std::make_unique<HotspotTraffic>(n_size, d.hotNodes,
+                                                d.hotFraction);
       case DstSpec::Kind::Perm:
-        switch (d.perm) {
-          case DstSpec::PermFamily::Shift:
-            return makeShiftTraffic(n_size, d.permArg);
-          case DstSpec::PermFamily::BitReversal:
-            return makeBitReversalTraffic(n_size);
-          case DstSpec::PermFamily::Transpose:
-            return makeTransposeTraffic(n_size);
-          case DstSpec::PermFamily::Complement:
-            return std::make_unique<PermutationTraffic>(
-                perm::bitComplementPerm(n_size, d.permArg));
-          case DstSpec::PermFamily::Shuffle:
-            return std::make_unique<PermutationTraffic>(
-                perm::perfectShufflePerm(n_size));
-          case DstSpec::PermFamily::Exchange:
-            return std::make_unique<PermutationTraffic>(
-                perm::exchangePerm(
-                    n_size,
-                    static_cast<unsigned>(d.permArg)));
-        }
-        IADM_PANIC("unreachable perm family");
+        return std::make_unique<PermutationTraffic>(
+            dstPerm(d, n_size));
       case DstSpec::Kind::Adversarial:
         return std::make_unique<PermutationTraffic>(
             adversarialPerm(n_size));
@@ -574,7 +494,7 @@ ScenarioSpec::name() const
         out += shaperName(shapers[i], i == 0);
         out += '/';
     }
-    out += dstName(dst);
+    out += dstName(dst, shapers.empty());
     return out;
 }
 
@@ -587,8 +507,6 @@ ScenarioSpec::parse(const std::string &spec)
     bool have_dst = false;
     for (const std::string &clause : splitOn(spec, '/')) {
         const auto parts = splitOn(clause, ':');
-        if (parts.empty())
-            return std::nullopt;
         const std::string &role = parts[0];
         if (role == "dst") {
             if (have_dst)
@@ -697,7 +615,7 @@ ScenarioSpec::make(Label n_size) const
     auto base = makeDst(dst, n_size);
     if (shapers.empty())
         return base;
-    return std::make_unique<ScenarioTraffic>(*this, n_size,
+    return std::make_unique<ScenarioTraffic>(shapers, n_size,
                                              std::move(base));
 }
 

@@ -35,9 +35,11 @@
  * order (every shaper's gate runs every cycle — no short-circuit —
  * so the RNG draw order is pinned).  Additional shapers after the
  * first canonically print as `over:`; parse treats `shape:` and
- * `over:` identically.  Bare legacy atoms ("uniform",
- * "hotspot:0:0.2", "bitrev", "transpose") and the short forms
- * "bursty:B:I" and "shift:K" are accepted as sugar.
+ * `over:` identically.  Bare atoms ("uniform", "hotspot:0:0.2",
+ * "bitrev", "transpose", "shift:K", "mcast:G:F", ...) and the short
+ * shaper form "bursty:B:I" are accepted as sugar.  The first four
+ * are also canonical: they are the names of the unshaped specs of
+ * those destinations (ScenarioSpec::name).
  */
 
 #ifndef IADM_SIM_SCENARIO_HPP
@@ -121,6 +123,10 @@ struct ScenarioSpec
      * Canonical spelling: shapers first (`shape:` then `over:`),
      * destination last, e.g.
      * "shape:ramp:0.1:0.9:2000/over:bursty:16:64/dst:hotspot:0:0.2".
+     * One rule keeps the pre-grammar report names: a spec with no
+     * shapers whose destination is uniform, a one-node hotspot,
+     * bitrev or transpose prints as "uniform", "hotspot:N:F",
+     * "bitrev" or "transpose" (the golden fixtures freeze these).
      * Re-parsing the canonical name yields an equal spec.
      */
     std::string name() const;

@@ -1,13 +1,14 @@
 #include "sim/sweep.hpp"
 
 #include <atomic>
-#include <cmath>
 #include <mutex>
 #include <sstream>
 #include <thread>
 
+#include "common/bits.hpp"
 #include "common/logging.hpp"
 #include "common/json_writer.hpp"
+#include "common/parse.hpp"
 #include "fault/injection.hpp"
 #include "obs/stats.hpp"
 #include "obs/trace_sink.hpp"
@@ -31,18 +32,6 @@ mix64(std::uint64_t z)
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
     return z ^ (z >> 31);
-}
-
-/** Split "name:arg1:arg2" into colon-separated pieces. */
-std::vector<std::string>
-splitColons(const std::string &spec)
-{
-    std::vector<std::string> parts;
-    std::string cur;
-    std::istringstream is(spec);
-    while (std::getline(is, cur, ':'))
-        parts.push_back(cur);
-    return parts;
 }
 
 } // namespace
@@ -69,9 +58,7 @@ FaultScenario::name() const
 std::optional<FaultScenario>
 FaultScenario::parse(const std::string &spec)
 {
-    const auto parts = splitColons(spec);
-    if (parts.empty())
-        return std::nullopt;
+    const auto parts = splitOn(spec, ':');
     FaultScenario fs;
     if (parts[0] == "none") {
         if (parts.size() != 1)
@@ -90,17 +77,53 @@ FaultScenario::parse(const std::string &spec)
         fs.kind = Kind::Switches;
     else
         return std::nullopt;
-    try {
-        fs.count = std::stoul(parts[1]);
-    } catch (...) {
+    if (!parseUnsigned(parts[1], fs.count))
         return std::nullopt;
-    }
     return fs;
+}
+
+std::optional<std::string>
+FaultScenario::validate(Label n_size) const
+{
+    // The pools fault/injection.cpp samples from, without
+    // replacement: log2 N link stages of N switches, each with a
+    // straight and two nonstraight output links; whole-switch faults
+    // spare the input and output columns.
+    const std::size_t n = n_size;
+    const std::size_t stages = log2Floor(n_size);
+    std::size_t pool = 0;
+    const char *what = "";
+    switch (kind) {
+      case Kind::None: return std::nullopt;
+      case Kind::RandomLinks:
+        pool = 3 * n * stages;
+        what = "links";
+        break;
+      case Kind::Nonstraight:
+        pool = 2 * n * stages;
+        what = "nonstraight links";
+        break;
+      case Kind::DoubleNonstraight:
+        pool = n * stages;
+        what = "switches";
+        break;
+      case Kind::Switches:
+        pool = n * (stages - 1);
+        what = "inner-column switches";
+        break;
+    }
+    if (count <= pool)
+        return std::nullopt;
+    return "fault scenario " + name() + " exceeds the " +
+           std::to_string(pool) + " " + what + " at N=" +
+           std::to_string(n_size);
 }
 
 fault::FaultSet
 FaultScenario::make(const topo::IadmTopology &topo, Rng &rng) const
 {
+    if (const auto err = validate(topo.size()))
+        IADM_FATAL("invalid fault scenario: ", *err);
     switch (kind) {
       case Kind::None: return {};
       case Kind::RandomLinks:
@@ -138,50 +161,31 @@ ChurnSpec::name() const
 std::optional<ChurnSpec>
 ChurnSpec::parse(const std::string &spec)
 {
-    const auto parts = splitColons(spec);
-    if (parts.empty())
-        return std::nullopt;
+    const auto parts = splitOn(spec, ':');
     ChurnSpec c;
-    try {
-        if (parts[0] == "none") {
-            if (parts.size() != 1)
-                return std::nullopt;
+    if (parts[0] == "none" && parts.size() == 1)
+        return c;
+    if (parts[0] == "bernoulli" && parts.size() == 3) {
+        c.kind = Kind::Bernoulli;
+        if (parseDouble(parts[1], c.pFail) &&
+            parseDouble(parts[2], c.pRepair) && c.pFail >= 0 &&
+            c.pFail <= 1 && c.pRepair >= 0 && c.pRepair <= 1)
             return c;
-        }
-        if (parts[0] == "bernoulli") {
-            if (parts.size() != 3)
-                return std::nullopt;
-            c.kind = Kind::Bernoulli;
-            c.pFail = std::stod(parts[1]);
-            c.pRepair = std::stod(parts[2]);
-            if (c.pFail < 0 || c.pFail > 1 || c.pRepair < 0 ||
-                c.pRepair > 1)
-                return std::nullopt;
+    }
+    if (parts[0] == "geometric" && parts.size() == 3) {
+        c.kind = Kind::Geometric;
+        if (parseDouble(parts[1], c.mtbf) &&
+            parseDouble(parts[2], c.mttr) && c.mtbf >= 1 &&
+            c.mttr >= 1)
             return c;
-        }
-        if (parts[0] == "geometric") {
-            if (parts.size() != 3)
-                return std::nullopt;
-            c.kind = Kind::Geometric;
-            c.mtbf = std::stod(parts[1]);
-            c.mttr = std::stod(parts[2]);
-            if (c.mtbf < 1 || c.mttr < 1)
-                return std::nullopt;
+    }
+    if (parts[0] == "burst" && parts.size() == 4) {
+        c.kind = Kind::Burst;
+        if (parseUnsigned(parts[1], c.interval) &&
+            parseUnsigned(parts[2], c.duration) &&
+            parseUnsigned(parts[3], c.span) && c.interval != 0 &&
+            c.duration != 0 && c.span != 0)
             return c;
-        }
-        if (parts[0] == "burst") {
-            if (parts.size() != 4)
-                return std::nullopt;
-            c.kind = Kind::Burst;
-            c.interval = std::stoull(parts[1]);
-            c.duration = std::stoull(parts[2]);
-            c.span = static_cast<Label>(std::stoul(parts[3]));
-            if (c.interval == 0 || c.duration == 0 || c.span == 0)
-                return std::nullopt;
-            return c;
-        }
-    } catch (...) {
-        return std::nullopt;
     }
     return std::nullopt;
 }
@@ -203,167 +207,6 @@ ChurnSpec::make(const topo::IadmTopology &topo,
             topo, interval, duration, span, seed);
     }
     IADM_PANIC("unreachable churn kind");
-}
-
-// --- TrafficSpec ---------------------------------------------------
-
-std::string
-TrafficSpec::name() const
-{
-    switch (kind) {
-      case Kind::Uniform: return "uniform";
-      case Kind::Hotspot:
-        return "hotspot:" + std::to_string(hotNode) + ":" +
-               jsonNumber(hotFraction);
-      case Kind::BitReversal: return "bitrev";
-      case Kind::Transpose: return "transpose";
-      case Kind::Scenario: return scenario.name();
-    }
-    return "?";
-}
-
-namespace {
-
-/** Strict full-string numeric parses for the legacy hotspot form;
- *  trailing garbage ("0+5") falls through to the scenario grammar. */
-bool
-parseLabelStrict(const std::string &s, Label &out)
-{
-    try {
-        std::size_t pos = 0;
-        out = static_cast<Label>(std::stoul(s, &pos));
-        return pos == s.size() && !s.empty() && s[0] != '-';
-    } catch (...) {
-        return false;
-    }
-}
-
-bool
-parseFractionStrict(const std::string &s, double &out)
-{
-    try {
-        std::size_t pos = 0;
-        out = std::stod(s, &pos);
-        return pos == s.size() && std::isfinite(out) && out >= 0.0 &&
-               out <= 1.0;
-    } catch (...) {
-        return false;
-    }
-}
-
-/** Legacy atoms only; nullopt hands the spec to ScenarioSpec. */
-std::optional<TrafficSpec>
-parseLegacyTraffic(const std::vector<std::string> &parts)
-{
-    TrafficSpec t;
-    if (parts[0] == "uniform") {
-        if (parts.size() != 1)
-            return std::nullopt;
-        return t;
-    }
-    if (parts[0] == "bitrev") {
-        if (parts.size() != 1)
-            return std::nullopt;
-        t.kind = TrafficSpec::Kind::BitReversal;
-        return t;
-    }
-    if (parts[0] == "transpose") {
-        if (parts.size() != 1)
-            return std::nullopt;
-        t.kind = TrafficSpec::Kind::Transpose;
-        return t;
-    }
-    if (parts[0] == "hotspot") {
-        t.kind = TrafficSpec::Kind::Hotspot;
-        if (parts.size() > 3)
-            return std::nullopt;
-        if (parts.size() >= 2 &&
-            !parseLabelStrict(parts[1], t.hotNode))
-            return std::nullopt;
-        // The fraction is range-checked at parse time: negative, >1,
-        // NaN and inf used to slide straight through stod.
-        if (parts.size() >= 3 &&
-            !parseFractionStrict(parts[2], t.hotFraction))
-            return std::nullopt;
-        return t;
-    }
-    return std::nullopt;
-}
-
-} // namespace
-
-std::optional<TrafficSpec>
-TrafficSpec::parse(const std::string &spec)
-{
-    const auto parts = splitColons(spec);
-    if (parts.empty())
-        return std::nullopt;
-    // Legacy atoms keep their frozen spellings and spec fields; a
-    // multi-node hotspot ("hotspot:0+5:0.3") fails the strict legacy
-    // parse and lands in the scenario grammar below.
-    if (spec.find('/') == std::string::npos) {
-        if (auto legacy = parseLegacyTraffic(parts))
-            return legacy;
-        if (parts[0] == "uniform" || parts[0] == "bitrev" ||
-            parts[0] == "transpose")
-            return std::nullopt; // malformed legacy atom, not sugar
-    }
-    auto sc = ScenarioSpec::parse(spec);
-    if (!sc)
-        return std::nullopt;
-    TrafficSpec t;
-    t.kind = Kind::Scenario;
-    t.scenario = std::move(*sc);
-    return t;
-}
-
-std::optional<std::string>
-TrafficSpec::validate(Label n_size) const
-{
-    switch (kind) {
-      case Kind::Uniform:
-      case Kind::BitReversal:
-        return std::nullopt;
-      case Kind::Transpose: {
-        unsigned bits = 0;
-        while ((Label{1} << bits) < n_size)
-            ++bits;
-        if (bits % 2 != 0)
-            return "transpose needs an even number of label bits "
-                   "(N=" + std::to_string(n_size) + " has " +
-                   std::to_string(bits) + ")";
-        return std::nullopt;
-      }
-      case Kind::Hotspot:
-        if (hotNode >= n_size)
-            return "hotspot node " + std::to_string(hotNode) +
-                   " out of range for N=" + std::to_string(n_size);
-        return std::nullopt;
-      case Kind::Scenario:
-        return scenario.validate(n_size);
-    }
-    return std::nullopt;
-}
-
-std::unique_ptr<TrafficPattern>
-TrafficSpec::make(Label n_size) const
-{
-    if (const auto err = validate(n_size))
-        IADM_FATAL("invalid traffic spec '", name(), "': ", *err);
-    switch (kind) {
-      case Kind::Uniform:
-        return std::make_unique<UniformTraffic>(n_size);
-      case Kind::Hotspot:
-        return std::make_unique<HotspotTraffic>(n_size, hotNode,
-                                                hotFraction);
-      case Kind::BitReversal:
-        return makeBitReversalTraffic(n_size);
-      case Kind::Transpose:
-        return makeTransposeTraffic(n_size);
-      case Kind::Scenario:
-        return scenario.make(n_size);
-    }
-    IADM_PANIC("unreachable traffic kind");
 }
 
 // --- grid geometry -------------------------------------------------

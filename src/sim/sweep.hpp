@@ -64,58 +64,19 @@ struct FaultScenario
     /** Parse the canonical spelling; nullopt on bad input. */
     static std::optional<FaultScenario> parse(const std::string &spec);
 
-    /** Materialize the scenario for one replicate (rng-seeded). */
+    /**
+     * N-dependent validation: the count must not exceed the links or
+     * switches the scenario draws from at N.  nullopt when valid,
+     * else a one-line diagnostic; CLI front ends reject with exit 2.
+     */
+    std::optional<std::string> validate(Label n_size) const;
+
+    /** Materialize the scenario for one replicate (rng-seeded);
+     *  fails fatally if validate(topo.size()) rejects it. */
     fault::FaultSet make(const topo::IadmTopology &topo,
                          Rng &rng) const;
 
     bool operator==(const FaultScenario &) const = default;
-};
-
-/**
- * Traffic-pattern axis of the sweep grid.
- *
- * Four legacy kinds keep their frozen canonical spellings
- * ("uniform", "hotspot:<node>:<frac>", "bitrev", "transpose") — the
- * golden fixtures bake those names into report JSON.  Everything
- * else is Kind::Scenario: the spec string is handed to
- * ScenarioSpec::parse (sim/scenario.hpp), which also accepts the
- * short forms "bursty:B:I" and "shift:K", and the canonical name is
- * the scenario grammar's canonical spelling.
- */
-struct TrafficSpec
-{
-    enum class Kind : std::uint8_t
-    {
-        Uniform,
-        Hotspot,     //!< hotFraction of traffic to hotNode
-        BitReversal,
-        Transpose,
-        Scenario,    //!< composed scenario (sim/scenario.hpp)
-    };
-
-    Kind kind = Kind::Uniform;
-    Label hotNode = 0;
-    double hotFraction = 0.2;
-    ScenarioSpec scenario; //!< used only when kind == Scenario
-
-    /** Canonical spelling, e.g. "uniform", "hotspot:0:0.2", or the
-     *  scenario grammar's canonical name. */
-    std::string name() const;
-
-    static std::optional<TrafficSpec> parse(const std::string &spec);
-
-    /**
-     * N-dependent validation (hot node < N, plus everything
-     * ScenarioSpec::validate checks).  nullopt when valid, else a
-     * one-line diagnostic; CLI front ends reject with exit 2.
-     */
-    std::optional<std::string> validate(Label n_size) const;
-
-    /** Materialize the pattern; fails fatally if validate(n_size)
-     *  rejects the spec (front ends must validate first). */
-    std::unique_ptr<TrafficPattern> make(Label n_size) const;
-
-    bool operator==(const TrafficSpec &) const = default;
 };
 
 /**
@@ -168,7 +129,9 @@ struct SweepGrid
     std::vector<double> injectionRates{0.1};
     std::vector<std::size_t> queueCapacities{4};
     std::vector<FaultScenario> faults{FaultScenario{}};
-    std::vector<TrafficSpec> traffics{TrafficSpec{}};
+    /** Traffic axis: one ScenarioSpec per value (sim/scenario.hpp);
+     *  the default is unshaped uniform traffic. */
+    std::vector<ScenarioSpec> traffics{ScenarioSpec{}};
     std::vector<bool> crossbarModes{false};
     /** Churn axis; the single-None default keeps legacy cell
      *  indices (and therefore replicate seeds) unchanged. */
@@ -199,7 +162,7 @@ struct SweepCell
     double injectionRate = 0.1;
     std::size_t queueCapacity = 4;
     FaultScenario fault;
-    TrafficSpec traffic;
+    ScenarioSpec traffic;
     bool crossbar = false;
     ChurnSpec churn;
 };

@@ -1,6 +1,11 @@
 /**
  * @file
- * Traffic patterns for the packet-switched simulation.
+ * Traffic patterns for the packet-switched simulation: the
+ * TrafficPattern interface and the destination sources that
+ * ScenarioSpec::make (sim/scenario.hpp) composes.  A ScenarioSpec is
+ * the one traffic description — front ends, sweeps and benches
+ * parse, validate and build traffic through it, and load shapers
+ * (bursts, ramps, closed-loop windows) exist only as its clauses.
  *
  * Concurrency contract: the simulator invokes every mutating hook —
  * gate(), pick(), beginCycle(), onInject(), onRetire() — from serial
@@ -20,7 +25,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -35,7 +39,6 @@ class TrafficPattern
   public:
     virtual ~TrafficPattern() = default;
     virtual Label pick(Label src, Rng &rng) = 0;
-    virtual std::string name() const = 0;
 
     /**
      * Source-side admission gate, consulted once per source per
@@ -96,7 +99,6 @@ class UniformTraffic : public TrafficPattern
   public:
     explicit UniformTraffic(Label n_size) : nSize_(n_size) {}
     Label pick(Label src, Rng &rng) override;
-    std::string name() const override { return "uniform"; }
     bool gated() const override { return false; }
 
   private:
@@ -110,7 +112,6 @@ class PermutationTraffic : public TrafficPattern
     explicit PermutationTraffic(perm::Permutation p)
         : perm_(std::move(p)) {}
     Label pick(Label src, Rng &rng) override;
-    std::string name() const override { return "permutation"; }
     bool gated() const override { return false; }
 
   private:
@@ -119,61 +120,28 @@ class PermutationTraffic : public TrafficPattern
 
 /**
  * Hotspot traffic: with probability @p hot_fraction the destination
- * is the hot node, otherwise uniform.
+ * is drawn uniformly from the hot set, otherwise uniformly from all
+ * N.  A one-node set skips the index draw, so its stream is one
+ * chance() then at most one uniform(N) per pick — the stream the
+ * golden fixtures pin for `hotspot:N:F`.
  */
 class HotspotTraffic : public TrafficPattern
 {
   public:
-    HotspotTraffic(Label n_size, Label hot, double hot_fraction)
-        : nSize_(n_size), hot_(hot), hotFraction_(hot_fraction) {}
+    HotspotTraffic(Label n_size, std::vector<Label> hot,
+                   double hot_fraction)
+        : nSize_(n_size), hot_(std::move(hot)),
+          hotFraction_(hot_fraction)
+    {
+    }
     Label pick(Label src, Rng &rng) override;
-    std::string name() const override { return "hotspot"; }
     bool gated() const override { return false; }
 
   private:
     Label nSize_;
-    Label hot_;
+    std::vector<Label> hot_;
     double hotFraction_;
 };
-
-/**
- * Bursty traffic: uniform destinations modulated by a per-source
- * two-state (on/off) Markov chain with expected burst and idle
- * lengths; the chain advances in gate(), called once per source
- * per cycle.  gate() draws exactly one random value per call
- * whatever the state, so the stream is shard-count independent.
- */
-class BurstyTraffic : public TrafficPattern
-{
-  public:
-    BurstyTraffic(Label n_size, double burst_len, double idle_len);
-
-    Label pick(Label src, Rng &rng) override;
-    std::string name() const override { return "bursty"; }
-    bool gate(Label src, Rng &rng) override;
-
-    /** Long-run fraction of time a source is ON. */
-    double dutyCycle() const;
-
-  private:
-    Label nSize_;
-    double pOnToOff_; //!< 1 / burst length
-    double pOffToOn_; //!< 1 / idle length
-    /** Per-source chain state, one byte per source (see the file
-     *  header: never std::vector<bool> — adjacent sources must not
-     *  share a word). */
-    std::vector<std::uint8_t> on_;
-};
-
-/** Bit-reversal permutation traffic (a classic cube stressor). */
-std::unique_ptr<TrafficPattern> makeBitReversalTraffic(Label n_size);
-
-/** Matrix-transpose permutation traffic (n even). */
-std::unique_ptr<TrafficPattern> makeTransposeTraffic(Label n_size);
-
-/** Uniform-shift ("tornado"-style) permutation traffic. */
-std::unique_ptr<TrafficPattern> makeShiftTraffic(Label n_size,
-                                                 Label shift);
 
 } // namespace iadm::sim
 

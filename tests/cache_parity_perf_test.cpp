@@ -40,7 +40,7 @@ baseGrid(std::uint64_t master_seed)
                     RoutingScheme::TsdtDynamic};
     grid.injectionRates = {0.25};
     grid.queueCapacities = {4};
-    grid.traffics = {TrafficSpec{}};
+    grid.traffics = {ScenarioSpec{}};
     grid.replicates = 1; // half the golden runtime, same claim
     grid.warmupCycles = 200;
     grid.measureCycles = 1200;

@@ -173,6 +173,16 @@ TEST(ChurnSpec, RejectsMalformedSpecs)
     EXPECT_FALSE(ChurnSpec::parse("burst:100:50").has_value());
     EXPECT_FALSE(ChurnSpec::parse("burst:0:50:2").has_value());
     EXPECT_FALSE(ChurnSpec::parse("meteor:1:2").has_value());
+    // Strict numbers: no trailing bytes, signs, wraps or non-finite
+    // values (bernoulli:nan:0.1 used to parse and then abort the
+    // simulator; burst:2000:150:-1 used to read as a 2^32 - 1 span).
+    for (const std::string bad :
+         {"bernoulli:nan:0.1", "bernoulli:0.1:inf", "bernoulli:0.1x:0.5",
+          "geometric:inf:5", "geometric:300:50:", "burst:2000:150:-1",
+          "burst:2000x:150:4", "burst:2000:150:4294967296",
+          "burst:-5:150:4", "none:"}) {
+        EXPECT_FALSE(ChurnSpec::parse(bad).has_value()) << bad;
+    }
     EXPECT_TRUE(ChurnSpec::parse("none").has_value());
     EXPECT_EQ(ChurnSpec::parse("none")->make(IadmTopology(8), 1),
               nullptr);
@@ -319,7 +329,7 @@ churnGrid()
     grid.injectionRates = {0.2};
     grid.queueCapacities = {4};
     grid.faults = {FaultScenario{FaultScenario::Kind::RandomLinks, 2}};
-    grid.traffics = {TrafficSpec{}};
+    grid.traffics = {ScenarioSpec{}};
     grid.churns = {ChurnSpec::parse("bernoulli:0.0005:0.05").value(),
                    ChurnSpec::parse("burst:300:80:4").value()};
     grid.replicates = 2;
@@ -407,7 +417,7 @@ goldenChurnGrid()
     grid.injectionRates = {0.25};
     grid.queueCapacities = {4};
     grid.faults = {FaultScenario{FaultScenario::Kind::RandomLinks, 4}};
-    grid.traffics = {TrafficSpec{}};
+    grid.traffics = {ScenarioSpec{}};
     grid.churns = {ChurnSpec::parse("geometric:500:100").value()};
     grid.replicates = 2;
     grid.warmupCycles = 200;

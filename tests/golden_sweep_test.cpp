@@ -50,7 +50,7 @@ goldenGrid()
     grid.injectionRates = {0.25};
     grid.queueCapacities = {4};
     grid.faults = {FaultScenario{FaultScenario::Kind::RandomLinks, 6}};
-    grid.traffics = {TrafficSpec{}};
+    grid.traffics = {ScenarioSpec{}};
     grid.replicates = 2;
     grid.warmupCycles = 200;
     grid.measureCycles = 1200;
@@ -148,7 +148,7 @@ goldenFaultedGrid()
         FaultScenario{FaultScenario::Kind::Nonstraight, 4},
         FaultScenario{FaultScenario::Kind::RandomLinks, 6},
         FaultScenario{FaultScenario::Kind::DoubleNonstraight, 2}};
-    grid.traffics = {TrafficSpec{}};
+    grid.traffics = {ScenarioSpec{}};
     grid.replicates = 2;
     grid.warmupCycles = 200;
     grid.measureCycles = 1200;

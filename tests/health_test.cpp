@@ -310,7 +310,7 @@ goldenGrid()
     grid.injectionRates = {0.25};
     grid.queueCapacities = {4};
     grid.faults = {FaultScenario{FaultScenario::Kind::RandomLinks, 6}};
-    grid.traffics = {TrafficSpec{}};
+    grid.traffics = {ScenarioSpec{}};
     grid.replicates = 2;
     grid.warmupCycles = 200;
     grid.measureCycles = 1200;

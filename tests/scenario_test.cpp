@@ -21,6 +21,8 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "sim/scenario.hpp"
 #include "sim/sweep.hpp"
@@ -39,12 +41,12 @@ using namespace sim;
 TEST(ScenarioParse, CanonicalNameReparsesToEqualSpec)
 {
     for (const std::string spec : {
-             "dst:uniform",
-             "dst:hotspot:0:0.2",
+             "uniform",
+             "hotspot:0:0.2",
              "dst:hotspot:0+5+9:0.3",
              "dst:perm:shift:4",
-             "dst:perm:bitrev",
-             "dst:perm:transpose",
+             "bitrev",
+             "transpose",
              "dst:perm:complement:63",
              "dst:perm:shuffle",
              "dst:perm:exchange:2",
@@ -74,10 +76,11 @@ TEST(ScenarioParse, SugarAtomsNormalizeToCanonicalClauses)
         EXPECT_TRUE(s.has_value()) << spec;
         return s ? s->name() : std::string("<unparsed>");
     };
-    EXPECT_EQ(canon("uniform"), "dst:uniform");
-    EXPECT_EQ(canon("hotspot:0:0.2"), "dst:hotspot:0:0.2");
-    EXPECT_EQ(canon("bitrev"), "dst:perm:bitrev");
-    EXPECT_EQ(canon("transpose"), "dst:perm:transpose");
+    // The four legacy atoms are their own canonical names.
+    EXPECT_EQ(canon("uniform"), "uniform");
+    EXPECT_EQ(canon("hotspot:0:0.2"), "hotspot:0:0.2");
+    EXPECT_EQ(canon("bitrev"), "bitrev");
+    EXPECT_EQ(canon("transpose"), "transpose");
     EXPECT_EQ(canon("shift:5"), "dst:perm:shift:5");
     EXPECT_EQ(canon("bursty:16:64"), "shape:bursty:16:64/dst:uniform");
     // over: and shape: are interchangeable on input.
@@ -88,28 +91,38 @@ TEST(ScenarioParse, SugarAtomsNormalizeToCanonicalClauses)
               "shape:closed:4/dst:uniform");
 }
 
-TEST(ScenarioParse, TrafficSpecRoundTripsThroughScenarioKind)
+TEST(ScenarioParse, LegacyNamesAreTheCanonicalNamesOfUnshapedSpecs)
 {
-    // TrafficSpec::parse must keep the four legacy spellings frozen
-    // (golden fixtures bake them into report JSON) and route
-    // everything else through the scenario grammar.
-    for (const std::string spec :
-         {"uniform", "bitrev", "transpose", "hotspot:0:0.2"}) {
-        const auto t = TrafficSpec::parse(spec);
-        ASSERT_TRUE(t.has_value()) << spec;
-        EXPECT_NE(t->kind, TrafficSpec::Kind::Scenario) << spec;
-        EXPECT_EQ(t->name(), spec);
+    // One naming rule replaces the old legacy traffic type: an
+    // unshaped uniform, one-node hotspot, bitrev or transpose spec
+    // prints its pre-grammar name (the golden fixtures freeze those
+    // report names), however it was spelled.
+    for (const auto &[legacy, dst_form] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"uniform", "dst:uniform"},
+             {"hotspot:0:0.2", "dst:hotspot:0:0.2"},
+             {"bitrev", "dst:perm:bitrev"},
+             {"transpose", "dst:perm:transpose"},
+         }) {
+        const auto a = ScenarioSpec::parse(legacy);
+        const auto b = ScenarioSpec::parse(dst_form);
+        ASSERT_TRUE(a.has_value()) << legacy;
+        ASSERT_TRUE(b.has_value()) << dst_form;
+        EXPECT_TRUE(*a == *b) << legacy << " vs " << dst_form;
+        EXPECT_EQ(a->name(), legacy);
+        EXPECT_EQ(b->name(), legacy);
     }
-    for (const std::string spec :
-         {"shift:5", "bursty:16:64", "dst:adversarial",
-          "dst:hotspot:0+5:0.3", "shape:closed:4/dst:uniform"}) {
-        const auto t = TrafficSpec::parse(spec);
-        ASSERT_TRUE(t.has_value()) << spec;
-        EXPECT_EQ(t->kind, TrafficSpec::Kind::Scenario) << spec;
-        const auto again = TrafficSpec::parse(t->name());
-        ASSERT_TRUE(again.has_value()) << t->name();
-        EXPECT_TRUE(*again == *t) << spec;
-    }
+    EXPECT_EQ(ScenarioSpec{}.name(), "uniform");
+    // Everything else keeps its clause form: a shaper, a hot set of
+    // more than one node, or a destination the grammar introduced.
+    EXPECT_EQ(ScenarioSpec::parse("bursty:16:64")->name(),
+              "shape:bursty:16:64/dst:uniform");
+    EXPECT_EQ(ScenarioSpec::parse("shape:closed:2/bitrev")->name(),
+              "shape:closed:2/dst:perm:bitrev");
+    EXPECT_EQ(ScenarioSpec::parse("dst:hotspot:0+5:0.3")->name(),
+              "dst:hotspot:0+5:0.3");
+    EXPECT_EQ(ScenarioSpec::parse("shift:5")->name(),
+              "dst:perm:shift:5");
 }
 
 // --- rejection regressions ----------------------------------------
@@ -149,8 +162,17 @@ TEST(ScenarioParse, RejectsMalformedSpecs)
              "shape:lava:1",            // unknown shaper
              "dst:uniform/dst:uniform", // two destination sources
              "dst:uniform/uniform",     // ditto, via sugar
+             "uniform:",                // stray separators
+             "dst:uniform/",            //
+             "shift:5x",                // trailing bytes
+             "hotspot:4294967296:0.2",  // node wraps a 32-bit label
+             "shift:4294967297",        // distance wraps to 1
+             "dst:perm:complement:-1",  // signed mask
+             "dst:mcast:4294967300:8",  // group count wraps to 4
+             "shape:closed:4294967297", // window wraps to 1
+             "bursty:16:64x",           //
          }) {
-        EXPECT_FALSE(TrafficSpec::parse(spec).has_value())
+        EXPECT_FALSE(ScenarioSpec::parse(spec).has_value())
             << "should have been rejected: " << spec;
     }
 }
@@ -158,7 +180,7 @@ TEST(ScenarioParse, RejectsMalformedSpecs)
 TEST(ScenarioValidate, RejectsOutOfRangeSpecsAtN)
 {
     const auto diag = [](const std::string &spec, Label n) {
-        const auto t = TrafficSpec::parse(spec);
+        const auto t = ScenarioSpec::parse(spec);
         EXPECT_TRUE(t.has_value()) << spec;
         if (!t)
             return std::string("<unparsed>");
@@ -189,7 +211,7 @@ TEST(ScenarioValidate, RejectsOutOfRangeSpecsAtN)
 TEST(ScenarioStats, HotspotHitFractionMatchesSpec)
 {
     const Label n = 64;
-    const auto t = TrafficSpec::parse("hotspot:3:0.3");
+    const auto t = ScenarioSpec::parse("hotspot:3:0.3");
     ASSERT_TRUE(t.has_value());
     auto pattern = t->make(n);
     Rng rng(42);
@@ -205,7 +227,7 @@ TEST(ScenarioStats, HotspotHitFractionMatchesSpec)
 TEST(ScenarioStats, MultiHotspotSplitsTheHotFractionAcrossTheSet)
 {
     const Label n = 64;
-    const auto t = TrafficSpec::parse("dst:hotspot:1+2+3:0.5");
+    const auto t = ScenarioSpec::parse("dst:hotspot:1+2+3:0.5");
     ASSERT_TRUE(t.has_value());
     auto pattern = t->make(n);
     Rng rng(42);
@@ -230,11 +252,11 @@ TEST(ScenarioStats, MultiHotspotSplitsTheHotFractionAcrossTheSet)
 TEST(ScenarioStats, ShiftAndBitrevPicksMatchThePermutationFamily)
 {
     const Label n = 64;
-    const auto shift = TrafficSpec::parse("shift:5");
+    const auto shift = ScenarioSpec::parse("shift:5");
     ASSERT_TRUE(shift.has_value());
     auto sp = shift->make(n);
     const perm::Permutation sref = perm::shiftPerm(n, 5);
-    const auto bitrev = TrafficSpec::parse("bitrev");
+    const auto bitrev = ScenarioSpec::parse("bitrev");
     ASSERT_TRUE(bitrev.has_value());
     auto bp = bitrev->make(n);
     const perm::Permutation bref = perm::bitReversalPerm(n);
@@ -247,28 +269,23 @@ TEST(ScenarioStats, ShiftAndBitrevPicksMatchThePermutationFamily)
 
 TEST(ScenarioStats, BurstyDutyCycleMatchesMeasuredGateOpenFraction)
 {
-    BurstyTraffic bt(4, 16.0, 64.0);
-    ASSERT_DOUBLE_EQ(bt.dutyCycle(), 0.2);
+    // Stationary ON probability of the two-state chain with mean
+    // burst B and mean idle I: B / (B + I).
+    const double burst = 16.0, idle = 64.0;
+    const double duty = burst / (burst + idle);
+    ASSERT_DOUBLE_EQ(duty, 0.2);
+    const auto t = ScenarioSpec::parse("bursty:16:64");
+    ASSERT_TRUE(t.has_value());
+    auto pattern = t->make(4);
+    ASSERT_TRUE(pattern->gated());
     Rng rng(7);
     const int cycles = 200000;
     int open = 0;
     for (int c = 0; c < cycles; ++c)
-        open += bt.gate(0, rng) ? 1 : 0;
+        open += pattern->gate(0, rng) ? 1 : 0;
     // The chain decorrelates over ~(burst+idle) cycles, so the
     // effective sample count is cycles / 80; tolerance sized to it.
-    EXPECT_NEAR(static_cast<double>(open) / cycles, bt.dutyCycle(),
-                0.02);
-
-    // The scenario-composed form must show the same duty cycle.
-    const auto t = TrafficSpec::parse("shape:bursty:16:64/dst:uniform");
-    ASSERT_TRUE(t.has_value());
-    auto pattern = t->make(4);
-    ASSERT_TRUE(pattern->gated());
-    Rng rng2(7);
-    int open2 = 0;
-    for (int c = 0; c < cycles; ++c)
-        open2 += pattern->gate(0, rng2) ? 1 : 0;
-    EXPECT_NEAR(static_cast<double>(open2) / cycles, 0.2, 0.02);
+    EXPECT_NEAR(static_cast<double>(open) / cycles, duty, 0.02);
 }
 
 TEST(ScenarioStats, RampFactorFollowsTheConfiguredSchedule)
@@ -276,7 +293,7 @@ TEST(ScenarioStats, RampFactorFollowsTheConfiguredSchedule)
     // rampFrom = 0 and rampTo = 1 make the schedule deterministic at
     // the endpoints: every gate closed at cycle 0, every gate open
     // once the ramp window has elapsed.
-    const auto t = TrafficSpec::parse("shape:ramp:0:1:1000/dst:uniform");
+    const auto t = ScenarioSpec::parse("shape:ramp:0:1:1000/dst:uniform");
     ASSERT_TRUE(t.has_value());
     auto pattern = t->make(8);
     Rng rng(3);
@@ -326,7 +343,7 @@ TEST(ScenarioStats, AdversarialPermCongestsUnlikeAnAdmissibleShift)
         cfg.injectionRate = 0.4;
         cfg.seed = 11;
         NetworkSim s(cfg,
-                     TrafficSpec::parse(spec).value().make(64));
+                     ScenarioSpec::parse(spec).value().make(64));
         s.run(600);
         return s.metrics().totalStalls();
     };
@@ -339,7 +356,7 @@ TEST(ScenarioStats, AdversarialPermCongestsUnlikeAnAdmissibleShift)
 TEST(ScenarioStats, McastSourcesCycleTheirGroupDestinationSet)
 {
     const Label n = 64;
-    const auto t = TrafficSpec::parse("dst:mcast:4:8");
+    const auto t = ScenarioSpec::parse("dst:mcast:4:8");
     ASSERT_TRUE(t.has_value());
     auto pattern = t->make(n);
     Rng rng(5);
@@ -373,7 +390,7 @@ TEST(ScenarioStats, McastSourcesCycleTheirGroupDestinationSet)
 
 TEST(ScenarioClosedLoop, WindowGatesAfterOutstandingLimit)
 {
-    const auto t = TrafficSpec::parse("shape:closed:2/dst:uniform");
+    const auto t = ScenarioSpec::parse("shape:closed:2/dst:uniform");
     ASSERT_TRUE(t.has_value());
     auto pattern = t->make(8);
     EXPECT_TRUE(pattern->closedLoop());
@@ -403,7 +420,7 @@ TEST(ScenarioClosedLoop, ShardedRunKeepsWindowAndMatchesSerial)
         cfg.seed = 3;
         return NetworkSim(
             cfg,
-            TrafficSpec::parse("shape:closed:2").value().make(64));
+            ScenarioSpec::parse("shape:closed:2").value().make(64));
     };
     NetworkSim serial = make(1);
     NetworkSim sharded = make(8);
@@ -437,7 +454,7 @@ TEST(ScenarioClosedLoop, OutstandingWindowBoundsInFlightEveryCycle)
     cfg.maxPacketAge = 200;
     cfg.seed = 9;
     NetworkSim s(
-        cfg, TrafficSpec::parse("shape:closed:3").value().make(64));
+        cfg, ScenarioSpec::parse("shape:closed:3").value().make(64));
     for (Cycle c = 0; c < 500; ++c) {
         s.step();
         ASSERT_LE(s.inFlight(), std::size_t{3 * 64})
@@ -470,13 +487,13 @@ scenarioGrid()
     grid.injectionRates = {0.3};
     grid.queueCapacities = {4};
     grid.traffics = {
-        TrafficSpec::parse("shape:bursty:16:64/dst:hotspot:0:0.2")
+        ScenarioSpec::parse("shape:bursty:16:64/dst:hotspot:0:0.2")
             .value(),
-        TrafficSpec::parse("dst:adversarial").value(),
-        TrafficSpec::parse("dst:mcast:4:8").value(),
-        TrafficSpec::parse("shape:ramp:0.2:0.8:500/dst:uniform")
+        ScenarioSpec::parse("dst:adversarial").value(),
+        ScenarioSpec::parse("dst:mcast:4:8").value(),
+        ScenarioSpec::parse("shape:ramp:0.2:0.8:500/dst:uniform")
             .value(),
-        TrafficSpec::parse("shape:closed:4/dst:uniform").value(),
+        ScenarioSpec::parse("shape:closed:4/dst:uniform").value(),
     };
     grid.replicates = 1;
     grid.warmupCycles = 200;

@@ -181,6 +181,24 @@ allPairRoutes(Label n_size, bool trace)
     return reqs;
 }
 
+TEST(ServerCore, ParseFaultArgRejectsScenarioLargerThanN)
+{
+    // --faults links:9999 at N=8 used to abort inside the injector;
+    // it is now a diagnostic the front end turns into exit 2.
+    const topo::IadmTopology net(8);
+    fault::FaultSet faults;
+    std::string err;
+    EXPECT_FALSE(
+        ServerCore::parseFaultArg(net, "links:9999", 1, faults, err));
+    EXPECT_NE(err.find("N=8"), std::string::npos) << err;
+    EXPECT_TRUE(faults.empty());
+    err.clear();
+    EXPECT_TRUE(
+        ServerCore::parseFaultArg(net, "links:72", 1, faults, err))
+        << err;
+    EXPECT_EQ(faults.count(), 72u);
+}
+
 TEST(ServerCore, TsdtAnswersMatchDirectRerouteCalls)
 {
     // The byte-identity oracle: every served tsdt answer must equal

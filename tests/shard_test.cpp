@@ -61,7 +61,7 @@ plainGrid()
     grid.injectionRates = {0.25};
     grid.queueCapacities = {4};
     grid.faults = {FaultScenario{FaultScenario::Kind::RandomLinks, 6}};
-    grid.traffics = {TrafficSpec{}};
+    grid.traffics = {ScenarioSpec{}};
     grid.replicates = 2;
     grid.warmupCycles = 200;
     grid.measureCycles = 1200;
@@ -131,13 +131,13 @@ scenarioGrid()
     grid.injectionRates = {0.3};
     grid.queueCapacities = {4};
     grid.traffics = {
-        TrafficSpec::parse("shape:bursty:16:64/dst:hotspot:0:0.2")
+        ScenarioSpec::parse("shape:bursty:16:64/dst:hotspot:0:0.2")
             .value(),
-        TrafficSpec::parse("dst:adversarial").value(),
-        TrafficSpec::parse("dst:mcast:4:8").value(),
-        TrafficSpec::parse("shape:ramp:0.2:0.8:500/dst:uniform")
+        ScenarioSpec::parse("dst:adversarial").value(),
+        ScenarioSpec::parse("dst:mcast:4:8").value(),
+        ScenarioSpec::parse("shape:ramp:0.2:0.8:500/dst:uniform")
             .value(),
-        TrafficSpec::parse("shape:closed:4/dst:uniform").value(),
+        ScenarioSpec::parse("shape:closed:4/dst:uniform").value(),
     };
     grid.replicates = 1;
     grid.warmupCycles = 200;
@@ -260,7 +260,7 @@ NetworkSim
 makeDynamicChurnSim(unsigned shards)
 {
     const SimConfig cfg = dynamicChurnConfig(shards);
-    NetworkSim s(cfg, TrafficSpec{}.make(cfg.netSize));
+    NetworkSim s(cfg, ScenarioSpec{}.make(cfg.netSize));
     const topo::IadmTopology topo(cfg.netSize);
     Rng rng(7);
     for (int k = 0; k < 24; ++k) {
@@ -369,7 +369,7 @@ makeInjectSim(RoutingScheme scheme, unsigned shards,
     cfg.shards = shards;
     const topo::IadmTopology topo(cfg.netSize);
     Rng rng(99);
-    return NetworkSim(cfg, TrafficSpec{}.make(cfg.netSize),
+    return NetworkSim(cfg, ScenarioSpec{}.make(cfg.netSize),
                       fault::randomLinkFaults(topo, 12, rng));
 }
 

@@ -15,6 +15,7 @@
 #include "fault/injection.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/network_sim.hpp"
+#include "sim/scenario.hpp"
 #include "topology/iadm.hpp"
 
 // Global operator new instrumented with a call counter so
@@ -618,30 +619,30 @@ TEST(Sim, CrossbarSwitchesIncreaseThroughputUnderHotspot)
         cfg.injectionRate = 0.3;
         cfg.crossbarSwitches = crossbar;
         cfg.seed = 16;
-        NetworkSim s(cfg,
-                     std::make_unique<HotspotTraffic>(16, 0, 0.4));
+        NetworkSim s(
+            cfg, ScenarioSpec::parse("hotspot:0:0.4").value().make(16));
         s.run(3000);
         return s.metrics().delivered();
     };
     EXPECT_GE(run(true), run(false));
 }
 
-TEST(Sim, BurstyTrafficThrottlesInjectionByDutyCycle)
+TEST(Sim, BurstyShaperThrottlesInjectionByDutyCycle)
 {
     // With burst length 50 and idle length 150 the duty cycle is
-    // 25%: injected packets approach rate * duty * cycles * N.
+    // B / (B + I) = 25%: injected packets approach
+    // rate * duty * cycles * N.
     const Label n_size = 16;
-    auto bursty =
-        std::make_unique<BurstyTraffic>(n_size, 50.0, 150.0);
-    EXPECT_NEAR(bursty->dutyCycle(), 0.25, 1e-9);
+    const double duty = 50.0 / (50.0 + 150.0);
     SimConfig cfg;
     cfg.netSize = n_size;
     cfg.injectionRate = 0.4;
     cfg.seed = 31;
-    NetworkSim s(cfg, std::move(bursty));
+    NetworkSim s(cfg,
+                 ScenarioSpec::parse("bursty:50:150").value().make(n_size));
     const Cycle cycles = 20000;
     s.run(cycles);
-    const double expected = 0.4 * 0.25 * cycles * n_size;
+    const double expected = 0.4 * duty * cycles * n_size;
     const auto injected = static_cast<double>(
         s.metrics().injected() + s.metrics().throttled());
     EXPECT_NEAR(injected / expected, 1.0, 0.15);
@@ -655,16 +656,12 @@ TEST(Sim, BurstyBurstsRaiseLatencyVsSmoothAtSameLoad)
         SimConfig cfg;
         cfg.netSize = n_size;
         cfg.seed = 32;
-        std::unique_ptr<TrafficPattern> t;
-        if (bursty) {
-            cfg.injectionRate = 0.8; // x 0.25 duty = 0.2 average
-            t = std::make_unique<BurstyTraffic>(n_size, 40.0,
-                                                120.0);
-        } else {
-            cfg.injectionRate = 0.2;
-            t = std::make_unique<UniformTraffic>(n_size);
-        }
-        NetworkSim s(cfg, std::move(t));
+        // 0.8 x the 40 / (40 + 120) duty = 0.2 average.
+        cfg.injectionRate = bursty ? 0.8 : 0.2;
+        NetworkSim s(cfg, ScenarioSpec::parse(bursty ? "bursty:40:120"
+                                                     : "uniform")
+                              .value()
+                              .make(n_size));
         s.run(20000);
         return s.metrics().avgLatency();
     };

@@ -137,22 +137,46 @@ TEST(Sweep, FaultScenarioParseRoundTrips)
         ASSERT_TRUE(f.has_value()) << spec;
         EXPECT_EQ(f->name(), spec);
     }
-    EXPECT_FALSE(FaultScenario::parse("links").has_value());
-    EXPECT_FALSE(FaultScenario::parse("links:x").has_value());
-    EXPECT_FALSE(FaultScenario::parse("bogus:1").has_value());
-    EXPECT_FALSE(FaultScenario::parse("none:1").has_value());
+    for (const std::string bad :
+         {"", "links", "links:x", "bogus:1", "none:1", "links:",
+          "links:4x",     // used to read as links:4
+          "links:-1",     // used to wrap to 2^64 - 1
+          "switches:2.5", // used to read as switches:2
+          "links:+4", "links: 4", "links:4:"}) {
+        EXPECT_FALSE(FaultScenario::parse(bad).has_value()) << bad;
+    }
 }
 
-TEST(Sweep, TrafficSpecParseRoundTrips)
+TEST(Sweep, FaultScenarioValidatesCountAgainstN)
 {
+    // N=8: 3 link stages of 8 switches, 3 output links each.
+    const auto diag = [](const std::string &spec) {
+        return FaultScenario::parse(spec).value().validate(8);
+    };
+    EXPECT_FALSE(diag("none").has_value());
+    EXPECT_FALSE(diag("links:72").has_value());
+    EXPECT_TRUE(diag("links:73").has_value());
+    EXPECT_TRUE(diag("links:9999").has_value());
+    EXPECT_FALSE(diag("nonstraight:48").has_value());
+    EXPECT_TRUE(diag("nonstraight:49").has_value());
+    EXPECT_FALSE(diag("double:24").has_value());
+    EXPECT_TRUE(diag("double:25").has_value());
+    EXPECT_FALSE(diag("switches:16").has_value()); // inner columns
+    EXPECT_TRUE(diag("switches:17").has_value());
+    EXPECT_NE(diag("links:9999")->find("N=8"), std::string::npos);
+
+    // Every count validate accepts materializes, and at the links
+    // bound every link of the network is blocked: the bound is the
+    // injection pool, not a guess below it.
+    const topo::IadmTopology topo(8);
+    Rng rng(3);
     for (const std::string spec :
-         {"uniform", "bitrev", "transpose", "hotspot:0:0.2"}) {
-        const auto t = TrafficSpec::parse(spec);
-        ASSERT_TRUE(t.has_value()) << spec;
-        EXPECT_EQ(t->name(), spec);
+         {"links:72", "nonstraight:48", "double:24", "switches:16"}) {
+        const auto f = FaultScenario::parse(spec).value();
+        EXPECT_FALSE(f.make(topo, rng).empty()) << spec;
     }
-    EXPECT_FALSE(TrafficSpec::parse("lava").has_value());
-    EXPECT_FALSE(TrafficSpec::parse("hotspot:a").has_value());
+    EXPECT_EQ(FaultScenario::parse("links:72")->make(topo, rng).count(),
+              topo.allLinks().size());
 }
 
 // --- determinism ---------------------------------------------------

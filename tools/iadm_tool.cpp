@@ -25,7 +25,6 @@
  * s (straight), p (+2^i), m (-2^i); e.g. "1:0:s 0:1:m".
  */
 
-#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -33,9 +32,11 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/logging.hpp"
+#include "common/parse.hpp"
 #include "core/distributed.hpp"
 #include "core/oracle.hpp"
 #include "core/pivot.hpp"
@@ -70,8 +71,7 @@ printUsage(std::ostream &os)
         << "  iadm_tool perm   <N> <spec>\n"
         << "  iadm_tool sim    <N> <scheme> <rate> <cycles>"
            " [--trace FILE] [--trace-bin FILE] [--stats]\n"
-        << "                   [--scenario SPEC] (see below;"
-           " --traffic is an alias)\n"
+        << "                   [--scenario SPEC]\n"
         << "                   [--churn bernoulli:PF:PR|"
            "geometric:MTBF:MTTR|burst:IVL:DUR:SPAN]\n"
         << "                   [--max-age CYCLES] [--shards S]"
@@ -80,17 +80,7 @@ printUsage(std::ostream &os)
            "ssdt,tsdt,...]\n"
         << "                   [--rates 0.1,0.3] [--caps 4]\n"
         << "                   [--faults none,links:4,...] "
-           "[--traffic uniform,hotspot:0:0.2,...]\n"
-        << "                   [--scenario SPEC,...] (scenario "
-           "grammar, docs/SIMULATOR.md:\n"
-        << "                    dst:uniform | dst:hotspot:0+5:0.3 | "
-           "dst:perm:shift:4|bitrev|...\n"
-        << "                    | dst:adversarial | dst:mcast:G:F, "
-           "composed with\n"
-        << "                    shape:bursty:B:I / shape:ramp:F0:F1:C"
-           " / shape:closed:W,\n"
-        << "                    e.g. shape:bursty:16:64/"
-           "dst:hotspot:0:0.2)\n"
+           "[--scenario SPEC,...]\n"
         << "                   [--churn none,bernoulli:PF:PR,...] "
            "[--max-age CYCLES]\n"
         << "                   [--crossbar 0,1] [--replicates R]\n"
@@ -99,6 +89,16 @@ printUsage(std::ostream &os)
            "[--out FILE] [--no-timing]\n"
         << "                   [--stats] [--trace-dir DIR] "
            "[--health]\n"
+        << "    SPEC (--traffic is an alias of --scenario) is the "
+           "scenario grammar of\n"
+        << "    docs/SIMULATOR.md: uniform | hotspot:N:F | bitrev | "
+           "transpose | shift:K\n"
+        << "    | dst:hotspot:0+5:0.3 | dst:perm:complement:M|shuffle|"
+           "exchange:K\n"
+        << "    | dst:adversarial | dst:mcast:G:F, composed with "
+           "shape:bursty:B:I /\n"
+        << "    shape:ramp:F0:F1:C / shape:closed:W, e.g. "
+           "shape:bursty:16:64/dst:hotspot:0:0.2\n"
         << "  iadm_tool trace  <src> <dst> [--n N] "
            "[--scheme ssdt|tsdt]\n"
         << "                   [--faults stage:from:kind,...]\n"
@@ -159,36 +159,65 @@ printVersion()
 }
 
 /**
- * Parse a thread count (--workers, --shards) into @p out: a decimal
- * integer >= 1.  Anything else — atoi would read "-1" as 4294967295
- * threads and "abc" as serial — prints a diagnostic and returns
- * false; the caller exits 2.
+ * Parse a numeric argument into @p out with the strict parsers of
+ * common/parse.hpp (std::from_chars over the whole value: atoi and
+ * strtoull would read "-1" as 2^64 - 1, "8x" as 8 and "abc" as 0)
+ * and require @p ok of the value.  Otherwise prints "<cmd>: <flag>
+ * wants <want>, got '<val>'" and returns false; the caller exits 2.
  */
+template <typename T, typename Ok>
 bool
-parseCount(const char *cmd, const std::string &flag,
-           const std::string &val, unsigned &out)
+parseArg(const char *cmd, const std::string &flag,
+         const std::string &val, const char *want, T &out, Ok ok)
 {
-    unsigned v = 0;
-    const char *end = val.data() + val.size();
-    const auto [p, ec] = std::from_chars(val.data(), end, v);
-    if (ec != std::errc{} || p != end || v < 1) {
-        std::cerr << cmd << ": " << flag
-                  << " wants an integer >= 1, got '" << val << "'\n";
+    T v{};
+    bool parsed = false;
+    if constexpr (std::is_floating_point_v<T>)
+        parsed = parseDouble(val, v);
+    else
+        parsed = parseUnsigned(val, v);
+    if (!parsed || !ok(v)) {
+        std::cerr << cmd << ": " << flag << " wants " << want
+                  << ", got '" << val << "'\n";
         return false;
     }
     out = v;
     return true;
 }
 
-std::vector<std::string>
-splitCommas(const std::string &s)
+/** Cycle counts, seeds and the age cap take any unsigned value. */
+bool
+parseU64Arg(const char *cmd, const std::string &flag,
+            const std::string &val, std::uint64_t &out)
 {
-    std::vector<std::string> parts;
-    std::string cur;
-    std::istringstream is(s);
-    while (std::getline(is, cur, ','))
-        parts.push_back(cur);
-    return parts;
+    return parseArg(cmd, flag, val, "an integer >= 0", out,
+                    [](std::uint64_t) { return true; });
+}
+
+/** Thread counts (--workers, --shards), replicates, queue caps. */
+template <typename T>
+bool
+parseCount(const char *cmd, const std::string &flag,
+           const std::string &val, T &out)
+{
+    return parseArg(cmd, flag, val, "an integer >= 1", out,
+                    [](T v) { return v >= 1; });
+}
+
+bool
+parseRate(const char *cmd, const std::string &flag,
+          const std::string &val, double &out)
+{
+    return parseArg(cmd, flag, val, "a rate in [0, 1]", out,
+                    [](double r) { return r >= 0.0 && r <= 1.0; });
+}
+
+bool
+parseNetSize(const char *cmd, const std::string &flag,
+             const std::string &val, Label &out)
+{
+    return parseArg(cmd, flag, val, "a power of two >= 2", out,
+                    [](Label n) { return n >= 2 && isPowerOfTwo(n); });
 }
 
 bool
@@ -417,7 +446,7 @@ cmdSim(Label n_size, const std::string &scheme, double rate,
     bool stats = false;
     bool health = false;
     sim::ChurnSpec churn;
-    sim::TrafficSpec traffic; // uniform unless --scenario/--traffic
+    sim::ScenarioSpec traffic; // uniform unless --scenario/--traffic
     for (std::size_t i = 0; i < extra.size(); ++i) {
         if (extra[i] == "--stats") {
             stats = true;
@@ -426,7 +455,7 @@ cmdSim(Label n_size, const std::string &scheme, double rate,
         } else if ((extra[i] == "--scenario" ||
                     extra[i] == "--traffic") &&
                    i + 1 < extra.size()) {
-            const auto t = sim::TrafficSpec::parse(extra[++i]);
+            const auto t = sim::ScenarioSpec::parse(extra[++i]);
             if (!t) {
                 std::cerr << "sim: bad scenario spec: " << extra[i]
                           << "\n";
@@ -447,8 +476,10 @@ cmdSim(Label n_size, const std::string &scheme, double rate,
             }
             churn = *c;
         } else if (extra[i] == "--max-age" && i + 1 < extra.size()) {
-            cfg.maxPacketAge = static_cast<sim::Cycle>(
-                std::strtoull(extra[++i].c_str(), nullptr, 10));
+            if (!parseU64Arg("sim", extra[i], extra[i + 1],
+                             cfg.maxPacketAge))
+                return 2;
+            ++i;
         } else if (extra[i] == "--shards" && i + 1 < extra.size()) {
             if (!parseCount("sim", extra[i], extra[i + 1], cfg.shards))
                 return 2;
@@ -465,7 +496,7 @@ cmdSim(Label n_size, const std::string &scheme, double rate,
         return 2;
     }
     sim::NetworkSim s(cfg, traffic.make(n_size));
-    if (traffic.kind != sim::TrafficSpec::Kind::Uniform)
+    if (!(traffic == sim::ScenarioSpec{}))
         std::cout << "scenario: " << traffic.name() << "\n";
     if (churn.kind != sim::ChurnSpec::Kind::None) {
         const topo::IadmTopology net(n_size);
@@ -596,7 +627,7 @@ cmdTrace(const std::vector<std::string> &args)
                 return 2;
             }
         } else if (flag == "--faults") {
-            for (const auto &f : splitCommas(val))
+            for (const auto &f : splitOn(val, ','))
                 fault_specs.push_back(f);
         } else if (flag == "--export") {
             export_json = val;
@@ -713,16 +744,15 @@ cmdSweep(const std::vector<std::string> &args)
         const std::string val = args[++i];
         if (flag == "--sizes") {
             grid.netSizes.clear();
-            for (const auto &v : splitCommas(val)) {
-                const auto n =
-                    static_cast<Label>(std::atoi(v.c_str()));
-                if (!isPowerOfTwo(n) || n < 2)
-                    return bad("size", v);
+            for (const auto &v : splitOn(val, ',')) {
+                Label n = 0;
+                if (!parseNetSize("sweep", flag, v, n))
+                    return 2;
                 grid.netSizes.push_back(n);
             }
         } else if (flag == "--schemes") {
             grid.schemes.clear();
-            for (const auto &v : splitCommas(val)) {
+            for (const auto &v : splitOn(val, ',')) {
                 const auto s = sim::parseRoutingScheme(v);
                 if (!s)
                     return bad("scheme", v);
@@ -730,20 +760,23 @@ cmdSweep(const std::vector<std::string> &args)
             }
         } else if (flag == "--rates") {
             grid.injectionRates.clear();
-            for (const auto &v : splitCommas(val))
-                grid.injectionRates.push_back(std::atof(v.c_str()));
+            for (const auto &v : splitOn(val, ',')) {
+                double r = 0;
+                if (!parseRate("sweep", flag, v, r))
+                    return 2;
+                grid.injectionRates.push_back(r);
+            }
         } else if (flag == "--caps") {
             grid.queueCapacities.clear();
-            for (const auto &v : splitCommas(val)) {
-                const auto c = std::atoi(v.c_str());
-                if (c < 1)
-                    return bad("queue capacity", v);
-                grid.queueCapacities.push_back(
-                    static_cast<std::size_t>(c));
+            for (const auto &v : splitOn(val, ',')) {
+                std::size_t c = 0;
+                if (!parseCount("sweep", flag, v, c))
+                    return 2;
+                grid.queueCapacities.push_back(c);
             }
         } else if (flag == "--faults") {
             grid.faults.clear();
-            for (const auto &v : splitCommas(val)) {
+            for (const auto &v : splitOn(val, ',')) {
                 const auto f = sim::FaultScenario::parse(v);
                 if (!f)
                     return bad("fault scenario", v);
@@ -754,44 +787,44 @@ cmdSweep(const std::vector<std::string> &args)
             // composed specs.  Commas separate axis values, so
             // multi-node hotspot lists use '+' (dst:hotspot:0+5:0.3).
             grid.traffics.clear();
-            for (const auto &v : splitCommas(val)) {
-                const auto t = sim::TrafficSpec::parse(v);
+            for (const auto &v : splitOn(val, ',')) {
+                const auto t = sim::ScenarioSpec::parse(v);
                 if (!t)
                     return bad("traffic spec", v);
                 grid.traffics.push_back(*t);
             }
         } else if (flag == "--churn") {
             grid.churns.clear();
-            for (const auto &v : splitCommas(val)) {
+            for (const auto &v : splitOn(val, ',')) {
                 const auto c = sim::ChurnSpec::parse(v);
                 if (!c)
                     return bad("churn spec", v);
                 grid.churns.push_back(*c);
             }
         } else if (flag == "--max-age") {
-            grid.maxPacketAge =
-                static_cast<sim::Cycle>(std::strtoull(
-                    val.c_str(), nullptr, 10));
+            if (!parseU64Arg("sweep", flag, val, grid.maxPacketAge))
+                return 2;
         } else if (flag == "--crossbar") {
             grid.crossbarModes.clear();
-            for (const auto &v : splitCommas(val))
-                grid.crossbarModes.push_back(v == "1" ||
-                                             v == "true");
+            for (const auto &v : splitOn(val, ',')) {
+                unsigned b = 0;
+                if (!parseArg("sweep", flag, v, "0 or 1", b,
+                              [](unsigned x) { return x <= 1; }))
+                    return 2;
+                grid.crossbarModes.push_back(b == 1);
+            }
         } else if (flag == "--replicates") {
-            grid.replicates =
-                static_cast<unsigned>(std::atoi(val.c_str()));
-            if (grid.replicates == 0)
-                return bad("replicate count", val);
+            if (!parseCount("sweep", flag, val, grid.replicates))
+                return 2;
         } else if (flag == "--warmup") {
-            grid.warmupCycles =
-                static_cast<sim::Cycle>(std::atoll(val.c_str()));
+            if (!parseU64Arg("sweep", flag, val, grid.warmupCycles))
+                return 2;
         } else if (flag == "--cycles") {
-            grid.measureCycles =
-                static_cast<sim::Cycle>(std::atoll(val.c_str()));
+            if (!parseU64Arg("sweep", flag, val, grid.measureCycles))
+                return 2;
         } else if (flag == "--seed") {
-            grid.masterSeed =
-                static_cast<std::uint64_t>(std::strtoull(
-                    val.c_str(), nullptr, 10));
+            if (!parseU64Arg("sweep", flag, val, grid.masterSeed))
+                return 2;
         } else if (flag == "--workers") {
             if (!parseCount("sweep", flag, val, workers))
                 return 2;
@@ -808,13 +841,20 @@ cmdSweep(const std::vector<std::string> &args)
         }
     }
 
-    // N-dependent spec checks: every traffic axis value must be valid
-    // at every swept size (hotspot node < N, transpose bits, ...).
-    for (const auto &t : grid.traffics) {
-        for (const Label n : grid.netSizes) {
+    // N-dependent spec checks: every traffic and fault axis value
+    // must be valid at every swept size (hotspot node < N, transpose
+    // bits, no more faults than N has links or switches, ...).
+    for (const Label n : grid.netSizes) {
+        for (const auto &t : grid.traffics) {
             if (const auto err = t.validate(n)) {
                 std::cerr << "sweep: invalid traffic spec '"
                           << t.name() << "': " << *err << "\n";
+                return 2;
+            }
+        }
+        for (const auto &f : grid.faults) {
+            if (const auto err = f.validate(n)) {
+                std::cerr << "sweep: invalid " << *err << "\n";
                 return 2;
             }
         }
@@ -1046,11 +1086,9 @@ main(int argc, char **argv)
     if (argc < 3)
         return missingArg(cmd.c_str(), "N",
                           (cmd + " <N> ...").c_str());
-    const auto n_size = static_cast<Label>(std::atoi(argv[2]));
-    if (!isPowerOfTwo(n_size) || n_size < 2) {
-        std::cerr << "N must be a power of two >= 2\n";
+    Label n_size = 0;
+    if (!parseNetSize(cmd.c_str(), "<N>", argv[2], n_size))
         return 2;
-    }
     if (cmd == "diagram")
         return cmdDiagram(n_size);
     if (cmd == "route" || cmd == "paths") {
@@ -1086,7 +1124,11 @@ main(int argc, char **argv)
         return missingArg("sim", "rate", sim_synopsis);
     if (argc < 6)
         return missingArg("sim", "cycles", sim_synopsis);
-    return cmdSim(n_size, argv[3], std::atof(argv[4]),
-                  static_cast<sim::Cycle>(std::atoll(argv[5])),
+    double rate = 0;
+    sim::Cycle cycles = 0;
+    if (!parseRate("sim", "<rate>", argv[4], rate) ||
+        !parseU64Arg("sim", "<cycles>", argv[5], cycles))
+        return 2;
+    return cmdSim(n_size, argv[3], rate, cycles,
                   std::vector<std::string>(argv + 6, argv + argc));
 }
