@@ -18,6 +18,7 @@
 #include "core/oracle.hpp"
 #include "core/reroute.hpp"
 #include "core/ssdt.hpp"
+#include "fault/fault_view.hpp"
 #include "fault/injection.hpp"
 #include "sim/route_cache.hpp"
 
@@ -206,6 +207,35 @@ BM_DecodeDelta(benchmark::State &state)
     }
 }
 BENCHMARK(BM_DecodeDelta)->Arg(0)->Arg(16)->Arg(64);
+
+/**
+ * One route-cache miss's fill at the churn benchmark's scale (N=1024,
+ * 96 random link faults, 1024 distinct pairs): REROUTE's compact
+ * form over the hashed FaultSet, and over the bitset FaultView the
+ * simulator and the daemon fill through.  Same kernel, same answers
+ * (tests/reroute_test.cpp); only the blockage test differs.
+ */
+template <bool View>
+void
+BM_RerouteFill(benchmark::State &state)
+{
+    const topo::IadmTopology net(1024);
+    Rng rng(5);
+    const auto fs = fault::randomLinkFaults(net, 96, rng);
+    fault::FaultView view(net.stages(), net.size());
+    view.refresh(fs);
+    Label s = 0;
+    for (auto _ : state) {
+        const Label d = (s * 613 + 5) & 1023;
+        const auto cr = View
+                            ? core::universalRouteCompact(net, view, s, d)
+                            : core::universalRouteCompact(net, fs, s, d);
+        benchmark::DoNotOptimize(cr.tag);
+        s = (s + 1) & 1023;
+    }
+}
+BENCHMARK_TEMPLATE(BM_RerouteFill, false);
+BENCHMARK_TEMPLATE(BM_RerouteFill, true);
 
 } // namespace
 

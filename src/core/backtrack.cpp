@@ -1,7 +1,6 @@
 #include "core/backtrack.hpp"
 
 #include "common/logging.hpp"
-#include "common/modmath.hpp"
 
 namespace iadm::core {
 
@@ -24,45 +23,43 @@ stateBitForKind(Label j, unsigned i, topo::LinkKind kind)
 
 } // namespace
 
-std::optional<TsdtTag>
-backtrack(const topo::IadmTopology &topo, const fault::FaultSet &faults,
-          const Path &path, unsigned block_stage,
-          fault::BlockageKind block_kind, TsdtTag tag,
-          BacktrackStats *stats)
+template <class Faults>
+bool
+backtrack(const Faults &faults, const TsdtPath &path,
+          unsigned block_stage, fault::BlockageKind block_kind,
+          Label &state, BacktrackStats &st)
 {
     IADM_ASSERT(block_kind == fault::BlockageKind::Straight ||
                 block_kind == fault::BlockageKind::DoubleNonstraight,
                 "BACKTRACK handles straight and double-nonstraight "
                 "blockages only");
-    const Label n_size = topo.size();
-    const Label dest = path.destination();
-
-    BacktrackStats local;
-    BacktrackStats &st = stats ? *stats : local;
+    const Label mask = (Label{1} << path.n) - 1;
+    const Label dest = path.dest;
+    Label bits = state;
 
     // Step 0: q is the blockage stage, j the blocked switch on P.
     unsigned q = block_stage;
-    Label j = path.switchAt(q);
+    Label j = path.sw[q];
 
     // Step 1: backtrack on P for the nearest nonstraight link.
     int r = path.lastNonstraightBefore(q);
     if (r < 0)
-        return std::nullopt; // FAIL: Theorems 3.3/3.4 "only if".
+        return false; // FAIL: Theorems 3.3/3.4 "only if".
     st.stagesVisited += q - static_cast<unsigned>(r);
 
     // Step 2: linkfound.  sigma is the sign of the rerouting side:
     // a -2^r link on P (linkfound = 1) reroutes via +2^l links and
     // vice versa (Figure 5 / Corollary 4.2).
-    const topo::LinkKind found =
-        path.kindAt(static_cast<unsigned>(r));
-    const int sigma = (found == topo::LinkKind::Plus) ? -1 : +1;
+    const topo::LinkKind found = path.kindAt(static_cast<unsigned>(r));
+    const bool up = found != topo::LinkKind::Plus; // sigma = +1
     const topo::LinkKind side_kind =
-        sigma > 0 ? topo::LinkKind::Plus : topo::LinkKind::Minus;
+        up ? topo::LinkKind::Plus : topo::LinkKind::Minus;
 
     // The switch of the rerouting path at stage l in (r, q]:
-    // j + sigma * 2^l.
+    // j + sigma * 2^l (mod N).
     const auto reroute_switch = [&](Label base, unsigned l) {
-        return modAdd(base, sigma * (std::int64_t{1} << l), n_size);
+        const Label step = Label{1} << l;
+        return (up ? base + step : base - step) & mask;
     };
 
     // Step 3 (and step 10 in later iterations): state bits of
@@ -70,7 +67,8 @@ backtrack(const topo::IadmTopology &topo, const fault::FaultSet &faults,
     const auto set_state_range = [&](unsigned lo, unsigned hi) {
         for (unsigned l = lo; l < hi; ++l) {
             const unsigned dl = bit(dest, l);
-            tag.setStateBit(l, sigma > 0 ? (dl ^ 1u) : dl);
+            bits = static_cast<Label>(
+                withBit(bits, l, up ? (dl ^ 1u) : dl));
             ++st.bitsChanged;
         }
     };
@@ -88,22 +86,21 @@ backtrack(const topo::IadmTopology &topo, const fault::FaultSet &faults,
             // (continuing away from the blocked column), fall back
             // to the other, FAIL if both are blocked (both pivots of
             // stage q are then closed).
-            const topo::Link def = topo.link(q, jq, side_kind);
-            const topo::Link alt = topo.oppositeNonstraight(def);
-            if (!faults.isBlocked(def)) {
-                tag.setStateBit(q, stateBitForKind(jq, q, def.kind));
-            } else if (!faults.isBlocked(alt)) {
-                tag.setStateBit(q, stateBitForKind(jq, q, alt.kind));
-            } else {
-                return std::nullopt; // FAIL
+            topo::LinkKind use = side_kind;
+            if (faults.isBlocked(q, jq, use)) {
+                use = topo::oppositeKind(side_kind);
+                if (faults.isBlocked(q, jq, use))
+                    return false; // FAIL
             }
+            bits = static_cast<Label>(
+                withBit(bits, q, stateBitForKind(jq, q, use)));
             ++st.bitsChanged;
         } else {
             // Step 4b: the rerouting path must use jq's straight
             // link at stage q; if it is blocked both pivots of
             // stage q are closed.
-            if (faults.isBlocked(topo.straightLink(q, jq)))
-                return std::nullopt; // FAIL
+            if (faults.isBlocked(q, jq, topo::LinkKind::Straight))
+                return false; // FAIL
             // The tag selects the straight link automatically:
             // bit q of jq equals d_q here.
             IADM_ASSERT(bit(jq, q) == bit(dest, q),
@@ -114,19 +111,17 @@ backtrack(const topo::IadmTopology &topo, const fault::FaultSet &faults,
         // Step 5: blockages strictly inside the climb
         // (j+sigma*2^{r+1} ... j+sigma*2^q) close the path for good.
         for (unsigned l = static_cast<unsigned>(r) + 1; l < q; ++l) {
-            const topo::Link lk =
-                topo.link(l, reroute_switch(j, l), side_kind);
-            if (faults.isBlocked(lk))
-                return std::nullopt; // FAIL
+            if (faults.isBlocked(l, reroute_switch(j, l), side_kind))
+                return false; // FAIL
         }
 
         // Step 6: the stage-r link of the rerouting path leaves P's
         // switch at stage r on the sigma side.
-        const topo::Link lr =
-            topo.link(static_cast<unsigned>(r), path.switchAt(r),
-                      side_kind);
-        if (!faults.isBlocked(lr))
-            return tag;
+        if (!faults.isBlocked(static_cast<unsigned>(r),
+                              path.sw[r], side_kind)) {
+            state = bits;
+            return true;
+        }
 
         // Step 7: the switch j+sigma*2^r is now closed; iterate.
         j = reroute_switch(j, static_cast<unsigned>(r));
@@ -135,19 +130,53 @@ backtrack(const topo::IadmTopology &topo, const fault::FaultSet &faults,
         // Step 8: continue backtracking along P.
         r = path.lastNonstraightBefore(q);
         if (r < 0)
-            return std::nullopt; // FAIL
+            return false; // FAIL
         st.stagesVisited += q - static_cast<unsigned>(r);
 
         // Step 9: the sign of every later-found nonstraight link
         // must match the first; otherwise no blockage-free path
         // exists (Figure 9).
         if (path.kindAt(static_cast<unsigned>(r)) != found)
-            return std::nullopt; // FAIL
+            return false; // FAIL
 
         // Step 10: rewrite the new range, then re-enter at step 4b.
         set_state_range(static_cast<unsigned>(r), q);
         first_iteration = false;
     }
+}
+
+template bool backtrack<fault::FaultSet>(const fault::FaultSet &,
+                                         const TsdtPath &, unsigned,
+                                         fault::BlockageKind, Label &,
+                                         BacktrackStats &);
+template bool backtrack<fault::FaultView>(const fault::FaultView &,
+                                          const TsdtPath &, unsigned,
+                                          fault::BlockageKind, Label &,
+                                          BacktrackStats &);
+
+std::optional<TsdtTag>
+backtrack(const topo::IadmTopology &topo, const fault::FaultSet &faults,
+          const Path &path, unsigned block_stage,
+          fault::BlockageKind block_kind, TsdtTag tag,
+          BacktrackStats *stats)
+{
+    IADM_ASSERT(path.length() == topo.stages(),
+                "path/network size mismatch");
+    // The stack form of P under the state bits that drive it, from
+    // which Lemma A1.1 re-derives P's kinds; the rewrite starts from
+    // @p tag's own state bits.
+    TsdtPath p;
+    p.n = path.length();
+    p.dest = path.destination();
+    p.state = tagForPath(path, p.n).stateBits();
+    for (unsigned i = 0; i <= p.n; ++i)
+        p.sw[i] = path.switchAt(i);
+    BacktrackStats local;
+    Label state = tag.stateBits();
+    if (!backtrack(faults, p, block_stage, block_kind, state,
+                   stats != nullptr ? *stats : local))
+        return std::nullopt;
+    return TsdtTag(tag.stages(), tag.destination(), state);
 }
 
 } // namespace iadm::core

@@ -9,6 +9,11 @@
  * path that is blockage-free from stage 0 through stage q — or FAIL
  * (nullopt) exactly when the blockages make source-destination
  * communication impossible (proved via the pivot lemmas A2.1-A2.3).
+ *
+ * The steps are written once, over a stack path (TsdtPath) and a
+ * blockage test isBlocked(stage, switch, kind), and instantiated
+ * for the authoritative fault::FaultSet and for its bitset
+ * fault::FaultView.
  */
 
 #ifndef IADM_CORE_BACKTRACK_HPP
@@ -18,6 +23,7 @@
 
 #include "core/tsdt.hpp"
 #include "fault/fault_set.hpp"
+#include "fault/fault_view.hpp"
 #include "topology/iadm.hpp"
 
 namespace iadm::core {
@@ -31,7 +37,111 @@ struct BacktrackStats
 };
 
 /**
- * Run algorithm BACKTRACK.
+ * A TSDT path held on the stack: the switch of every stage under
+ * the tag (dest, state) that drives it.  Link kinds are not stored
+ * — Lemma A1.1 reads them off each switch and the tag — so tracing
+ * a stage is one tsdtStep() and neither tracing nor BACKTRACK's
+ * reads of the path touch the heap.
+ */
+struct TsdtPath
+{
+    /** Largest stage count a TsdtTag holds. */
+    static constexpr unsigned kMaxStages = 31;
+
+    unsigned n = 0;  //!< link stages
+    Label dest = 0;  //!< destination bits (= the destination)
+    Label state = 0; //!< state bits of the tag driving the path
+    Label sw[kMaxStages + 1] = {}; //!< switch at stage i
+
+    /** Kind of the link taken at stage @p i. */
+    topo::LinkKind
+    kindAt(unsigned i) const
+    {
+        return tsdtKindOf(sw[i], i, dest, state);
+    }
+
+    /**
+     * Largest stage r < @p before whose link is nonstraight, or -1
+     * (Path::lastNonstraightBefore; steps 1 and 8 of BACKTRACK).
+     */
+    int
+    lastNonstraightBefore(unsigned before) const
+    {
+        for (unsigned r = before; r-- > 0;)
+            if (bit(dest ^ sw[r], r) != 0)
+                return static_cast<int>(r);
+        return -1;
+    }
+
+    /** Trace stage @p i: writes sw[i+1] from sw[i]. */
+    void
+    traceStage(unsigned i)
+    {
+        sw[i + 1] = tsdtStep(sw[i], i, dest, state, Label{1} << n);
+    }
+
+    /** The path from @p src under (@p dest, @p state), traced. */
+    static TsdtPath
+    traced(Label src, unsigned n_stages, Label dest, Label state)
+    {
+        TsdtPath p;
+        p.n = n_stages;
+        p.dest = dest;
+        p.state = state;
+        p.sw[0] = src;
+        for (unsigned i = 0; i < n_stages; ++i)
+            p.traceStage(i);
+        return p;
+    }
+
+    /**
+     * The path whose switches @p switches already lists in
+     * Packet::pathSw form under (@p dest, @p state), copied.
+     */
+    static TsdtPath
+    of(const std::uint16_t *switches, unsigned n_stages, Label dest,
+       Label state)
+    {
+        TsdtPath p;
+        p.n = n_stages;
+        p.dest = dest;
+        p.state = state;
+        for (unsigned i = 0; i <= n_stages; ++i)
+            p.sw[i] = switches[i];
+        return p;
+    }
+};
+
+/**
+ * Run algorithm BACKTRACK on a stack path: the kernel every entry
+ * point shares.
+ *
+ * @param faults      blockage test: FaultSet or FaultView
+ * @param path        current routing path P, traced through stage
+ *                    @p block_stage
+ * @param block_stage stage q of the blockage on P
+ * @param block_kind  Straight or DoubleNonstraight
+ * @param state       in: the state bits specifying P (b' in the
+ *                    paper); out: the rerouting path's, when the
+ *                    call returns true (untouched on FAIL)
+ * @param stats       accumulates this invocation's work (also on
+ *                    FAIL)
+ * @return false on FAIL
+ */
+template <class Faults>
+bool backtrack(const Faults &faults, const TsdtPath &path,
+               unsigned block_stage, fault::BlockageKind block_kind,
+               Label &state, BacktrackStats &stats);
+
+extern template bool backtrack<fault::FaultSet>(
+    const fault::FaultSet &, const TsdtPath &, unsigned,
+    fault::BlockageKind, Label &, BacktrackStats &);
+extern template bool backtrack<fault::FaultView>(
+    const fault::FaultView &, const TsdtPath &, unsigned,
+    fault::BlockageKind, Label &, BacktrackStats &);
+
+/**
+ * Run algorithm BACKTRACK on a heap Path.
  *
  * @param topo        the IADM network
  * @param faults      global blockage map (the paper's network

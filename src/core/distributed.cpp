@@ -9,73 +9,59 @@ distributedRoute(const topo::IadmTopology &topo,
                  const fault::FaultSet &faults, Label src,
                  const TsdtTag &initial)
 {
-    const Label n_size = topo.size();
-    const unsigned n = topo.stages();
+    // The message executes REROUTE's own loop as it walks; the
+    // observer charges each repair's movement and signaling.
+    struct Walk final : RerouteObserver
+    {
+        DistributedResult res;
+        unsigned at = 0; // stage the message currently occupies
 
-    DistributedResult res;
-    TsdtTag tag = initial;
-    Path path = tsdtTrace(src, tag, n_size);
-    unsigned at = 0; // stage the message currently occupies
-
-    const unsigned guard = 4 * n + 8;
-    for (unsigned iter = 0; iter < guard; ++iter) {
-        // Walk forward along the current path until a blocked
-        // output port is probed.
-        const int blocked = path.firstBlockedStage(faults);
-        if (blocked < 0) {
-            res.forwardHops += n - at;
-            res.delivered = true;
-            res.path = path;
-            res.tag = tag;
-            return res;
-        }
-        const auto i = static_cast<unsigned>(blocked);
-        IADM_ASSERT(i >= at, "walk resumed past a blockage");
-        res.forwardHops += i - at;
-        at = i;
-        ++res.probes; // the blocked port
-
-        const topo::Link link = path.linkAt(i);
-        std::optional<TsdtTag> next;
-        if (link.kind != topo::LinkKind::Straight) {
-            ++res.probes; // the spare port
-            if (!faults.isBlocked(topo.oppositeNonstraight(link))) {
+        void
+        repaired(const RerouteStep &st) override
+        {
+            // Walk forward along the current path until a blocked
+            // output port is probed.
+            IADM_ASSERT(st.stage >= at, "walk resumed past a blockage");
+            res.forwardHops += st.stage - at;
+            at = st.stage;
+            ++res.probes; // the blocked port
+            if (st.kind != topo::LinkKind::Straight)
+                ++res.probes; // the spare port
+            if (!st.backtracked) {
                 // Corollary 4.1: flip in place, no movement.
-                next = rerouteNonstraight(tag, i);
                 ++res.flips;
-                tag = *next;
-                path = tsdtTrace(src, tag, n_size);
-                continue;
+                return;
             }
+            if (!st.ok) {
+                res.failedStage = static_cast<int>(st.stage);
+                return;
+            }
+            // Straight or double-nonstraight blockage: the blockage
+            // signal propagates backward and the message walks back
+            // to the rewrite stage (Corollary 4.2 / BACKTRACK).
+            ++res.rewrites;
+            // The message walks backward over every stage the
+            // backtracking visited, and the reroute-side probes of
+            // steps 4-6 are status signals from neighboring
+            // switches.
+            res.backtrackHops += st.work.stagesVisited;
+            res.probes += st.work.stagesVisited + 2 * st.work.iterations;
+            IADM_ASSERT(st.work.stagesVisited <= at,
+                        "backtracked past the input column");
+            at -= st.work.stagesVisited;
         }
+    };
 
-        // Straight or double-nonstraight blockage: the blockage
-        // signal propagates backward and the message walks back to
-        // the rewrite stage (Corollary 4.2 / BACKTRACK).
-        const auto kind = link.kind == topo::LinkKind::Straight
-                              ? fault::BlockageKind::Straight
-                              : fault::BlockageKind::DoubleNonstraight;
-        BacktrackStats stats;
-        next = backtrack(topo, faults, path, i, kind, tag, &stats);
-        if (!next) {
-            res.failedStage = static_cast<int>(i);
-            res.path = path;
-            res.tag = tag;
-            return res;
-        }
-        ++res.rewrites;
-        // The message walks backward over every stage the
-        // backtracking visited, and the reroute-side probes of
-        // steps 4-6 are status signals from neighboring switches.
-        res.backtrackHops += stats.stagesVisited;
-        res.probes += stats.stagesVisited + 2 * stats.iterations;
-        IADM_ASSERT(stats.stagesVisited <= at,
-                    "backtracked past the input column");
-        at -= stats.stagesVisited;
-        tag = *next;
-        path = tsdtTrace(src, tag, n_size);
+    Walk walk;
+    RerouteResult route = reroute(topo, faults, src, initial, &walk);
+    DistributedResult &res = walk.res;
+    if (route.ok) {
+        res.forwardHops += topo.stages() - walk.at;
+        res.delivered = true;
     }
-    IADM_PANIC("dynamic TSDT walk failed to converge");
+    res.path = std::move(route.path);
+    res.tag = route.tag;
+    return res;
 }
 
 DistributedResult

@@ -1,5 +1,7 @@
 #include "core/reroute.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <sstream>
 #include <unordered_set>
 
@@ -11,20 +13,34 @@ namespace iadm::core {
 namespace {
 
 /**
- * The REROUTE loop shared by every entry point: iterates Corollary
- * 4.1 / BACKTRACK from the lowest blocked stage upward, leaving the
- * final tag and path in @p tag / @p path and the work counters in
- * @p res (res.path is NOT filled — the caller decides whether the
- * Path payload is wanted).  Returns true iff a blockage-free path
+ * The REROUTE loop every entry point shares, over any blockage test
+ * isBlocked(stage, switch, kind) — instantiated for fault::FaultSet
+ * and fault::FaultView.  Iterates Corollary 4.1 / BACKTRACK from the
+ * lowest blocked stage upward, leaving the final tag in @p tag, its
+ * path in @p path (traced through the last stage checked) and the
+ * work counters in @p res.  Returns true iff a blockage-free path
  * was found.
+ *
+ * The path lives on the stack and is traced one tsdtStep() per
+ * stage, fused with the blockage test, so a clear initial path
+ * costs n steps and n bit tests.  A repair leaves every stage below
+ * its lowest changed state bit untouched (Lemma A1.1: stage i's
+ * switch depends only on bits below i), and those stages were
+ * already clear, so the next scan resumes there: the same smallest
+ * blocked stage a scan from stage 0 would find.
  */
+template <class Faults>
 bool
-rerouteCore(const topo::IadmTopology &topo,
-            const fault::FaultSet &faults, Label src, TsdtTag &tag,
-            Path &path, RerouteResult &res)
+rerouteKernel(const Faults &faults, unsigned n, Label src,
+              TsdtTag &tag, RerouteWork &res, TsdtPath &path,
+              RerouteObserver *observer)
 {
-    const Label n_size = topo.size();
-    const unsigned n = topo.stages();
+    const Label dest = tag.destination();
+    path.n = n;
+    path.dest = dest;
+    path.state = tag.stateBits();
+    path.sw[0] = src;
+    unsigned from = 0;
 
     // Each iteration leaves the path blockage-free through a
     // strictly higher stage, so n+1 iterations always suffice; the
@@ -34,33 +50,49 @@ rerouteCore(const topo::IadmTopology &topo,
         ++res.iterations;
 
         // Step 1: smallest blocked stage on the current path.
-        const int blocked = path.firstBlockedStage(faults);
-        if (blocked < 0)
+        unsigned i = from;
+        topo::LinkKind kind = topo::LinkKind::Straight;
+        for (; i < n; ++i) {
+            path.traceStage(i);
+            kind = path.kindAt(i);
+            if (faults.isBlocked(i, path.sw[i], kind))
+                break;
+        }
+        const Label state = path.state;
+        if (i == n) {
+            tag = TsdtTag(n, dest, state);
             return true;
-        const auto i = static_cast<unsigned>(blocked);
-        const topo::Link link = path.linkAt(i);
+        }
 
-        std::optional<TsdtTag> next;
-        [[maybe_unused]] unsigned bits_changed = 1;
-        if (link.kind != topo::LinkKind::Straight &&
-            !faults.isBlocked(topo.oppositeNonstraight(link))) {
+        Label next = state;
+        BacktrackStats work;
+        bool ok = true;
+        const bool backtracked =
+            kind == topo::LinkKind::Straight ||
+            faults.isBlocked(i, path.sw[i], topo::oppositeKind(kind));
+        if (!backtracked) {
             // Step 2 / Corollary 4.1: complement one state bit.
-            next = rerouteNonstraight(tag, i);
+            next ^= Label{1} << i;
             ++res.corollary41;
         } else {
             // Step 3: straight or double-nonstraight blockage.
-            const auto kind =
-                link.kind == topo::LinkKind::Straight
-                    ? fault::BlockageKind::Straight
-                    : fault::BlockageKind::DoubleNonstraight;
-            const unsigned before = res.backtrackStats.bitsChanged;
-            next = backtrack(topo, faults, path, i, kind, tag,
-                             &res.backtrackStats);
+            ok = backtrack(faults, path, i,
+                           kind == topo::LinkKind::Straight
+                               ? fault::BlockageKind::Straight
+                               : fault::BlockageKind::DoubleNonstraight,
+                           next, work);
             ++res.backtracks;
-            bits_changed = res.backtrackStats.bitsChanged - before;
+            res.backtrackStats.iterations += work.iterations;
+            res.backtrackStats.stagesVisited += work.stagesVisited;
+            res.backtrackStats.bitsChanged += work.bitsChanged;
         }
-        if (!next)
+        if (observer != nullptr)
+            observer->repaired({path, i, kind, backtracked, work, ok,
+                                TsdtTag(n, dest, next)});
+        if (!ok) {
+            tag = TsdtTag(n, dest, state);
             return false;
+        }
 
 #if IADM_TRACE
         // A simulator running REROUTE on a packet's behalf parks the
@@ -69,35 +101,68 @@ rerouteCore(const topo::IadmTopology &topo,
         if (const obs::RouteTraceContext &ctx =
                 obs::routeTraceContext();
             ctx.sink != nullptr) {
-            ctx.sink->record(
-                obs::EventKind::Reroute, ctx.packet, ctx.cycle, i,
-                link.from, static_cast<std::uint8_t>(link.kind),
-                bits_changed, static_cast<Label>(next->destination()),
-                static_cast<Label>(next->stateBits()));
+            ctx.sink->record(obs::EventKind::Reroute, ctx.packet,
+                             ctx.cycle, i, path.sw[i],
+                             static_cast<std::uint8_t>(kind),
+                             backtracked ? work.bitsChanged : 1u, dest,
+                             next);
         }
 #endif
 
         // Step 4: adopt the rerouting path and iterate.
-        tag = *next;
-        path = tsdtTrace(src, tag, n_size);
+        from = std::min<unsigned>(
+            static_cast<unsigned>(std::countr_zero(state ^ next)), i);
+        path.state = next;
     }
     IADM_PANIC("REROUTE failed to converge within ", guard,
-               " iterations (src=", src, ", dest=",
-               tag.destination(), ")");
+               " iterations (src=", src, ", dest=", dest, ")");
+}
+
+template <class Faults>
+CompactRoute
+compactRoute(const topo::IadmTopology &topo, const Faults &faults,
+             Label src, Label dest)
+{
+    const unsigned n = topo.stages();
+    RerouteWork work;
+    TsdtTag tag = initialTag(n, dest);
+    TsdtPath path;
+
+    CompactRoute res;
+    res.ok = rerouteKernel(faults, n, src, tag, work, path, nullptr);
+    res.tag = tag;
+    res.reroutes = work.corollary41 + work.backtrackStats.bitsChanged;
+#ifdef IADM_SANITIZE_BUILD
+    // The delta encoding must be lossless: the path REROUTE settled
+    // on — traced piecewise, each scan resuming below its repair —
+    // is exactly what decodeDelta() reconstructs from the tag.
+    if (res.ok) {
+        std::uint16_t sw[17];
+        IADM_ASSERT(n + 1 <= 17, "decode scratch too small");
+        decodeDelta(src, dest, tag.stateBits(), n, sw);
+        for (unsigned i = 0; i <= n; ++i)
+            IADM_ASSERT(sw[i] == path.sw[i],
+                        "delta decode diverged from REROUTE path at "
+                        "stage ",
+                        i, " for ", src, "->", dest);
+    }
+#endif
+    return res;
 }
 
 } // namespace
 
 RerouteResult
 reroute(const topo::IadmTopology &topo, const fault::FaultSet &faults,
-        Label src, const TsdtTag &initial)
+        Label src, const TsdtTag &initial, RerouteObserver *observer)
 {
     RerouteResult res;
     TsdtTag tag = initial;
-    Path path = tsdtTrace(src, tag, topo.size());
-    res.ok = rerouteCore(topo, faults, src, tag, path, res);
+    TsdtPath path;
+    res.ok = rerouteKernel(faults, topo.stages(), src, tag, res, path,
+                           observer);
     res.tag = tag;
-    res.path = std::move(path);
+    res.path = tsdtTrace(src, tag, topo.size());
     return res;
 }
 
@@ -113,30 +178,49 @@ universalRouteCompact(const topo::IadmTopology &topo,
                       const fault::FaultSet &faults, Label src,
                       Label dest)
 {
-    const unsigned n = topo.stages();
-    RerouteResult work;
-    TsdtTag tag = initialTag(n, dest);
-    Path path = tsdtTrace(src, tag, topo.size());
+    return compactRoute(topo, faults, src, dest);
+}
 
-    CompactRoute res;
-    res.ok = rerouteCore(topo, faults, src, tag, path, work);
-    res.tag = tag;
-    res.reroutes = work.corollary41 + work.backtrackStats.bitsChanged;
+CompactRoute
+universalRouteCompact(const topo::IadmTopology &topo,
+                      const fault::FaultView &faults, Label src,
+                      Label dest)
+{
+    return compactRoute(topo, faults, src, dest);
+}
+
+void
+auditRoute([[maybe_unused]] const CompactRoute &got,
+           [[maybe_unused]] const topo::IadmTopology &topo,
+           [[maybe_unused]] const fault::FaultSet &faults,
+           [[maybe_unused]] Label src, [[maybe_unused]] Label dest)
+{
 #ifdef IADM_SANITIZE_BUILD
-    // The delta encoding must be lossless: the path REROUTE settled
-    // on is exactly what decodeDelta() reconstructs from the tag.
-    if (res.ok) {
+    // Allocation-free like the fills it audits, so sanitize builds
+    // keep step()'s no-allocation guarantee.
+    const CompactRoute fresh = compactRoute(topo, faults, src, dest);
+    IADM_ASSERT(fresh.ok == got.ok, "route diverged (ok) for ", src,
+                "->", dest);
+    IADM_ASSERT(fresh.tag == got.tag, "route diverged (tag) for ", src,
+                "->", dest);
+    IADM_ASSERT(fresh.reroutes == got.reroutes,
+                "route diverged (reroutes) for ", src, "->", dest);
+    if (got.ok) {
+        // decode o encode = identity, checked against tsdtNext()'s
+        // per-stage walk rather than decodeDelta's own step.
+        const unsigned n = topo.stages();
         std::uint16_t sw[17];
         IADM_ASSERT(n + 1 <= 17, "decode scratch too small");
-        decodeDelta(src, dest, tag.stateBits(), n, sw);
-        for (unsigned i = 0; i <= n; ++i)
-            IADM_ASSERT(sw[i] == path.switchAt(i),
-                        "delta decode diverged from REROUTE path at "
-                        "stage ",
-                        i, " for ", src, "->", dest);
+        decodeDelta(src, dest, got.tag.stateBits(), n, sw);
+        Label j = src;
+        for (unsigned i = 0; i <= n; ++i) {
+            IADM_ASSERT(sw[i] == j, "route diverged (decoded path) for ",
+                        src, "->", dest, " at stage ", i);
+            if (i < n)
+                j = tsdtNext(j, i, got.tag, topo.size());
+        }
     }
 #endif
-    return res;
 }
 
 unsigned
@@ -144,18 +228,10 @@ decodeDelta(Label src, Label dest, Label state_bits,
             unsigned n_stages, std::uint16_t *path_sw) noexcept
 {
     const Label n_size = Label{1} << n_stages;
-    const Label mask = n_size - 1;
     Label j = src;
     path_sw[0] = static_cast<std::uint16_t>(j);
     for (unsigned i = 0; i < n_stages; ++i) {
-        const Label step = Label{1} << i;
-        // Lemma A1.1: straight iff b_i == j_i; else Plus (+2^i) iff
-        // b_{n+i} == j_i, Minus (-2^i) otherwise.  -2^i mod N is
-        // N - 2^i, so both nonstraight offsets fold into one
-        // multiply-free select.
-        const Label ns = ((dest ^ j) >> i) & 1u;
-        const Label minus = ((state_bits ^ j) >> i) & 1u;
-        j = (j + ns * (step + minus * (n_size - 2 * step))) & mask;
+        j = tsdtStep(j, i, dest, state_bits, n_size);
         path_sw[i + 1] = static_cast<std::uint16_t>(j);
     }
     return n_stages + 1;
@@ -220,70 +296,66 @@ std::string
 explainReroute(const topo::IadmTopology &topo,
                const fault::FaultSet &faults, Label src, Label dest)
 {
-    // A narrated re-run of algorithm REROUTE (kept in sync with
-    // reroute() above; the outcome is asserted identical).
-    const Label n_size = topo.size();
-    const unsigned n = topo.stages();
-    std::ostringstream os;
+    // A narration of REROUTE's own kernel: the observer prints each
+    // repair as the loop applies it.
+    struct Narrator final : RerouteObserver
+    {
+        const topo::IadmTopology &topo;
+        Label src;
+        std::ostringstream os;
 
-    TsdtTag tag = initialTag(n, dest);
-    Path path = tsdtTrace(src, tag, n_size);
-    os << "route " << src << " -> " << dest << " (N=" << n_size
-       << ")\n";
-    os << "  initial tag " << tag.str() << " : " << path.str()
-       << "\n";
-
-    const unsigned guard = 4 * n + 8;
-    for (unsigned iter = 0; iter < guard; ++iter) {
-        const int blocked = path.firstBlockedStage(faults);
-        if (blocked < 0) {
-            os << "  => blockage-free; final tag " << tag.str()
-               << "\n";
-            IADM_ASSERT(universalRoute(topo, faults, src, dest).ok,
-                        "narration diverged from REROUTE");
-            return os.str();
+        Narrator(const topo::IadmTopology &t, Label s) : topo(t), src(s)
+        {
         }
-        const auto i = static_cast<unsigned>(blocked);
-        const topo::Link link = path.linkAt(i);
-        os << "  blocked: " << link.str() << "\n";
 
-        std::optional<TsdtTag> next;
-        if (link.kind != topo::LinkKind::Straight &&
-            !faults.isBlocked(topo.oppositeNonstraight(link))) {
-            next = rerouteNonstraight(tag, i);
-            os << "    corollary 4.1: complement state bit b_"
-               << n + i << " -> tag " << next->str() << "\n";
-        } else {
-            const auto kind =
-                link.kind == topo::LinkKind::Straight
-                    ? fault::BlockageKind::Straight
-                    : fault::BlockageKind::DoubleNonstraight;
-            BacktrackStats stats;
-            next = backtrack(topo, faults, path, i, kind, tag,
-                             &stats);
-            if (next) {
-                os << "    BACKTRACK ("
-                   << fault::blockageKindName(kind) << "): walked "
-                   << stats.stagesVisited << " stage(s) back over "
-                   << stats.iterations << " iteration(s), rewrote "
-                   << stats.bitsChanged << " state bit(s) -> tag "
-                   << next->str() << "\n";
+        void
+        repaired(const RerouteStep &st) override
+        {
+            const Label from = st.path.sw[st.stage];
+            os << "  blocked: "
+               << topo::Link{st.stage, from, st.path.sw[st.stage + 1],
+                             st.kind}
+                      .str()
+               << "\n";
+            if (!st.backtracked) {
+                os << "    corollary 4.1: complement state bit b_"
+                   << topo.stages() + st.stage << " -> tag "
+                   << st.tag.str() << "\n";
             } else {
                 os << "    BACKTRACK ("
-                   << fault::blockageKindName(kind)
-                   << "): FAIL — no blockage-free path exists\n";
+                   << fault::blockageKindName(
+                          st.kind == topo::LinkKind::Straight
+                              ? fault::BlockageKind::Straight
+                              : fault::BlockageKind::DoubleNonstraight)
+                   << "): ";
+                if (st.ok) {
+                    os << "walked " << st.work.stagesVisited
+                       << " stage(s) back over " << st.work.iterations
+                       << " iteration(s), rewrote "
+                       << st.work.bitsChanged << " state bit(s) -> tag "
+                       << st.tag.str() << "\n";
+                } else {
+                    os << "FAIL — no blockage-free path exists\n";
+                }
             }
+            if (st.ok)
+                os << "    new path : "
+                   << tsdtTrace(src, st.tag, topo.size()).str() << "\n";
         }
-        if (!next) {
-            IADM_ASSERT(!universalRoute(topo, faults, src, dest).ok,
-                        "narration diverged from REROUTE");
-            return os.str();
-        }
-        tag = *next;
-        path = tsdtTrace(src, tag, n_size);
-        os << "    new path : " << path.str() << "\n";
-    }
-    IADM_PANIC("explainReroute failed to converge");
+    };
+
+    const TsdtTag initial = initialTag(topo.stages(), dest);
+    Narrator narrator(topo, src);
+    narrator.os << "route " << src << " -> " << dest
+                << " (N=" << topo.size() << ")\n";
+    narrator.os << "  initial tag " << initial.str() << " : "
+                << tsdtTrace(src, initial, topo.size()).str() << "\n";
+    const RerouteResult res =
+        reroute(topo, faults, src, initial, &narrator);
+    if (res.ok)
+        narrator.os << "  => blockage-free; final tag " << res.tag.str()
+                    << "\n";
+    return narrator.os.str();
 }
 
 } // namespace iadm::core

@@ -20,30 +20,68 @@
 
 namespace iadm::core {
 
-/** Outcome of algorithm REROUTE. */
-struct RerouteResult
+/** The work counters of one REROUTE run. */
+struct RerouteWork
 {
-    bool ok = false;           //!< a blockage-free path was found
-    TsdtTag tag;               //!< its TSDT tag (valid when ok)
-    Path path;                 //!< the blockage-free path (when ok)
     unsigned iterations = 0;   //!< outer-loop iterations
     unsigned corollary41 = 0;  //!< O(1) nonstraight reroutes applied
     unsigned backtracks = 0;   //!< BACKTRACK invocations
     BacktrackStats backtrackStats; //!< accumulated BACKTRACK work
 };
 
+/** Outcome of algorithm REROUTE. */
+struct RerouteResult : RerouteWork
+{
+    bool ok = false;           //!< a blockage-free path was found
+    TsdtTag tag;               //!< its TSDT tag (valid when ok)
+    Path path;                 //!< the blockage-free path (when ok)
+};
+
+/**
+ * One repair REROUTE applied to its current path, as reported to a
+ * RerouteObserver: the smallest blocked stage, the repair tried and
+ * its outcome.
+ */
+struct RerouteStep
+{
+    const TsdtPath &path;  //!< the blocked path, traced to stage+1
+    unsigned stage;        //!< its smallest blocked stage
+    topo::LinkKind kind;   //!< kind of the blocked link
+    bool backtracked;      //!< BACKTRACK ran (else Corollary 4.1)
+    BacktrackStats work;   //!< that BACKTRACK's work (else zero)
+    bool ok;               //!< the repair succeeded (false = FAIL)
+    TsdtTag tag;           //!< the repaired tag (when ok)
+};
+
+/**
+ * Per-repair callback of REROUTE's kernel: how the narration
+ * (explainReroute) and the dynamic walk's cost model
+ * (distributedRoute) follow the one REROUTE loop instead of
+ * re-implementing it.  Called once per repair, FAIL included.
+ */
+class RerouteObserver
+{
+  public:
+    virtual void repaired(const RerouteStep &step) = 0;
+
+  protected:
+    ~RerouteObserver() = default;
+};
+
 /**
  * Run algorithm REROUTE starting from routing tag @p initial.
  *
- * @param topo    the IADM network
- * @param faults  global blockage map
- * @param src     source switch (stage 0)
- * @param initial tag of the original routing path (e.g.
- *                initialTag(n, dest))
+ * @param topo     the IADM network
+ * @param faults   global blockage map
+ * @param src      source switch (stage 0)
+ * @param initial  tag of the original routing path (e.g.
+ *                 initialTag(n, dest))
+ * @param observer optional per-repair callback
  */
 RerouteResult reroute(const topo::IadmTopology &topo,
                       const fault::FaultSet &faults, Label src,
-                      const TsdtTag &initial);
+                      const TsdtTag &initial,
+                      RerouteObserver *observer = nullptr);
 
 /**
  * Compact REROUTE outcome for route caching: everything a cached
@@ -78,11 +116,34 @@ struct CompactRoute
  * Algorithm REROUTE for hot callers (the fault-epoch route cache):
  * identical decisions to universalRoute(), but the result carries
  * no Path — the final tag's state bits are the compressed path
- * (see CompactRoute).
+ * (see CompactRoute).  Allocation-free: the kernel traces its path
+ * on the stack.
  */
 CompactRoute universalRouteCompact(const topo::IadmTopology &topo,
                                    const fault::FaultSet &faults,
                                    Label src, Label dest);
+
+/**
+ * The same kernel over a bitset view of the fault set (the
+ * simulator's and the daemon's fills): one word test per stage
+ * instead of a hash probe.  @p faults must be refreshed from the
+ * FaultSet it mirrors; the result is then identical to the
+ * FaultSet overload's.
+ */
+CompactRoute universalRouteCompact(const topo::IadmTopology &topo,
+                                   const fault::FaultView &faults,
+                                   Label src, Label dest);
+
+/**
+ * IADM_SANITIZE audit of a route computed elsewhere (a view-based
+ * fill, or a cached replay of one): re-runs REROUTE over the
+ * authoritative @p faults and asserts that the ok bit, the tag, the
+ * reroute count and the decoded path all equal @p got's.  A no-op
+ * in regular builds.
+ */
+void auditRoute(const CompactRoute &got,
+                const topo::IadmTopology &topo,
+                const fault::FaultSet &faults, Label src, Label dest);
 
 /**
  * Expand a compressed path delta back into explicit switch labels:
@@ -92,11 +153,7 @@ CompactRoute universalRouteCompact(const topo::IadmTopology &topo,
  * src) and returns n+1.
  *
  * This is tsdtTrace() re-derived from Lemma A1.1 in branch-light
- * form — per stage i with j the current switch and step = 2^i:
- *
- *   ns     = ((dest ^ j) >> i) & 1        straight iff b_i == j_i
- *   minus  = ((state_bits ^ j) >> i) & 1  else Plus iff b_{n+i}==j_i
- *   j      = (j + ns * (step + minus * (N - 2*step))) mod N
+ * form: one tsdtStep() per stage.
  *
  * No table loads, no branches in the loop body: decoding a cached
  * route costs ~n integer ops, which is what lets a route-cache

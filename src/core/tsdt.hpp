@@ -106,6 +106,38 @@ Label tsdtNext(Label j, unsigned i, const TsdtTag &tag, Label n_size);
 Path tsdtTrace(Label src, const TsdtTag &tag, Label n_size);
 
 /**
+ * One stage of a TSDT path in branch-free form: the switch reached
+ * from switch @p j of stage @p i under destination bits @p dest and
+ * state bits @p state, in a network of @p n_size = 2^n switches.
+ * Lemma A1.1 with step = 2^i: the link is straight iff b_i == j_i,
+ * else +2^i iff b_{n+i} == j_i, else -2^i — and -2^i mod N is
+ * N - 2^i, so both nonstraight offsets fold into one select on
+ * all-ones masks, with no branch and no multiply.  decodeDelta()
+ * and REROUTE's stack path (TsdtPath) both trace with it.
+ */
+constexpr Label
+tsdtStep(Label j, unsigned i, Label dest, Label state, Label n_size)
+{
+    const Label step = Label{1} << i;
+    const Label ns = 0u - (((dest ^ j) >> i) & 1u);
+    const Label minus = 0u - (((state ^ j) >> i) & 1u);
+    const Label offset = step ^ (minus & (step ^ (n_size - step)));
+    return (j + (ns & offset)) & (n_size - 1);
+}
+
+/**
+ * tsdtLinkKind() on raw tag words, in the same branch-free form:
+ * Straight (0), Plus (1) or Minus (2).
+ */
+constexpr topo::LinkKind
+tsdtKindOf(Label j, unsigned i, Label dest, Label state)
+{
+    const Label ns = ((dest ^ j) >> i) & 1u;
+    const Label minus = ((state ^ j) >> i) & 1u;
+    return static_cast<topo::LinkKind>(ns + (ns & minus));
+}
+
+/**
  * The canonical initial tag for (src, dest): destination bits = dest,
  * all state bits 0 (every switch in state C), under which the IADM
  * network emulates the ICube network and the path visits

@@ -72,6 +72,17 @@ class FaultSet
     /** True iff the link is blocked. */
     bool isBlocked(const topo::Link &l) const;
 
+    /**
+     * True iff link (stage, from, kind) is blocked: the blockage
+     * test REROUTE's kernel calls, with the signature FaultView
+     * shares.
+     */
+    bool
+    isBlocked(unsigned stage, Label from, topo::LinkKind kind) const
+    {
+        return blocked.count(topo::Link::keyOf(stage, from, kind)) != 0;
+    }
+
     /** Remove all blockages. */
     void clear();
 
@@ -85,8 +96,8 @@ class FaultSet
 
     /**
      * Mutation counter, bumped by every block/unblock/clear/merge.
-     * Cached views of the set (e.g. the simulator's bitset-backed
-     * FaultView) compare it to decide when to refresh.
+     * Cached views of the set (FaultView, fault_view.hpp) compare
+     * it to decide when to refresh.
      */
     std::uint64_t version() const { return version_; }
 

@@ -22,7 +22,7 @@
  *    compiled-in-but-disabled path costs <= 2% on the paired
  *    bench_hotpath ladder (see --trace-overhead).
  *
- * routeTraceContext() is the bridge into core::rerouteCore — the
+ * routeTraceContext() is the bridge into REROUTE's kernel — the
  * algorithmic layer cannot depend on the simulator, so the simulator
  * parks (sink, packet, cycle) in a thread-local slot around each
  * injection-time REROUTE call and reroute.cpp emits Reroute events
@@ -119,7 +119,7 @@ class TraceSink
 };
 
 /**
- * Thread-local bridge for instrumenting core::rerouteCore (which
+ * Thread-local bridge for instrumenting REROUTE's kernel (which
  * must stay simulator-agnostic): the caller that is about to run
  * REROUTE on behalf of a packet fills this in, reroute.cpp emits
  * through it, and the caller clears it afterwards.  Null sink means

@@ -27,6 +27,7 @@ ServerCore::ServerCore(const ServeConfig &cfg,
                        fault::FaultSet static_faults)
     : cfg_(cfg), topo_(cfg.netSize),
       faults_(std::move(static_faults)),
+      fview_(topo_.stages(), cfg.netSize),
       rcache_(cfg.netSize, cfg.cacheCapacity), ssdt_(topo_)
 {
     if (cfg_.churn.kind != sim::ChurnSpec::Kind::None) {
@@ -36,6 +37,16 @@ ServerCore::ServerCore(const ServeConfig &cfg,
         if (p)
             churn_.push_back(std::move(p));
     }
+}
+
+const fault::FaultView &
+ServerCore::faultView()
+{
+    if (viewVersion_ != faults_.version()) {
+        fview_.refresh(faults_);
+        viewVersion_ = faults_.version();
+    }
+    return fview_;
 }
 
 ServerCore::BatchOutcome
@@ -210,9 +221,8 @@ ServerCore::answerRoute(const Request &r, std::uint64_t epoch,
             reroutes = 0;
             ok = true;
         } else {
-            const auto [e, hit] =
-                rcache_.resolveUniversal(topo_, faults_, r.src,
-                                         r.dst);
+            const auto [e, hit] = rcache_.resolveUniversal(
+                topo_, faults_, faultView(), r.src, r.dst);
             if (hit)
                 ++stats_.routeHits;
             else

@@ -37,6 +37,7 @@
 #include "core/ssdt.hpp"
 #include "fault/fault_process.hpp"
 #include "fault/fault_set.hpp"
+#include "fault/fault_view.hpp"
 #include "serve/wire.hpp"
 #include "sim/network_sim.hpp"
 #include "sim/route_cache.hpp"
@@ -199,6 +200,13 @@ class ServerCore
 
     mutable std::mutex mu_;
     fault::FaultSet faults_;
+    /**
+     * Bitset view of faults_ that tsdt route-cache fills run REROUTE
+     * over; faultView() refreshes it when faults_.version() has
+     * moved since viewVersion_.
+     */
+    fault::FaultView fview_;
+    std::uint64_t viewVersion_ = ~std::uint64_t{0};
     sim::RouteCache rcache_;
     core::SsdtRouter ssdt_; //!< ssdt/ssdt-balanced serving state
     std::vector<std::unique_ptr<fault::FaultProcess>> churn_;
@@ -220,6 +228,9 @@ class ServerCore
     unsigned wdWindowPos_ = 0;
     std::uint64_t wdWindowFilled_ = 0;
     std::array<std::uint64_t, kUptimeWindows> wdWindowReq_{};
+
+    /** fview_, first refreshed if faults_ moved (mu_ held). */
+    const fault::FaultView &faultView();
 
     /** Resolve one request under the batch's pinned epoch. */
     void resolveOne(const Request &r, std::uint64_t epoch,

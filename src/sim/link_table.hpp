@@ -8,10 +8,9 @@
  * arithmetic, or touch the topology object at all, while packets
  * are moving.  LinkTable freezes the entire IADM link graph into
  * one contiguous [stage][switch][kind] array of destination labels
- * at construction; FaultView mirrors a FaultSet into a bitset over
- * the same flat index so the per-hop blockage test is one word
- * load.  Both are built once per NetworkSim; the view re-syncs only
- * when FaultSet::version() changes (transient blockage events).
+ * at construction, over the flat index fault::FaultView
+ * (fault/fault_view.hpp) shares, so the per-hop blockage test is
+ * one word load at the same index.
  */
 
 #ifndef IADM_SIM_LINK_TABLE_HPP
@@ -20,7 +19,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "fault/fault_set.hpp"
+#include "fault/fault_view.hpp"
 #include "topology/iadm.hpp"
 
 namespace iadm::sim {
@@ -28,8 +27,7 @@ namespace iadm::sim {
 /**
  * Contiguous [stage][switch][kind] table of IADM link destinations.
  *
- * Flat index: (stage * N + j) * 3 + kind, with kind in
- * {Straight = 0, Plus = 1, Minus = 2} (the only IADM link kinds).
+ * Flat index: fault::linkIndex(), (stage * N + j) * 3 + kind.
  */
 class LinkTable
 {
@@ -39,12 +37,11 @@ class LinkTable
     unsigned stages() const { return stages_; }
     Label size() const { return n_; }
 
-    /** Flat index of link (stage, j, kind). */
+    /** Flat index of link (stage, j, kind) (fault::linkIndex). */
     std::size_t
     index(unsigned stage, Label j, topo::LinkKind kind) const
     {
-        return (static_cast<std::size_t>(stage) * n_ + j) * 3 +
-               static_cast<std::size_t>(kind);
+        return fault::linkIndex(stage, j, kind, n_);
     }
 
     /** Destination label of link (stage, j, kind); no arithmetic. */
@@ -61,83 +58,10 @@ class LinkTable
         return {stage, j, to(stage, j, kind), kind};
     }
 
-    /** The oppositely-signed nonstraight link (Theorem 3.2 spare). */
-    static topo::LinkKind
-    oppositeKind(topo::LinkKind kind)
-    {
-        return kind == topo::LinkKind::Plus ? topo::LinkKind::Minus
-                                            : topo::LinkKind::Plus;
-    }
-
   private:
     unsigned stages_;
     Label n_;
     std::vector<Label> to_; //!< [(stage * N + j) * 3 + kind]
-};
-
-/**
- * Bitset-backed O(1) view of a FaultSet, indexed like LinkTable.
- *
- * refresh() decodes the set's stored link keys
- * ((stage << 40) | (from << 8) | kind, see topo::Link::key()) into
- * the flat bitset; the owner re-calls it whenever
- * FaultSet::version() moves.
- */
-class FaultView
-{
-  public:
-    FaultView(unsigned stages, Label n_size)
-        : stages_(stages), n_(n_size),
-          words_((static_cast<std::size_t>(stages) * n_size * 3 +
-                  63) /
-                 64)
-    {
-    }
-
-    /** Rebuild the bitset from @p faults (O(faults + words)). */
-    void
-    refresh(const fault::FaultSet &faults)
-    {
-        std::fill(words_.begin(), words_.end(), 0);
-        any_ = false;
-        for (const auto &[key, refs] : faults.keys()) {
-            const auto stage = static_cast<unsigned>(key >> 40);
-            const auto from =
-                static_cast<Label>((key >> 8) & 0xffffffffu);
-            const auto kind = static_cast<unsigned>(key & 0xffu);
-            if (stage >= stages_ || from >= n_ || kind > 2)
-                continue; // not an IADM link of this network
-            const std::size_t idx =
-                (static_cast<std::size_t>(stage) * n_ + from) * 3 +
-                kind;
-            words_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-            any_ = true;
-        }
-    }
-
-    /** True iff the link at flat index @p idx is blocked. */
-    bool
-    isBlocked(std::size_t idx) const
-    {
-        return (words_[idx >> 6] >> (idx & 63)) & 1u;
-    }
-
-    bool
-    isBlocked(unsigned stage, Label j, topo::LinkKind kind) const
-    {
-        return isBlocked(
-            (static_cast<std::size_t>(stage) * n_ + j) * 3 +
-            static_cast<std::size_t>(kind));
-    }
-
-    /** False iff the whole view is known blockage-free. */
-    bool anyBlocked() const { return any_; }
-
-  private:
-    unsigned stages_;
-    Label n_;
-    std::vector<std::uint64_t> words_;
-    bool any_ = false;
 };
 
 } // namespace iadm::sim

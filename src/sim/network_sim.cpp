@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/logging.hpp"
-#include "core/backtrack.hpp"
 #include "core/reroute.hpp"
 
 namespace iadm::sim {
@@ -252,21 +251,6 @@ NetworkSim::pathSwitchAt(const Packet &p, unsigned stage) const
         .switchAt(stage);
 }
 
-core::Path
-NetworkSim::materializePath(const Packet &p) const
-{
-    if (!p.pathValid)
-        return core::tsdtTrace(p.src, p.tag, cfg_.netSize);
-    const unsigned n = ltab_.stages();
-    std::vector<Label> sw(n + 1);
-    std::vector<topo::LinkKind> kinds(n);
-    for (unsigned i = 0; i <= n; ++i)
-        sw[i] = p.pathSw[i];
-    for (unsigned i = 0; i < n; ++i)
-        kinds[i] = fastTsdtKind(sw[i], i, p.tag);
-    return {std::move(sw), std::move(kinds)};
-}
-
 void
 NetworkSim::inject()
 {
@@ -429,9 +413,10 @@ NetworkSim::injectFillBuild(std::uint64_t version,
             // the global blockage map via REROUTE.
             core::CompactRoute cr;
             withRouteTrace(trace_, id, now_, [&] {
-                cr = core::universalRouteCompact(topo_, faults_, src,
+                cr = core::universalRouteCompact(topo_, fview_, src,
                                                  dst);
             });
+            core::auditRoute(cr, topo_, faults_, src, dst);
             ok = cr.ok;
             tag = cr.tag;
             reroutes = cr.reroutes;
@@ -446,8 +431,8 @@ NetworkSim::injectFillBuild(std::uint64_t version,
                                               src, dst);
             } else {
                 withRouteTrace(trace_, id, now_, [&] {
-                    RouteCache::fillUniversal(pr.entry, topo_, faults_,
-                                              src, dst);
+                    RouteCache::fillUniversal(pr.entry, topo_, fview_,
+                                              faults_, src, dst);
                 });
             }
             IADM_TRACE_EVENT(trace_,
@@ -573,7 +558,7 @@ NetworkSim::chooseLink(unsigned stage, Label j, Packet &p)
                 return std::nullopt;
             return ltab_.link(stage, j, kind);
         }
-        const topo::LinkKind spare_kind = LinkTable::oppositeKind(kind);
+        const topo::LinkKind spare_kind = topo::oppositeKind(kind);
         const bool link_ok =
             !fview_.isBlocked(ltab_.index(stage, j, kind));
         const bool spare_ok =
@@ -638,7 +623,7 @@ NetworkSim::chooseLink(unsigned stage, Label j, Packet &p)
             return ltab_.link(stage, j, kind);
         if (kind != topo::LinkKind::Straight) {
             const topo::LinkKind spare_kind =
-                LinkTable::oppositeKind(kind);
+                topo::oppositeKind(kind);
             if (!fview_.isBlocked(
                     ltab_.index(stage, j, spare_kind))) {
                 // Corollary 4.1 applied by the switch: complement
@@ -658,15 +643,23 @@ NetworkSim::chooseLink(unsigned stage, Label j, Packet &p)
         // Straight or double-nonstraight blockage: rewrite the tag
         // (Corollary 4.2 / BACKTRACK) and turn the packet around.
         // Failure leaves the packet to be dropped by the caller.
-        const core::Path path = materializePath(p);
-        const auto kind2 =
+        // BACKTRACK reads the packet's own path (or a stack re-trace
+        // for networks too large for it).
+        const unsigned n = ltab_.stages();
+        const Label dest = p.tag.destination();
+        Label state = p.tag.stateBits();
+        const core::TsdtPath path =
+            p.pathValid
+                ? core::TsdtPath::of(p.pathSw, n, dest, state)
+                : core::TsdtPath::traced(p.src, n, dest, state);
+        core::BacktrackStats stats;
+        const bool ok = core::backtrack(
+            fview_, path, stage,
             kind == topo::LinkKind::Straight
                 ? fault::BlockageKind::Straight
-                : fault::BlockageKind::DoubleNonstraight;
-        core::BacktrackStats stats;
-        const auto re = core::backtrack(topo_, faults_, path, stage,
-                                        kind2, p.tag, &stats);
-        if (!re) {
+                : fault::BlockageKind::DoubleNonstraight,
+            state, stats);
+        if (!ok) {
             // FAIL is a verdict about the *current* fault map: stamp
             // the epoch so the caller can park the packet and retry
             // only after the map changes.
@@ -674,7 +667,7 @@ NetworkSim::chooseLink(unsigned stage, Label j, Packet &p)
             p.lastEpoch = static_cast<std::uint16_t>(faults_.version());
             return std::nullopt;
         }
-        p.tag = *re;
+        p.tag = core::TsdtTag(n, dest, state);
         cachePath(p);
         ++p.reroutes;
         metrics_.recordReroute(stage);

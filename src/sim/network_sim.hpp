@@ -32,6 +32,7 @@
 #include "core/ssdt.hpp"
 #include "fault/fault_process.hpp"
 #include "fault/fault_set.hpp"
+#include "fault/fault_view.hpp"
 #include "obs/health.hpp"
 #include "obs/trace_sink.hpp"
 #include "sim/event_queue.hpp"
@@ -253,7 +254,7 @@ class NetworkSim
 
     // --- flattened hot-path state (docs/PERF.md) ------------------
     LinkTable ltab_;    //!< [stage][switch][kind] -> destination
-    FaultView fview_;   //!< bitset mirror of faults_, same indexing
+    fault::FaultView fview_; //!< bitset mirror of faults_, same indexing
     std::uint64_t faultsVersion_ = ~std::uint64_t{0};
     QueueArena queues_; //!< all stages x N queues, one Packet slab
     std::vector<std::uint32_t> stageSize_;     //!< packets per stage
@@ -414,9 +415,6 @@ class NetworkSim
 
     /** Switch the packet's path visits at @p stage (cached or not). */
     Label pathSwitchAt(const Packet &p, unsigned stage) const;
-
-    /** Build a core::Path for BACKTRACK (cold path only). */
-    core::Path materializePath(const Packet &p) const;
 
     // Queue operations with stage occupancy bookkeeping.  Inline:
     // every packet movement of every cycle funnels through these.

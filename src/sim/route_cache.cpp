@@ -125,13 +125,12 @@ RouteCache::acquire(Label src, Label dst, std::uint64_t version,
     return {claim, false};
 }
 
+namespace {
+
+/** Write REROUTE's outcome @p cr into a universal-mode entry. */
 void
-RouteCache::fillUniversal(Entry &e, const topo::IadmTopology &topo,
-                          const fault::FaultSet &faults, Label src,
-                          Label dst)
+store(RouteCache::Entry &e, const core::CompactRoute &cr)
 {
-    const core::CompactRoute cr =
-        core::universalRouteCompact(topo, faults, src, dst);
     // The state bits ARE the compressed path; the destination bits
     // are recoverable from the key (Theorem 3.1), so nothing else
     // of the route needs storing.
@@ -141,42 +140,39 @@ RouteCache::fillUniversal(Entry &e, const topo::IadmTopology &topo,
                 " overflows the compressed entry (bound is ~4n^2)");
     e.reroutes = static_cast<std::uint16_t>(cr.reroutes);
     if (cr.ok)
-        e.flags |= Entry::kOk;
+        e.flags |= RouteCache::Entry::kOk;
+}
+
+} // namespace
+
+void
+RouteCache::fillUniversal(Entry &e, const topo::IadmTopology &topo,
+                          const fault::FaultSet &faults, Label src,
+                          Label dst)
+{
+    store(e, core::universalRouteCompact(topo, faults, src, dst));
 }
 
 void
-RouteCache::checkUniversalHit([[maybe_unused]] const Entry &e,
-                              [[maybe_unused]] const topo::IadmTopology &topo,
-                              [[maybe_unused]] const fault::FaultSet &faults,
-                              [[maybe_unused]] Label src,
-                              [[maybe_unused]] Label dst)
+RouteCache::fillUniversal(Entry &e, const topo::IadmTopology &topo,
+                          const fault::FaultView &view,
+                          const fault::FaultSet &faults, Label src,
+                          Label dst)
 {
-#ifdef IADM_SANITIZE_BUILD
-    const auto fresh = core::universalRoute(topo, faults, src, dst);
-    IADM_ASSERT(fresh.ok == e.ok(),
-                "route cache hit diverged (ok) for ", src, "->",
-                dst);
-    IADM_ASSERT(!fresh.ok || fresh.tag == e.tagFor(topo.stages()),
-                "route cache hit diverged (tag) for ", src, "->",
-                dst);
-    IADM_ASSERT(!fresh.ok ||
-                    fresh.corollary41 +
-                            fresh.backtrackStats.bitsChanged ==
-                        e.reroutes,
-                "route cache hit diverged (reroutes) for ", src,
-                "->", dst);
-    if (fresh.ok) {
-        // The compressed entry must decode to the exact REROUTE
-        // path (decode o encode = identity).
-        std::uint16_t sw[kMaxPathSw];
-        core::decodeDelta(src, dst, e.delta, topo.stages(), sw);
-        for (unsigned i = 0; i <= topo.stages(); ++i)
-            IADM_ASSERT(sw[i] == fresh.path.switchAt(i),
-                        "route cache hit diverged (decoded path) "
-                        "for ",
-                        src, "->", dst, " at stage ", i);
-    }
-#endif
+    const core::CompactRoute cr =
+        core::universalRouteCompact(topo, view, src, dst);
+    core::auditRoute(cr, topo, faults, src, dst);
+    store(e, cr);
+}
+
+void
+RouteCache::checkUniversalHit(const Entry &e,
+                              const topo::IadmTopology &topo,
+                              const fault::FaultSet &faults, Label src,
+                              Label dst)
+{
+    core::auditRoute({e.ok(), e.tagFor(topo.stages()), e.reroutes},
+                     topo, faults, src, dst);
 }
 
 std::pair<const RouteCache::Entry *, bool>
@@ -191,6 +187,22 @@ RouteCache::resolveUniversal(const topo::IadmTopology &topo,
         return {entry, true};
     }
     fillUniversal(*entry, topo, faults, src, dst);
+    return {entry, false};
+}
+
+std::pair<const RouteCache::Entry *, bool>
+RouteCache::resolveUniversal(const topo::IadmTopology &topo,
+                             const fault::FaultSet &faults,
+                             const fault::FaultView &view, Label src,
+                             Label dst)
+{
+    const auto [entry, hit] =
+        acquire(src, dst, faults.version(), Entry::kUniversal);
+    if (hit) {
+        checkUniversalHit(*entry, topo, faults, src, dst);
+        return {entry, true};
+    }
+    fillUniversal(*entry, topo, view, faults, src, dst);
     return {entry, false};
 }
 

@@ -37,9 +37,9 @@
  * evicted — a wrong answer is impossible, an evicted pair is merely
  * recomputed.
  *
- * Under IADM_SANITIZE builds every hit is cross-checked against a
- * fresh universalRoute() call (resolveUniversal) or re-trace
- * (callers that fill entries themselves do the equivalent check).
+ * Under IADM_SANITIZE builds every hit, and every fill over a
+ * FaultView, is cross-checked against REROUTE re-run over the
+ * FaultSet (core::auditRoute).
  */
 
 #ifndef IADM_SIM_ROUTE_CACHE_HPP
@@ -180,12 +180,25 @@ class RouteCache
     /**
      * Convenience resolution through universalRouteCompact(): probe,
      * fill on miss, and (under IADM_SANITIZE builds) cross-check
-     * every hit against a fresh universalRoute() call.  Returns
-     * (entry, hit); the entry is always filled (check ok()).
+     * every hit (checkUniversalHit).  Returns (entry, hit); the
+     * entry is always filled (check ok()).
      */
     std::pair<const Entry *, bool>
     resolveUniversal(const topo::IadmTopology &topo,
                      const fault::FaultSet &faults, Label src,
+                     Label dst);
+
+    /**
+     * resolveUniversal() that fills misses over @p view, a bitset
+     * FaultView refreshed from @p faults (the daemon's resolution).
+     * Entries are stamped with @p faults' version and audited
+     * against it under IADM_SANITIZE, so the answers are those of
+     * the FaultSet overload.
+     */
+    std::pair<const Entry *, bool>
+    resolveUniversal(const topo::IadmTopology &topo,
+                     const fault::FaultSet &faults,
+                     const fault::FaultView &view, Label src,
                      Label dst);
 
     // --- split probe/fill for batch resolution --------------------
@@ -217,9 +230,22 @@ class RouteCache
                               Label src, Label dst);
 
     /**
+     * The same fill over @p view, a FaultView refreshed from
+     * @p faults: REROUTE's bitset instantiation, which is what the
+     * simulator and the daemon run.  Under IADM_SANITIZE the fill is
+     * audited against the FaultSet instantiation (core::auditRoute).
+     */
+    static void fillUniversal(Entry &e,
+                              const topo::IadmTopology &topo,
+                              const fault::FaultView &view,
+                              const fault::FaultSet &faults,
+                              Label src, Label dst);
+
+    /**
      * IADM_SANITIZE cross-check of a universal-mode hit (or a
-     * snapshot of one) against a fresh universalRoute() call.
-     * No-op in regular builds.  Read-only — safe concurrently.
+     * snapshot of one) against REROUTE re-run over @p faults
+     * (core::auditRoute).  No-op in regular builds.  Read-only —
+     * safe concurrently.
      */
     static void checkUniversalHit(const Entry &e,
                                   const topo::IadmTopology &topo,

@@ -62,6 +62,13 @@ enum class LinkKind : std::uint8_t
 /** Short human-readable name of a link kind. */
 const char *linkKindName(LinkKind k);
 
+/** The oppositely-signed nonstraight kind (Theorem 3.2's spare). */
+constexpr LinkKind
+oppositeKind(LinkKind kind)
+{
+    return kind == LinkKind::Plus ? LinkKind::Minus : LinkKind::Plus;
+}
+
 /** A directed link from stage @p stage to stage+1. */
 struct Link
 {
@@ -75,8 +82,11 @@ struct Link
      * (stage, from, kind): the paper treats the two +-2^{n-1} links
      * as distinct even though their endpoints coincide.
      */
-    std::uint64_t
-    key() const
+    std::uint64_t key() const { return keyOf(stage, from, kind); }
+
+    /** key() of the link (stage, from, kind), without its endpoint. */
+    static constexpr std::uint64_t
+    keyOf(unsigned stage, Label from, LinkKind kind)
     {
         return (static_cast<std::uint64_t>(stage) << 40) |
                (static_cast<std::uint64_t>(from) << 8) |

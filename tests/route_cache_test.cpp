@@ -16,6 +16,7 @@
 #include "core/reroute.hpp"
 #include "core/tsdt.hpp"
 #include "fault/fault_set.hpp"
+#include "fault/fault_view.hpp"
 #include "fault/injection.hpp"
 #include "sim/network_sim.hpp"
 #include "sim/route_cache.hpp"
@@ -72,6 +73,12 @@ TEST(RouteCache, CachedEntriesMatchFreshRerouteEverywhere)
     faults.blockLink(topo.plusLink(2, 11));
     faults.blockLink(topo.minusLink(0, 4));
     RouteCache cache(16);
+    // The same resolution with fills over the bitset view (what the
+    // simulator and the daemon run): FaultSet and FaultView
+    // instantiations must store identical entries.
+    fault::FaultView view(topo.stages(), topo.size());
+    view.refresh(faults);
+    RouteCache by_view(16);
 
     for (int round = 0; round < 2; ++round) {
         for (Label s = 0; s < 16; ++s) {
@@ -79,6 +86,19 @@ TEST(RouteCache, CachedEntriesMatchFreshRerouteEverywhere)
                 const auto [e, hit] =
                     cache.resolveUniversal(topo, faults, s, d);
                 EXPECT_EQ(hit, round == 1);
+                const auto [v, vhit] =
+                    by_view.resolveUniversal(topo, faults, view, s, d);
+                EXPECT_EQ(vhit, round == 1);
+                EXPECT_EQ(v->ok(), e->ok()) << s << "->" << d;
+                EXPECT_EQ(v->delta, e->delta) << s << "->" << d;
+                EXPECT_EQ(v->reroutes, e->reroutes) << s << "->" << d;
+                const auto cv =
+                    core::universalRouteCompact(topo, view, s, d);
+                const auto cs =
+                    core::universalRouteCompact(topo, faults, s, d);
+                EXPECT_EQ(cv.ok, cs.ok) << s << "->" << d;
+                EXPECT_EQ(cv.tag, cs.tag) << s << "->" << d;
+                EXPECT_EQ(cv.reroutes, cs.reroutes) << s << "->" << d;
                 const auto fresh =
                     core::universalRoute(topo, faults, s, d);
                 ASSERT_EQ(e->ok(), fresh.ok)

@@ -323,12 +323,42 @@ TEST(ServerCore, InjectFaultRepinsEpochAndInvalidatesCache)
     ServeConfig cfg;
     cfg.netSize = 16;
     cfg.scheme = sim::RoutingScheme::TsdtSender;
-    ServerCore core(cfg);
+    const topo::IadmTopology net(16);
+    // A static fault off the 2 -> 9 route, so even the first answer
+    // is a route-cache fill over the daemon's fault view.
+    fault::FaultSet faults;
+    faults.blockLink(net.minusLink(0, 5));
+    ServerCore core(cfg, faults);
     const std::uint64_t e0 = core.epoch();
+
+    // The route response ResponseWriter would write for REROUTE's
+    // outcome @p c.
+    const auto answer = [](std::uint64_t id, std::uint64_t epoch,
+                           const core::CompactRoute &c) {
+        std::string out;
+        ResponseWriter w(out, id);
+        w.field("op", std::string_view("route"));
+        w.field("epoch", epoch);
+        w.field("ok", c.ok);
+        if (c.ok) {
+            w.field("tag", c.tag.str());
+            w.field("reroutes", static_cast<std::uint64_t>(c.reroutes));
+        }
+        w.finish();
+        return out;
+    };
 
     // Mid-batch mutation: the requests before the inject see the
     // pinned epoch, the inject and everything after see the new one
-    // — exactly what an unbatched server would have produced.
+    // — exactly what an unbatched server would have produced.  The
+    // injected straight link lies on the before request's route
+    // (2 -(+1)-> 3 -(-2)-> 1 -(0)-> 1 -(+8)-> 9), so the answer
+    // after it needs BACKTRACK over a refreshed view.
+    const core::CompactRoute original =
+        core::universalRouteCompact(net, faults, 2, 9);
+    ASSERT_TRUE(original.ok);
+    ASSERT_EQ(core::tsdtTrace(2, original.tag, 16).linkAt(2),
+              net.straightLink(2, 1));
     Request before;
     before.op = Request::Op::Route;
     before.id = 1;
@@ -337,7 +367,7 @@ TEST(ServerCore, InjectFaultRepinsEpochAndInvalidatesCache)
     Request inject;
     inject.op = Request::Op::InjectFault;
     inject.id = 2;
-    inject.link = "1:2:s";
+    inject.link = "2:1:s";
     Request after = before;
     after.id = 3;
     const Request batch[] = {before, inject, after};
@@ -356,19 +386,36 @@ TEST(ServerCore, InjectFaultRepinsEpochAndInvalidatesCache)
                   line(1).find("\"epoch\":"), 10)),
               std::string::npos);
     EXPECT_GT(core.epoch(), e0);
+    EXPECT_EQ(line(0), answer(1, e0, original));
+
+    // The answer after the inject is REROUTE over the new fault set,
+    // not a replay through the stale view.
+    fault::FaultSet injected = faults;
+    injected.blockLink(net.straightLink(2, 1));
+    const core::CompactRoute rerouted =
+        core::universalRouteCompact(net, injected, 2, 9);
+    ASSERT_TRUE(rerouted.ok);
+    EXPECT_NE(rerouted.tag, original.tag);
+    EXPECT_EQ(line(2), answer(3, core.epoch(), rerouted));
 
     // A repeat of the same batch must not be torn either.
     const auto st = core.statsSnapshot();
     EXPECT_EQ(st.epochTorn, 0u);
 
     // And clear-fault releases the claim: epoch moves again, the
-    // fault count returns to zero.
+    // fault count returns to the static fault alone, and the route
+    // is the original one again.
     Request clear = inject;
     clear.op = Request::Op::ClearFault;
     clear.id = 4;
     std::string out2;
     core.resolveBatch(&clear, 1, out2);
-    EXPECT_NE(out2.find("\"faults\":0"), std::string::npos) << out2;
+    EXPECT_NE(out2.find("\"faults\":1"), std::string::npos) << out2;
+    Request again = before;
+    again.id = 5;
+    std::string out3;
+    core.resolveBatch(&again, 1, out3);
+    EXPECT_EQ(out3, answer(5, core.epoch(), original));
 }
 
 TEST(ServerCore, BadRequestsGetErrorResponsesAndCount)

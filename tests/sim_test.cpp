@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
+#include "core/reroute.hpp"
 #include "fault/injection.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/network_sim.hpp"
@@ -297,10 +299,13 @@ TEST(Sim, SteadyStateStepPerformsNoHeapAllocation)
     // The flat hot path (docs/PERF.md) must not touch the heap once
     // the network reaches steady state: queues live in the arena
     // slab, link lookups in the precomputed table, paths in the
-    // packets, and a sharded step dispatches its fill + build blocks
-    // without wrapping them in a heap-backed callable.  (The
-    // fault-repair BACKTRACK of the dynamic scheme is the documented
-    // cold-path exception; without blockages it never runs.)
+    // packets, REROUTE's fills and the dynamic scheme's BACKTRACK on
+    // stack paths, and a sharded step dispatches its fill + build
+    // blocks without wrapping them in a heap-backed callable.  (The
+    // cold-path exceptions are rerouteFromSwitch's dead-end set,
+    // which a sender-routed head runs only after the fault map moves
+    // under it, and the event calendar's callbacks; static faults
+    // run neither.)
     for (const unsigned shards : {1u, 4u}) {
         for (const auto scheme :
              {RoutingScheme::SsdtStatic, RoutingScheme::SsdtBalanced,
@@ -320,6 +325,63 @@ TEST(Sim, SteadyStateStepPerformsNoHeapAllocation)
                 << "heap allocation in steady-state step() under "
                 << routingSchemeName(scheme) << " at " << shards
                 << " shards";
+        }
+    }
+
+    // Faulted: static link faults, straight links among them, so
+    // injection runs REROUTE fills with Corollary 4.1 and BACKTRACK
+    // repairs, and dynamic packets BACKTRACK in flight.  At N=256 a
+    // cached sim has seen only a fraction of the 65536 pairs by the
+    // measured window, so its fills keep running inside it.
+    constexpr Label kN = 256;
+    const IadmTopology topo(kN);
+    Rng rng(15);
+    fault::FaultSet faults = fault::randomLinkFaults(topo, 24, rng);
+    for (const Label j : {5u, 77u, 130u, 201u})
+        faults.blockLink(topo.straightLink(2 + j % 5, j));
+    unsigned backtracked = 0;
+    for (Label s = 0; s < kN; s += 3)
+        for (Label d = 1; d < kN; d += 7)
+            backtracked += core::universalRoute(topo, faults, s, d)
+                               .backtracks != 0;
+    ASSERT_GT(backtracked, 0u) << "no pair needs BACKTRACK";
+
+    struct Case
+    {
+        RoutingScheme scheme;
+        bool cache;
+    };
+    for (const unsigned shards : {1u, 4u}) {
+        for (const Case c : {Case{RoutingScheme::TsdtSender, true},
+                             Case{RoutingScheme::TsdtSender, false},
+                             Case{RoutingScheme::TsdtDynamic, true}}) {
+            SimConfig cfg;
+            cfg.netSize = kN;
+            cfg.scheme = c.scheme;
+            cfg.injectionRate = 0.35;
+            cfg.routeCache = c.cache;
+            cfg.shards = shards;
+            NetworkSim s(cfg, uniform(kN), faults);
+            s.run(200);
+            const RouteCache *rc = s.routeCache();
+            const std::uint64_t misses0 =
+                rc != nullptr ? rc->stats().misses : 0;
+            const std::uint64_t back0 = s.metrics().backtrackHops();
+            const std::uint64_t before = g_heapAllocs.load();
+            s.run(100);
+            EXPECT_EQ(g_heapAllocs.load(), before)
+                << "heap allocation in faulted step() under "
+                << routingSchemeName(c.scheme) << " (cache "
+                << (c.cache ? "on" : "off") << ") at " << shards
+                << " shards";
+            if (c.scheme == RoutingScheme::TsdtSender && c.cache) {
+                EXPECT_GT(rc->stats().misses, misses0)
+                    << "no REROUTE fill inside the measured window";
+            }
+            if (c.scheme == RoutingScheme::TsdtDynamic) {
+                EXPECT_GT(s.metrics().backtrackHops(), back0)
+                    << "no BACKTRACK inside the measured window";
+            }
         }
     }
 }
