@@ -42,6 +42,16 @@ fastTsdtKind(Label j, unsigned i, const core::TsdtTag &tag)
  */
 constexpr std::size_t kDynamicCacheMaxBytes = 4u << 20;
 
+/** @p capacity, or a fatal error when the arena cannot hold it. */
+std::size_t
+checkedQueueCapacity(std::size_t capacity)
+{
+    if (capacity < 1 || capacity > QueueArena::kMaxCapacity)
+        IADM_FATAL("queue capacity ", capacity, " outside [1, ",
+                   QueueArena::kMaxCapacity, "]");
+    return capacity;
+}
+
 /**
  * Run @p search — a REROUTE on packet @p id's behalf — with the
  * packet's identity parked in the thread-local trace bridge, so
@@ -100,7 +110,8 @@ NetworkSim::NetworkSim(const SimConfig &cfg,
       metrics_(cfg.netSize, topo_.stages()),
       ssdtState_(cfg.netSize, core::SwitchState::C), ltab_(topo_),
       fview_(topo_.stages(), cfg.netSize),
-      queues_(topo_.stages(), cfg.netSize, cfg.queueCapacity),
+      queues_(topo_.stages(), cfg.netSize,
+              checkedQueueCapacity(cfg.queueCapacity)),
       stageSize_(topo_.stages(), 0),
       stageOccupied_(topo_.stages(), 0),
       occWordsPerStage_((cfg.netSize + 63) / 64),
@@ -157,6 +168,9 @@ NetworkSim::inFlight() const
     IADM_ASSERT(inFlight_ == queues_.totalSize(),
                 "inFlight counter drift: ", inFlight_,
                 " != ", queues_.totalSize());
+    IADM_ASSERT(queues_.liveHandles() == inFlight_,
+                "packet handle leak: ", queues_.liveHandles(),
+                " live for ", inFlight_, " in flight");
 #endif
     return inFlight_;
 }
@@ -275,7 +289,8 @@ NetworkSim::inject()
     // draw order — gate, then chance, then destination pick, per
     // source in ascending order — matches the unbatched loop bit
     // for bit, so neither batching nor sharding can perturb any
-    // random stream.
+    // random stream.  Each attempt claims its packet handle here,
+    // because the pool's free list is serial-only.
     if (gated_)
         traffic_->beginCycle(now_);
     attempts_.clear();
@@ -283,7 +298,8 @@ NetworkSim::inject()
         const bool open = gated_ ? traffic_->gate(s, rng_) : true;
         if (!rng_.chance(cfg_.injectionRate) || !open)
             continue;
-        attempts_.push_back({s, traffic_->pick(s, rng_)});
+        attempts_.push_back(
+            {s, traffic_->pick(s, rng_), queues_.claim()});
     }
     if (attempts_.empty())
         return;
@@ -327,9 +343,9 @@ NetworkSim::inject()
 
     // Fill + build phase: contiguous blocks of attempts, one per
     // shard, or the whole batch on this thread when the step is
-    // serial or traced (a TraceSink is single-owner).  Sources are
-    // distinct within a cycle, so every attempt and stage-0 queue is
-    // written by exactly one block.
+    // serial or traced (a TraceSink is single-owner).  Sources and
+    // handles are distinct within a cycle, so every attempt, packet
+    // and stage-0 queue is written by exactly one block.
     const auto fillBuild = [&](std::size_t lo, std::size_t hi) {
         switch (mode) {
           case Resolve::InitialTag:
@@ -360,7 +376,8 @@ NetworkSim::inject()
 
     // Commit phase (serial, attempt order): write fills back to their
     // claimed slots — a later claim of the same slot lands last, as
-    // in one-at-a-time resolution — then fold counters and stage-0
+    // in one-at-a-time resolution — then release the handles of
+    // attempts that built no packet and fold counters and stage-0
     // bookkeeping.
     for (const CacheProbe &pr : probes_) {
         if (pr.claim != nullptr)
@@ -369,9 +386,11 @@ NetworkSim::inject()
     for (const InjectAttempt &at : attempts_) {
         switch (at.outcome) {
           case InjectAttempt::Outcome::Unroutable:
+            queues_.release(at.handle);
             metrics_.recordUnroutable();
             break;
           case InjectAttempt::Outcome::Throttled:
+            queues_.release(at.handle);
             metrics_.recordThrottled();
             break;
           case InjectAttempt::Outcome::Injected:
@@ -505,10 +524,10 @@ NetworkSim::injectFillBuild(std::uint64_t version,
                          src, obs::TraceEvent::kNoLink, dst,
                          static_cast<Label>(tag.destination()),
                          static_cast<Label>(tag.stateBits()));
-        // Build the packet directly in its slab slot; every live
-        // field of the stale slot is overwritten (pathSw is only
-        // read while pathValid).
-        Packet &p = queues_.emplaceBack(q);
+        // Build the packet in place under the attempt's handle;
+        // every live field of the stale packet is overwritten
+        // (pathSw is only read while pathValid).
+        Packet &p = queues_.packet(at.handle);
         p.id = id;
         p.injected = now_;
         p.movedAt = ~Cycle{0};
@@ -536,6 +555,7 @@ NetworkSim::injectFillBuild(std::uint64_t version,
             if (cfg_.scheme == RoutingScheme::TsdtDynamic)
                 cachePath(p);
         }
+        queues_.pushHandle(q, at.handle);
         at.outcome = InjectAttempt::Outcome::Injected;
     }
 }
@@ -777,10 +797,10 @@ NetworkSim::advanceStageImpl(unsigned stage)
     for (unsigned i = 0; i < cnt && i < kPrefetch; ++i)
         queues_.prefetchFront(queues_.qid(stage, list[i]));
 
-    // Guess the landing slot of the head packet a few queues ahead
-    // of processing and prefetch it: the exact prefetchTail issued
-    // at move time fires nanoseconds before the slab write and
-    // cannot cover a miss.  The guess ignores blockage and the
+    // Guess the landing ring word of the head packet a few queues
+    // ahead of processing and prefetch it: the exact prefetchTail
+    // issued at move time fires nanoseconds before the handle write
+    // and cannot cover a miss.  The guess ignores blockage and the
     // balanced-queue flip; a wrong guess costs one spare line
     // fetch, a right one turns the landing-slot miss into a hit.
     constexpr unsigned kGuess = 4;

@@ -13,9 +13,10 @@
  *
  * The hot path is flat (docs/PERF.md): link destinations come from
  * a precomputed LinkTable, blockage tests from a bitset FaultView
- * that re-syncs on FaultSet mutation, queues live in one
- * ring-buffer QueueArena slab, and the dynamic TSDT scheme reads
- * the path cached in each packet instead of re-tracing its tag.
+ * that re-syncs on FaultSet mutation, queues are rings of packet
+ * handles into one QueueArena pool, and the dynamic TSDT scheme
+ * reads the path cached in each packet instead of re-tracing its
+ * tag.
  * step() performs no heap allocation and no virtual topology calls
  * in steady state, at any shard count.
  */
@@ -70,6 +71,7 @@ struct SimConfig
     Label netSize = 16;
     RoutingScheme scheme = RoutingScheme::SsdtStatic;
     double injectionRate = 0.1; //!< packets/node/cycle
+    /** Packets per switch queue, in [1, QueueArena::kMaxCapacity]. */
     std::size_t queueCapacity = 4;
     std::uint64_t seed = 1;
     bool crossbarSwitches = false; //!< Gamma semantics: accept up to 3
@@ -256,7 +258,7 @@ class NetworkSim
     LinkTable ltab_;    //!< [stage][switch][kind] -> destination
     fault::FaultView fview_; //!< bitset mirror of faults_, same indexing
     std::uint64_t faultsVersion_ = ~std::uint64_t{0};
-    QueueArena queues_; //!< all stages x N queues, one Packet slab
+    QueueArena queues_; //!< all stages x N queues + packet pool
     std::vector<std::uint32_t> stageSize_;     //!< packets per stage
     std::vector<std::uint32_t> stageOccupied_; //!< nonempty queues
     /**
@@ -286,11 +288,12 @@ class NetworkSim
     //
     // inject() runs one cycle's attempts through four phases (docs/
     // SIMULATOR.md, "Intra-simulation sharding"): draw (serial RNG
-    // order), probe (serial cache claims), fill + build (route fills
-    // and packet construction, split into contiguous blocks of
-    // attempts across the shard pool, or one block on the caller
-    // when the step is serial), and commit (serial: cache
-    // write-back, counters, stage-0 bookkeeping).
+    // order and packet-handle claims), probe (serial cache claims),
+    // fill + build (route fills and packet construction, split into
+    // contiguous blocks of attempts across the shard pool, or one
+    // block on the caller when the step is serial), and commit
+    // (serial: cache write-back, unused-handle release, counters,
+    // stage-0 bookkeeping).
     RouteCache rcache_;       //!< per-sim: sweeps stay share-nothing
     bool rcacheEnabled_ = false;
 
@@ -313,6 +316,9 @@ class NetworkSim
         };
         Label src;
         Label dst;
+        /** Packet handle claimed in the draw phase; the commit phase
+         *  releases it unless the packet was injected. */
+        QueueArena::Handle handle = 0;
         Outcome outcome = Outcome::Injected;
     };
     /** A cached-mode attempt's probe result, index-aligned with
@@ -347,10 +353,12 @@ class NetworkSim
 
     /**
      * Fill + build phase for attempts [lo, hi): resolve each route
-     * (cache fill, REROUTE or initial tag) and construct the packet
-     * in its stage-0 slab slot.  Writes only these attempts, their
-     * probes and their (distinct) stage-0 queues, so disjoint ranges
-     * run concurrently; shared counters wait for the commit phase.
+     * (cache fill, REROUTE or initial tag), construct the packet
+     * under the attempt's claimed handle and append the handle to
+     * its stage-0 queue.  Writes only these attempts, their probes,
+     * their packets and their (distinct) stage-0 queues, so disjoint
+     * ranges run concurrently; shared counters and the free list
+     * wait for the commit phase.
      */
     template <Resolve M>
     void injectFillBuild(std::uint64_t version, std::uint64_t first_id,

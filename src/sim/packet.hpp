@@ -3,12 +3,13 @@
  * Packets for the packet-switched IADM simulation (the MIMD
  * environment Section 4 targets).
  *
- * Packet is the unit the hot path copies between ring-buffer queue
- * slots every hop, so its layout is pinned: 8-byte fields first,
- * then the tag and 4-byte fields, then the cached path and flags.
+ * Packets live in the queue arena's pool and stay put while 32-bit
+ * handles to them move between queues (switch_model.hpp), so the
+ * layout is pinned for the pool's sake: 8-byte fields first, then
+ * the tag and 4-byte fields, then the cached path and flags.
  * sizeof(Packet) is static_assert'ed below (and re-checked in
  * tests/sim_test.cpp) so accidental growth of the hot struct fails
- * loudly instead of silently dilating every queue operation.
+ * loudly instead of silently growing the pool and every prefetch.
  */
 
 #ifndef IADM_SIM_PACKET_HPP
@@ -68,11 +69,12 @@ struct Packet
     bool pathValid = false;   //!< pathSw mirrors the current tag
 };
 
-// The hot-struct pin: growing Packet dilates every slab copy the
-// simulator makes, so growth must be a conscious decision here (and
-// in the matching test), never a side effect.  96 bytes also means
-// every ring slot spans exactly two cache lines (stride is 32 mod
-// 64), never three.
+// The hot-struct pin: the packet pool holds one Packet per packet in
+// flight, and the service loop prefetches each head packet it will
+// read, so growing Packet grows the pool footprint and the lines per
+// prefetch.  Growth must be a conscious decision here (and in the
+// matching test), never a side effect.  At 96 bytes in a
+// line-aligned pool every packet spans exactly two cache lines.
 static_assert(sizeof(Packet) == 96, "Packet grew: re-budget the "
                                     "hot path before raising this");
 

@@ -11,119 +11,110 @@
  *
  * Storage is ring buffers, never node-based containers: QueueArena
  * packs all stages x N queues of a simulator into one contiguous
- * Packet slab with power-of-two ring indexing (head/tail are
- * free-running counters, wrap is a mask), so the steady-state hot
- * path performs no heap allocation and queue metadata stays
- * cache-resident.  SwitchQueue is the standalone single-queue
- * equivalent for callers that need just one FIFO.
+ * ring of 32-bit packet handles with power-of-two indexing
+ * (head/tail are free-running counters, wrap is a mask).  A handle
+ * names a packet in the arena's pool; packets stay put in the pool
+ * while their handles move from queue to queue, so a hop moves 4
+ * bytes, not a 96-byte Packet.  The pool is reserved up front for
+ * every packet that can be live at once, so the steady-state hot
+ * path performs no heap allocation.
  *
  * Concurrency contract (intra-simulation sharding,
- * docs/SIMULATOR.md): QueueArena is not thread-safe as a whole, but
- * every element it stores — a head_/tail_ cursor pair and the slab
- * slots of one queue — belongs to exactly one queue, so concurrent
- * access is safe as long as no two threads touch the *same* queue.
- * The sharded injector relies on this: each fill + build block
- * builds packets only into the stage-0 queues of its own attempts'
- * sources, which are distinct within a cycle.  There are no
- * arena-global mutable members to race on (slots_/mask_ are set at
- * construction).
+ * docs/SIMULATOR.md): QueueArena is not thread-safe as a whole.
+ * Every ring slot and head_/tail_ cursor belongs to exactly one
+ * queue, and every pooled packet to exactly one handle, so threads
+ * that touch distinct queues and distinct handles may run
+ * concurrently.  The pool's free list is arena-global: claim() and
+ * release() are serial only.  The sharded injector claims one
+ * handle per attempt serially in its draw phase and releases the
+ * unused ones serially in its commit phase, so each fill + build
+ * block writes only its own attempts' packets and their (distinct)
+ * stage-0 rings.
  */
 
 #ifndef IADM_SIM_SWITCH_MODEL_HPP
 #define IADM_SIM_SWITCH_MODEL_HPP
 
+#include <bit>
 #include <cstdint>
+#include <limits>
+#include <memory>
+#include <new>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "common/logging.hpp"
 #include "sim/packet.hpp"
 
 namespace iadm::sim {
 
-namespace detail {
-
-/** Smallest power of two >= max(v, 1). */
-constexpr std::uint32_t
-ringSlots(std::size_t v)
-{
-    std::uint32_t s = 1;
-    while (s < v)
-        s <<= 1;
-    return s;
-}
-
-} // namespace detail
-
-/** Bounded FIFO of packets attached to one switch (ring buffer). */
-class SwitchQueue
-{
-  public:
-    explicit SwitchQueue(std::size_t capacity = 4)
-        : ring_(detail::ringSlots(capacity)),
-          mask_(detail::ringSlots(capacity) - 1),
-          capacity_(capacity)
-    {
-    }
-
-    bool full() const { return size() >= capacity_; }
-    bool empty() const { return head_ == tail_; }
-    std::size_t size() const { return tail_ - head_; }
-    std::size_t capacity() const { return capacity_; }
-
-    /** Enqueue; returns false when full. */
-    bool
-    push(Packet p)
-    {
-        if (full())
-            return false;
-        ring_[tail_++ & mask_] = std::move(p);
-        return true;
-    }
-
-    /** The head packet (queue must be nonempty). */
-    Packet &front();
-    const Packet &front() const;
-
-    /** Remove and return the head packet. */
-    Packet pop();
-
-  private:
-    std::vector<Packet> ring_;
-    std::uint32_t head_ = 0; //!< free-running; index is head_ & mask_
-    std::uint32_t tail_ = 0;
-    std::uint32_t mask_;
-    std::size_t capacity_;
-};
-
 /**
- * All stages x N switch queues of one simulator in a single
- * contiguous Packet slab.
+ * All stages x N switch queues of one simulator: one contiguous
+ * ring of packet handles plus the packet pool they index.
  *
- * Queue q = stage * N + j owns slots
+ * Queue q = stage * N + j owns ring slots
  * [q << slotShift, (q + 1) << slotShift); its ring position is the
  * free-running head/tail counter masked by (slots - 1).  Every
  * operation is O(1) with no allocation; the per-queue metadata
  * (head_, tail_) lives in two flat arrays so the per-cycle
  * service scan touches memory sequentially.
+ *
+ * The pool is reserved for stages x N x capacity packets (every
+ * queue full) plus N (one handle per source that injection holds
+ * before it knows whether its packet fits), and packets are
+ * constructed in it one at a time on first use, so it is never
+ * value-initialized as a whole and pages nobody touches cost no
+ * memory.  Released handles go on a LIFO free list: a
+ * just-delivered packet's cache-hot storage is the next packet
+ * built.
  */
 class QueueArena
 {
   public:
-    QueueArena() = default;
+    /** Index of a packet in the arena's pool. */
+    using Handle = std::uint32_t;
+
+    /**
+     * Deepest queue an arena accepts.  The experiments use 2-8
+     * slots; the bound keeps ring sizes far below the 2^32 that the
+     * free-running head/tail counters wrap at, and the ring at most
+     * stages x N x 1024 handles.  NetworkSim and `iadm_tool sweep
+     * --caps` reject capacities outside [1, kMaxCapacity].
+     */
+    static constexpr std::size_t kMaxCapacity = 1024;
 
     QueueArena(unsigned stages, Label n_size, std::size_t capacity)
-        : slots_(detail::ringSlots(capacity)),
-          mask_(slots_ - 1),
-          shift_(0),
-          cap_(capacity),
+        : cap_(capacity),
           queues_(static_cast<std::size_t>(stages) * n_size),
           n_(n_size)
     {
-        while ((std::uint32_t{1} << shift_) < slots_)
-            ++shift_;
-        slab_.resize(queues_ * slots_);
+        IADM_ASSERT(capacity >= 1 && capacity <= kMaxCapacity,
+                    "queue capacity ", capacity, " outside [1, ",
+                    kMaxCapacity, "]");
+        const std::size_t slots = std::bit_ceil(capacity);
+        mask_ = static_cast<std::uint32_t>(slots - 1);
+        shift_ = static_cast<unsigned>(std::countr_zero(slots));
+        ring_.resize(queues_ << shift_);
         head_.assign(queues_, 0);
         tail_.assign(queues_, 0);
+        poolCap_ = queues_ * capacity + n_size;
+        IADM_ASSERT(poolCap_ <= std::numeric_limits<Handle>::max(),
+                    "packet pool of ", poolCap_,
+                    " exceeds 32-bit handles");
+        // One plain allocation, aligned by hand: an over-aligned
+        // allocation splits heap chunks, and a process that builds
+        // simulators in turn then fragments its heap.
+        poolMem_.reset(new unsigned char[poolCap_ * sizeof(Packet) +
+                                         kLine - 1]);
+        pool_ = reinterpret_cast<Packet *>(
+            (reinterpret_cast<std::uintptr_t>(poolMem_.get()) +
+             kLine - 1) &
+            ~std::uintptr_t{kLine - 1});
+        free_.reserve(poolCap_);
+#ifdef IADM_SANITIZE_BUILD
+        released_.assign(poolCap_, false);
+#endif
     }
 
     /** Queue id of switch @p j at stage @p stage. */
@@ -132,9 +123,6 @@ class QueueArena
     {
         return static_cast<std::size_t>(stage) * n_ + j;
     }
-
-    std::size_t capacity() const { return cap_; }
-    std::size_t queueCount() const { return queues_; }
 
     bool empty(std::size_t q) const { return head_[q] == tail_[q]; }
     bool full(std::size_t q) const { return size(q) >= cap_; }
@@ -145,10 +133,66 @@ class QueueArena
         return tail_[q] - head_[q];
     }
 
-    Packet &
-    front(std::size_t q)
+    Packet &front(std::size_t q) { return pool_[ring_[headSlot(q)]]; }
+
+    /** The packet @p h names. */
+    Packet &packet(Handle h) { return pool_[h]; }
+
+    /**
+     * Take a free handle: the most recently released one, else the
+     * pool's next never-used packet.  Its packet holds stale
+     * contents to overwrite.  Serial only.
+     */
+    Handle
+    claim()
     {
-        return slab_[(q << shift_) + (head_[q] & mask_)];
+        if (!free_.empty()) {
+            const Handle h = free_.back();
+            free_.pop_back();
+#ifdef IADM_SANITIZE_BUILD
+            released_[h] = false;
+#endif
+            return h;
+        }
+        IADM_ASSERT(poolBuilt_ < poolCap_, "packet pool exhausted at ",
+                    poolBuilt_);
+        ::new (pool_ + poolBuilt_) Packet;
+        return static_cast<Handle>(poolBuilt_++);
+    }
+
+    /** Return @p h to the free list.  Serial only. */
+    void
+    release(Handle h)
+    {
+#ifdef IADM_SANITIZE_BUILD
+        IADM_ASSERT(h < poolBuilt_ && !released_[h],
+                    "packet handle ", h, " released twice");
+        released_[h] = true;
+#endif
+        free_.push_back(h);
+    }
+
+    /**
+     * Append claimed handle @p h to the tail of @p q (the caller
+     * must have checked the queue is not full).
+     */
+    void
+    pushHandle(std::size_t q, Handle h)
+    {
+        ring_[(q << shift_) + (tail_[q]++ & mask_)] = h;
+    }
+
+    /**
+     * Claim a handle, append it to @p q (the caller must have
+     * checked the queue is not full) and return its packet for
+     * in-place construction; it holds stale contents to overwrite.
+     */
+    Packet &
+    emplaceBack(std::size_t q)
+    {
+        const Handle h = claim();
+        pushHandle(q, h);
+        return pool_[h];
     }
 
     /** Enqueue; returns false when full. */
@@ -157,65 +201,60 @@ class QueueArena
     {
         if (full(q))
             return false;
-        slab_[(q << shift_) + (tail_[q]++ & mask_)] = std::move(p);
+        emplaceBack(q) = std::move(p);
         return true;
-    }
-
-    /**
-     * Claim the tail slot of @p q for in-place construction (the
-     * caller must have checked the queue is not full) and return
-     * it; the slot still holds a stale packet to overwrite.
-     */
-    Packet &
-    emplaceBack(std::size_t q)
-    {
-        return slab_[(q << shift_) + (tail_[q]++ & mask_)];
     }
 
     /** Remove and return the head packet (queue must be nonempty). */
     Packet
     pop(std::size_t q)
     {
-        return std::move(slab_[(q << shift_) + (head_[q]++ & mask_)]);
+        const Handle h = ring_[headSlot(q)];
+        ++head_[q];
+        Packet p = std::move(pool_[h]);
+        release(h);
+        return p;
     }
 
-    /** Discard the head packet without copying it out. */
-    void dropFront(std::size_t q) { ++head_[q]; }
+    /** Discard the head packet, releasing its handle. */
+    void
+    dropFront(std::size_t q)
+    {
+        release(ring_[headSlot(q)]);
+        ++head_[q];
+    }
 
     /**
-     * Move the head of @p src to the tail of @p dst in one
-     * slab-to-slab assignment (no intermediate Packet).  The caller
+     * Move the head of @p src to the tail of @p dst: one handle
+     * changes rings and the packet stays where it is.  The caller
      * must have checked that src is nonempty and dst is not full.
      */
     void
     moveFront(std::size_t src, std::size_t dst)
     {
-        slab_[(dst << shift_) + (tail_[dst]++ & mask_)] = std::move(
-            slab_[(src << shift_) + (head_[src]++ & mask_)]);
+        pushHandle(dst, ring_[headSlot(src)]);
+        ++head_[src];
     }
 
     /**
-     * Hint the head (pop side) or tail (push side) slot of @p q
-     * into cache ahead of use; Packet spans two cache lines.
+     * Hint the head packet of @p q into cache ahead of use: follow
+     * its handle to the packet's two cache lines.
      */
     void
     prefetchFront(std::size_t q) const
     {
-        const auto *p = reinterpret_cast<const char *>(
-            &slab_[(q << shift_) + (head_[q] & mask_)]);
+        const auto *p =
+            reinterpret_cast<const char *>(&pool_[ring_[headSlot(q)]]);
         __builtin_prefetch(p);
-        __builtin_prefetch(p + 64);
-        __builtin_prefetch(p + sizeof(Packet) - 1);
+        __builtin_prefetch(p + kLine);
     }
 
+    /** Hint the tail ring word of @p q (the push side) for write. */
     void
     prefetchTail(std::size_t q)
     {
-        auto *p = reinterpret_cast<char *>(
-            &slab_[(q << shift_) + (tail_[q] & mask_)]);
-        __builtin_prefetch(p, 1);
-        __builtin_prefetch(p + 64, 1);
-        __builtin_prefetch(p + sizeof(Packet) - 1, 1);
+        __builtin_prefetch(&ring_[(q << shift_) + (tail_[q] & mask_)],
+                           1);
     }
 
     /** Packets across every queue — O(queues) scan, not hot-path. */
@@ -228,14 +267,44 @@ class QueueArena
         return total;
     }
 
+    /** Handles claimed and not released (sanity checks, tests). */
+    std::size_t
+    liveHandles() const
+    {
+        return poolBuilt_ - free_.size();
+    }
+
+    /** Packets the pool has ever built: the live high-water mark. */
+    std::size_t poolSize() const { return poolBuilt_; }
+
   private:
-    std::vector<Packet> slab_;          //!< queues x slots packets
-    std::vector<std::uint32_t> head_;   //!< free-running per queue
+    /** Cache line size; pooled packets start 0 or 32 bytes into a
+     *  line, so each spans exactly two. */
+    static constexpr std::size_t kLine = 64;
+    static_assert(sizeof(Packet) % (kLine / 2) == 0);
+    // Pooled packets are never destroyed, only overwritten.
+    static_assert(std::is_trivially_destructible_v<Packet>);
+
+    std::size_t
+    headSlot(std::size_t q) const
+    {
+        return (q << shift_) + (head_[q] & mask_);
+    }
+
+    std::vector<Handle> ring_;        //!< queues x slots handles
+    std::vector<std::uint32_t> head_; //!< free-running per queue
     std::vector<std::uint32_t> tail_;
-    std::uint32_t slots_ = 0; //!< physical ring slots (power of two)
-    std::uint32_t mask_ = 0;
-    unsigned shift_ = 0;      //!< log2(slots_)
-    std::size_t cap_ = 0;     //!< logical capacity (<= slots_)
+    std::unique_ptr<unsigned char[]> poolMem_; //!< pool storage
+    Packet *pool_ = nullptr;    //!< kLine-aligned within poolMem_
+    std::size_t poolBuilt_ = 0; //!< packets constructed so far
+    std::size_t poolCap_ = 0;   //!< packets poolMem_ holds
+    std::vector<Handle> free_;  //!< LIFO free list, reserved once
+#ifdef IADM_SANITIZE_BUILD
+    std::vector<bool> released_; //!< handle is on free_
+#endif
+    std::uint32_t mask_ = 0;  //!< physical ring slots - 1
+    unsigned shift_ = 0;      //!< log2(physical ring slots)
+    std::size_t cap_ = 0;     //!< logical capacity (<= slots)
     std::size_t queues_ = 0;
     Label n_ = 0;
 };

@@ -606,14 +606,17 @@ TEST(ServeHealth, HealthQueryAnswersAgainstChurningDaemon)
         ASSERT_FALSE(c.recvLine().empty()) << "daemon wedged";
     }
 
-    // Poll until the watchdog has visibly beaten (its thread races
-    // this client; tickUs=200 means beats arrive within ~ms).
+    // Poll until the watchdog has visibly beaten and the churn
+    // ticker has run (both threads race this client; tickUs=200
+    // means ticks arrive within ~ms, but a loaded sanitizer host can
+    // starve either thread for much longer).  Bounded at ~5 s.
     std::string line;
-    for (int tries = 0; tries < 100; ++tries) {
+    for (int tries = 0; tries < 1000; ++tries) {
         ASSERT_TRUE(c.send("{\"id\":777,\"op\":\"health\"}\n"));
         line = c.recvLine();
         ASSERT_FALSE(line.empty()) << "daemon wedged on health";
-        if (jsonInt(line, "watchdog_ticks") > 0)
+        if (jsonInt(line, "watchdog_ticks") > 0 &&
+            jsonInt(line, "churn_ticks") > 0)
             break;
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }

@@ -5,6 +5,7 @@
  * events and the metrics machinery.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <functional>
@@ -186,34 +187,11 @@ TEST(EventQueue, ReentrantChainDrainsWithinOneCall)
     EXPECT_TRUE(q.empty());
 }
 
-TEST(SwitchQueue, CapacityEnforced)
-{
-    SwitchQueue q(2);
-    EXPECT_TRUE(q.push(Packet{}));
-    EXPECT_TRUE(q.push(Packet{}));
-    EXPECT_FALSE(q.push(Packet{}));
-    EXPECT_TRUE(q.full());
-    (void)q.pop();
-    EXPECT_FALSE(q.full());
-}
-
-TEST(SwitchQueue, FifoOrder)
-{
-    SwitchQueue q(4);
-    for (std::uint64_t i = 0; i < 4; ++i) {
-        Packet p;
-        p.id = i;
-        q.push(p);
-    }
-    for (std::uint64_t i = 0; i < 4; ++i)
-        EXPECT_EQ(q.pop().id, i);
-}
-
 TEST(Packet, HotStructSizeIsPinned)
 {
     // Mirrors the static_assert in packet.hpp: growing the hot
-    // struct dilates every slab copy the simulator makes and must
-    // be a conscious decision, never a side effect.
+    // struct grows the packet pool and every head prefetch, and
+    // must be a conscious decision, never a side effect.
     EXPECT_EQ(sizeof(Packet), 96u);
 }
 
@@ -294,14 +272,143 @@ TEST(QueueArena, MoveFrontAndDropFrontKeepOrder)
     EXPECT_EQ(a.front(src).id, 2u);
 }
 
+TEST(QueueArena, MoveFrontKeepsPacketAddress)
+{
+    // A hop moves the packet's handle between rings; the packet
+    // itself stays where the pool built it.
+    QueueArena a(3, 2, 2);
+    Packet p;
+    p.id = 42;
+    ASSERT_TRUE(a.push(a.qid(0, 1), std::move(p)));
+    const Packet *addr = &a.front(a.qid(0, 1));
+    a.moveFront(a.qid(0, 1), a.qid(1, 0));
+    a.moveFront(a.qid(1, 0), a.qid(2, 1));
+    EXPECT_EQ(&a.front(a.qid(2, 1)), addr);
+    EXPECT_EQ(a.front(a.qid(2, 1)).id, 42u);
+}
+
+TEST(QueueArena, DropFrontReleasesHandleForNextBuild)
+{
+    // The free list is LIFO: the packet dropFront releases (still
+    // cache-hot from its delivery) is the next one built, by push
+    // and by emplaceBack alike.
+    QueueArena a(2, 4, 4);
+    for (std::uint64_t i = 0; i < 3; ++i) {
+        Packet p;
+        p.id = i;
+        ASSERT_TRUE(a.push(a.qid(0, 0), std::move(p)));
+    }
+    const std::size_t pool = a.poolSize();
+    const Packet *dropped = &a.front(a.qid(0, 0));
+    a.dropFront(a.qid(0, 0));
+    Packet &built = a.emplaceBack(a.qid(1, 3));
+    EXPECT_EQ(&built, dropped);
+
+    const Packet *dropped2 = &a.front(a.qid(0, 0));
+    a.dropFront(a.qid(0, 0));
+    Packet p;
+    p.id = 9;
+    ASSERT_TRUE(a.push(a.qid(1, 2), std::move(p)));
+    EXPECT_EQ(&a.front(a.qid(1, 2)), dropped2);
+    EXPECT_EQ(a.front(a.qid(1, 2)).id, 9u);
+    EXPECT_EQ(a.poolSize(), pool); // reuse, no growth
+    EXPECT_EQ(a.liveHandles(), a.totalSize());
+}
+
+TEST(QueueArena, WrapCyclesNeverGrowPoolPastLiveHighWater)
+{
+    // Thousands of fill/forward/drain rounds wrap every ring many
+    // times over; the pool only grows when every packet it holds is
+    // live, so its size is exactly the live high-water mark.
+    constexpr unsigned kStages = 3;
+    constexpr Label kN = 4;
+    QueueArena a(kStages, kN, 3);
+    Rng rng(7);
+    std::size_t high_water = 0;
+    std::uint64_t next_id = 0;
+    for (int round = 0; round < 4000; ++round) {
+        // Inject into a random subset of stage-0 queues.
+        for (Label j = 0; j < kN; ++j) {
+            if (rng.chance(0.6) && !a.full(a.qid(0, j))) {
+                Packet &p = a.emplaceBack(a.qid(0, j));
+                p.id = next_id++;
+            }
+        }
+        high_water = std::max(high_water, a.totalSize());
+        // Deliver from the last stage, then forward stage by stage.
+        for (Label j = 0; j < kN; ++j) {
+            if (!a.empty(a.qid(kStages - 1, j)) && rng.chance(0.7))
+                a.dropFront(a.qid(kStages - 1, j));
+        }
+        for (unsigned st = kStages - 1; st-- > 0;) {
+            for (Label j = 0; j < kN; ++j) {
+                const std::size_t src = a.qid(st, j);
+                const std::size_t dst =
+                    a.qid(st + 1, static_cast<Label>(
+                                      rng.uniformRange(0, kN - 1)));
+                if (!a.empty(src) && !a.full(dst))
+                    a.moveFront(src, dst);
+            }
+        }
+        ASSERT_EQ(a.liveHandles(), a.totalSize());
+        ASSERT_EQ(a.poolSize(), high_water) << "round " << round;
+    }
+    EXPECT_GT(next_id, 4000u); // every ring wrapped many times
+    EXPECT_LE(high_water, kStages * kN * 3u);
+}
+
+#ifdef IADM_SANITIZE_BUILD
+TEST(QueueArena, SanitizeBuildCatchesDoubleRelease)
+{
+    // Two owners of one packet would corrupt it silently; sanitize
+    // builds track which handles are free and panic instead.
+    QueueArena a(1, 2, 2);
+    ASSERT_TRUE(a.push(0, Packet{}));
+    EXPECT_DEATH(
+        {
+            const QueueArena::Handle h = a.claim();
+            a.release(h);
+            a.release(h);
+        },
+        "packet handle [0-9]+ released twice");
+}
+#endif
+
+TEST(Sim, QueueCapacityOutsideArenaBoundIsFatal)
+{
+    // API callers get the CLI's bound as a fatal error instead of a
+    // hung ring sizing or a multi-gigabyte allocation.
+    for (const std::size_t cap :
+         {std::size_t{0}, QueueArena::kMaxCapacity + 1,
+          std::size_t{3000000000}}) {
+        SimConfig cfg;
+        cfg.netSize = 8;
+        cfg.queueCapacity = cap;
+        EXPECT_EXIT(NetworkSim(cfg, uniform(8)),
+                    ::testing::ExitedWithCode(1),
+                    "queue capacity " + std::to_string(cap) +
+                        " outside \\[1, " +
+                        std::to_string(QueueArena::kMaxCapacity) +
+                        "\\]");
+    }
+    SimConfig cfg;
+    cfg.netSize = 8;
+    cfg.queueCapacity = QueueArena::kMaxCapacity;
+    NetworkSim s(cfg, uniform(8));
+    s.run(20);
+    EXPECT_EQ(s.metrics().injected(),
+              s.metrics().delivered() + s.inFlight());
+}
+
 TEST(Sim, SteadyStateStepPerformsNoHeapAllocation)
 {
     // The flat hot path (docs/PERF.md) must not touch the heap once
-    // the network reaches steady state: queues live in the arena
-    // slab, link lookups in the precomputed table, paths in the
-    // packets, REROUTE's fills and the dynamic scheme's BACKTRACK on
-    // stack paths, and a sharded step dispatches its fill + build
-    // blocks without wrapping them in a heap-backed callable.  (The
+    // the network reaches steady state: queues live in the arena's
+    // rings and reserved packet pool, link lookups in the
+    // precomputed table, paths in the packets, REROUTE's fills and
+    // the dynamic scheme's BACKTRACK on stack paths, and a sharded
+    // step dispatches its fill + build blocks without wrapping them
+    // in a heap-backed callable.  (The
     // cold-path exceptions are rerouteFromSwitch's dead-end set,
     // which a sender-routed head runs only after the fault map moves
     // under it, and the event calendar's callbacks; static faults

@@ -194,7 +194,7 @@ parseU64Arg(const char *cmd, const std::string &flag,
                     [](std::uint64_t) { return true; });
 }
 
-/** Thread counts (--workers, --shards), replicates, queue caps. */
+/** Thread counts (--workers, --shards) and replicates. */
 template <typename T>
 bool
 parseCount(const char *cmd, const std::string &flag,
@@ -202,6 +202,18 @@ parseCount(const char *cmd, const std::string &flag,
 {
     return parseArg(cmd, flag, val, "an integer >= 1", out,
                     [](T v) { return v >= 1; });
+}
+
+/** Queue capacities: what the simulator's queue arena accepts. */
+bool
+parseQueueCapacity(const char *cmd, const std::string &flag,
+                   const std::string &val, std::size_t &out)
+{
+    constexpr std::size_t kMax = sim::QueueArena::kMaxCapacity;
+    static const std::string want =
+        "an integer in [1, " + std::to_string(kMax) + "]";
+    return parseArg(cmd, flag, val, want.c_str(), out,
+                    [](std::size_t c) { return c >= 1 && c <= kMax; });
 }
 
 bool
@@ -770,7 +782,7 @@ cmdSweep(const std::vector<std::string> &args)
             grid.queueCapacities.clear();
             for (const auto &v : splitOn(val, ',')) {
                 std::size_t c = 0;
-                if (!parseCount("sweep", flag, v, c))
+                if (!parseQueueCapacity("sweep", flag, v, c))
                     return 2;
                 grid.queueCapacities.push_back(c);
             }
