@@ -20,18 +20,21 @@ nodeId(const topo::IadmTopology &topo, unsigned stage, Label j)
 
 bool
 oracleReachable(const topo::IadmTopology &topo,
-                const fault::FaultSet &faults, Label src, Label dest)
+                const fault::FaultSet &faults, Label src, Label dest,
+                unsigned stage)
 {
-    return oracleFindPath(topo, faults, src, dest).has_value();
+    return oracleFindPath(topo, faults, src, dest, stage).has_value();
 }
 
 std::optional<Path>
 oracleFindPath(const topo::IadmTopology &topo,
-               const fault::FaultSet &faults, Label src, Label dest)
+               const fault::FaultSet &faults, Label src, Label dest,
+               unsigned first)
 {
     const unsigned n = topo.stages();
     const Label n_size = topo.size();
     IADM_ASSERT(src < n_size && dest < n_size, "bad address");
+    IADM_ASSERT(first <= n, "start stage past the output column");
 
     const std::size_t nodes =
         static_cast<std::size_t>(n + 1) * n_size;
@@ -40,8 +43,8 @@ oracleFindPath(const topo::IadmTopology &topo,
     std::vector<bool> visited(nodes, false);
 
     std::queue<std::pair<unsigned, Label>> q;
-    visited[nodeId(topo, 0, src)] = true;
-    q.push({0, src});
+    visited[nodeId(topo, first, src)] = true;
+    q.push({first, src});
     while (!q.empty()) {
         auto [stage, j] = q.front();
         q.pop();
@@ -62,15 +65,15 @@ oracleFindPath(const topo::IadmTopology &topo,
     if (!visited[nodeId(topo, n, dest)])
         return std::nullopt;
 
-    std::vector<Label> sw(n + 1);
-    std::vector<topo::LinkKind> kinds(n);
+    std::vector<Label> sw(n + 1, src);
+    std::vector<topo::LinkKind> kinds(n, topo::LinkKind::Straight);
     sw[n] = dest;
-    for (unsigned stage = n; stage > 0; --stage) {
+    for (unsigned stage = n; stage > first; --stage) {
         const topo::Link &l = parent[nodeId(topo, stage, sw[stage])];
         kinds[stage - 1] = l.kind;
         sw[stage - 1] = l.from;
     }
-    IADM_ASSERT(sw[0] == src, "BFS parent chain broken");
+    IADM_ASSERT(sw[first] == src, "BFS parent chain broken");
     return Path(std::move(sw), std::move(kinds));
 }
 

@@ -25,15 +25,24 @@
 
 namespace iadm::core {
 
-/** True iff an unblocked path src -> dest exists (BFS). */
+/**
+ * True iff an unblocked path src -> dest exists (BFS), starting at
+ * switch @p src of stage @p stage: a packet already there can still
+ * reach @p dest.
+ */
 bool oracleReachable(const topo::IadmTopology &topo,
                      const fault::FaultSet &faults, Label src,
-                     Label dest);
+                     Label dest, unsigned stage = 0);
 
-/** Some unblocked path src -> dest, or nullopt (BFS with parents). */
+/**
+ * Some unblocked path src -> dest, or nullopt (BFS with parents),
+ * starting at switch @p src of stage @p stage; the stages below hold
+ * @p src on straight links, unchecked.
+ */
 std::optional<Path> oracleFindPath(const topo::IadmTopology &topo,
                                    const fault::FaultSet &faults,
-                                   Label src, Label dest);
+                                   Label src, Label dest,
+                                   unsigned stage = 0);
 
 /**
  * Every routing path src -> dest in the fault-free network, in

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <sstream>
-#include <unordered_set>
 
 #include "common/logging.hpp"
 #include "obs/trace_sink.hpp"
@@ -15,11 +14,20 @@ namespace {
 /**
  * The REROUTE loop every entry point shares, over any blockage test
  * isBlocked(stage, switch, kind) — instantiated for fault::FaultSet
- * and fault::FaultView.  Iterates Corollary 4.1 / BACKTRACK from the
- * lowest blocked stage upward, leaving the final tag in @p tag, its
- * path in @p path (traced through the last stage checked) and the
- * work counters in @p res.  Returns true iff a blockage-free path
- * was found.
+ * and fault::FaultView.  Starts from switch @p src of stage
+ * @p first (0 for a route from the input column) and iterates
+ * Corollary 4.1 / BACKTRACK from the lowest blocked stage upward,
+ * leaving the final tag in @p tag, its path in @p path (traced
+ * through the last stage checked) and the work counters in @p res.
+ * Returns true iff a blockage-free path was found.
+ *
+ * A packet at stage @p first has already spent the state bits below
+ * it, and its switch's low @p first bits equal the destination's.
+ * The links left add +-2^l for l >= first only, so the stages ahead
+ * form an IADM network of size N / 2^first on the high bits, and
+ * REROUTE on them is complete there too.  The spent stages are
+ * seeded with the destination, so their links read as straight and
+ * BACKTRACK never walks below @p first.
  *
  * The path lives on the stack and is traced one tsdtStep() per
  * stage, fused with the blockage test, so a clear initial path
@@ -31,16 +39,18 @@ namespace {
  */
 template <class Faults>
 bool
-rerouteKernel(const Faults &faults, unsigned n, Label src,
-              TsdtTag &tag, RerouteWork &res, TsdtPath &path,
-              RerouteObserver *observer)
+rerouteKernel(const Faults &faults, unsigned n, unsigned first,
+              Label src, TsdtTag &tag, RerouteWork &res,
+              TsdtPath &path, RerouteObserver *observer)
 {
     const Label dest = tag.destination();
     path.n = n;
     path.dest = dest;
     path.state = tag.stateBits();
-    path.sw[0] = src;
-    unsigned from = 0;
+    for (unsigned r = 0; r < first; ++r)
+        path.sw[r] = dest;
+    path.sw[first] = src;
+    unsigned from = first;
 
     // Each iteration leaves the path blockage-free through a
     // strictly higher stage, so n+1 iterations always suffice; the
@@ -129,7 +139,7 @@ compactRoute(const topo::IadmTopology &topo, const Faults &faults,
     TsdtPath path;
 
     CompactRoute res;
-    res.ok = rerouteKernel(faults, n, src, tag, work, path, nullptr);
+    res.ok = rerouteKernel(faults, n, 0, src, tag, work, path, nullptr);
     res.tag = tag;
     res.reroutes = work.corollary41 + work.backtrackStats.bitsChanged;
 #ifdef IADM_SANITIZE_BUILD
@@ -150,6 +160,24 @@ compactRoute(const topo::IadmTopology &topo, const Faults &faults,
     return res;
 }
 
+template <class Faults>
+std::optional<TsdtTag>
+fromSwitch(const topo::IadmTopology &topo, const Faults &faults,
+           unsigned stage, Label j, const TsdtTag &tag)
+{
+    const unsigned n = topo.stages();
+    IADM_ASSERT(stage < n, "rerouteFromSwitch past the last stage");
+    IADM_ASSERT(((j ^ tag.destination()) & lowMask(stage)) == 0,
+                "switch ", j, " is not on a path to ",
+                tag.destination(), " at stage ", stage);
+    RerouteWork work;
+    TsdtTag out = tag;
+    TsdtPath path;
+    if (!rerouteKernel(faults, n, stage, j, out, work, path, nullptr))
+        return std::nullopt;
+    return out;
+}
+
 } // namespace
 
 RerouteResult
@@ -159,8 +187,8 @@ reroute(const topo::IadmTopology &topo, const fault::FaultSet &faults,
     RerouteResult res;
     TsdtTag tag = initial;
     TsdtPath path;
-    res.ok = rerouteKernel(faults, topo.stages(), src, tag, res, path,
-                           observer);
+    res.ok = rerouteKernel(faults, topo.stages(), 0, src, tag, res,
+                           path, observer);
     res.tag = tag;
     res.path = tsdtTrace(src, tag, topo.size());
     return res;
@@ -197,8 +225,14 @@ auditRoute([[maybe_unused]] const CompactRoute &got,
 {
 #ifdef IADM_SANITIZE_BUILD
     // Allocation-free like the fills it audits, so sanitize builds
-    // keep step()'s no-allocation guarantee.
+    // keep step()'s no-allocation guarantee.  Silent too: a trace
+    // bridge parked for the audited fill must not record its
+    // repairs twice.
+    obs::RouteTraceContext &ctx = obs::routeTraceContext();
+    obs::TraceSink *const sink = ctx.sink;
+    ctx.sink = nullptr;
     const CompactRoute fresh = compactRoute(topo, faults, src, dest);
+    ctx.sink = sink;
     IADM_ASSERT(fresh.ok == got.ok, "route diverged (ok) for ", src,
                 "->", dest);
     IADM_ASSERT(fresh.tag == got.tag, "route diverged (tag) for ", src,
@@ -242,54 +276,15 @@ rerouteFromSwitch(const topo::IadmTopology &topo,
                   const fault::FaultSet &faults, unsigned stage,
                   Label j, const TsdtTag &tag)
 {
-    const unsigned n = topo.stages();
-    IADM_ASSERT(stage < n, "rerouteFromSwitch past the last stage");
-    TsdtTag out = tag;
+    return fromSwitch(topo, faults, stage, j, tag);
+}
 
-    // Dead-end memo over (stage, switch): whether a blockage-free
-    // continuation exists from a switch is independent of how the
-    // DFS reached it, so each pair is expanded at most once.
-    std::unordered_set<std::uint64_t> dead;
-    const auto key = [&](unsigned i, Label sw) {
-        return static_cast<std::uint64_t>(i) * topo.size() + sw;
-    };
-
-    const auto dfs = [&](auto &&self, unsigned i, Label sw) -> bool {
-        if (i == n)
-            return true;
-        if (dead.count(key(i, sw)) != 0)
-            return false;
-        if (out.destBit(i) == bit(sw, i)) {
-            // Straight link forced (Theorem 3.3): the nonstraight
-            // links of this switch cannot appear on a path to the
-            // destination from here.
-            const topo::Link l = topo.straightLink(i, sw);
-            if (!faults.isBlocked(l) && self(self, i + 1, l.to))
-                return true;
-        } else {
-            // Try the link the current state bit selects first, so a
-            // clear continuation perturbs the tag minimally.
-            const unsigned preferred =
-                out.stateBit(i) == bit(sw, i) ? bit(sw, i)
-                                              : 1 - bit(sw, i);
-            for (const unsigned v : {preferred, 1 - preferred}) {
-                const topo::Link l = v == bit(sw, i)
-                                         ? topo.plusLink(i, sw)
-                                         : topo.minusLink(i, sw);
-                if (faults.isBlocked(l))
-                    continue;
-                out.setStateBit(i, v);
-                if (self(self, i + 1, l.to))
-                    return true;
-            }
-        }
-        dead.insert(key(i, sw));
-        return false;
-    };
-
-    if (!dfs(dfs, stage, j))
-        return std::nullopt;
-    return out;
+std::optional<TsdtTag>
+rerouteFromSwitch(const topo::IadmTopology &topo,
+                  const fault::FaultView &faults, unsigned stage,
+                  Label j, const TsdtTag &tag)
+{
+    return fromSwitch(topo, faults, stage, j, tag);
 }
 
 std::string

@@ -180,21 +180,27 @@ RerouteResult universalRoute(const topo::IadmTopology &topo,
  * This is the repair a stalled FIFO head needs when the blockage map
  * changed after its sender computed the tag: the packet cannot
  * revisit earlier stages, but any assignment of the remaining state
- * bits still delivers to tag.destination() (Theorem 3.1 — the
- * destination bits alone guarantee delivery), so the search space is
- * exactly the subtree of nonstraight choices ahead.  Straight links
- * are forced wherever b_i == j_i (Theorem 3.3): a blocked forced
- * link is a dead end.  Returns nullopt when every continuation is
- * blocked.
+ * bits still delivers to tag.destination() (Theorem 3.1).  It is
+ * REROUTE's own kernel started at (@p stage, @p j): the stages
+ * ahead form an IADM network of size N / 2^stage, and BACKTRACK
+ * never walks below @p stage.  Returns nullopt exactly when every
+ * continuation is blocked.  @p j must be a switch a path to the
+ * destination can reach at @p stage (its low @p stage bits equal
+ * the destination's).
  *
- * Cost: DFS over at most 2^(nonstraight stages ahead) branches with
- * dead-(stage, switch) memoization, so each (stage, switch) pair is
- * expanded once.  Cold path — called at most once per fault epoch
- * per stalled head.
+ * Cost: REROUTE's loop over the n - stage stages ahead, each repair
+ * one Corollary 4.1 flip (O(1)) or one BACKTRACK (Corollary 4.2's
+ * O(k), k the stages walked back); no heap allocation.
  */
 std::optional<TsdtTag>
 rerouteFromSwitch(const topo::IadmTopology &topo,
                   const fault::FaultSet &faults, unsigned stage,
+                  Label j, const TsdtTag &tag);
+
+/** The same repair over a refreshed bitset view: same answer. */
+std::optional<TsdtTag>
+rerouteFromSwitch(const topo::IadmTopology &topo,
+                  const fault::FaultView &faults, unsigned stage,
                   Label j, const TsdtTag &tag);
 
 /**

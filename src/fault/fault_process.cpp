@@ -222,4 +222,54 @@ BurstChurn::name() const
     return os.str();
 }
 
+// --- FaultSchedule --------------------------------------------------
+
+void
+FaultSchedule::addWindow(const topo::Link &link, std::uint64_t from,
+                         std::uint64_t until)
+{
+    IADM_ASSERT(from < until, "empty blockage interval");
+    // Drop the fired prefix, then insert each transition after every
+    // pending one of the same time: ties keep add order.
+    queue_.erase(queue_.begin(),
+                 queue_.begin() + static_cast<std::ptrdiff_t>(fired_));
+    fired_ = 0;
+    const auto before = [](std::uint64_t when, const Transition &x) {
+        return when < x.at;
+    };
+    for (const Transition &t :
+         {Transition{from, link, true}, Transition{until, link, false}})
+        queue_.insert(std::upper_bound(queue_.begin(), queue_.end(),
+                                       t.at, before),
+                      t);
+}
+
+std::uint64_t
+FaultSchedule::nextTransition() const
+{
+    return fired_ < queue_.size() ? queue_[fired_].at : kNever;
+}
+
+void
+FaultSchedule::runUntil(std::uint64_t now, FaultSet &faults,
+                        const Observer &obs)
+{
+    for (; fired_ < queue_.size() && queue_[fired_].at <= now;
+         ++fired_) {
+        const Transition &t = queue_[fired_];
+        if (t.down)
+            faults.blockLink(t.link);
+        else
+            faults.unblockLink(t.link);
+        if (obs)
+            obs(now, t.link, t.down);
+    }
+}
+
+std::string
+FaultSchedule::name() const
+{
+    return "schedule";
+}
+
 } // namespace iadm::fault

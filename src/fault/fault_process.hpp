@@ -8,13 +8,13 @@
  * seed-derived generator of such changes: it owns a private Rng and
  * a set of outstanding blockage claims on a FaultSet, fires
  * down/up transitions at deterministic cycle times, and composes
- * with static faults and transient windows through the FaultSet's
+ * with static faults and other processes through the FaultSet's
  * refcounted blockage model (its repairs release only its own
  * claims).
  *
  * Layering: fault/ sits below sim/, so cycle times are plain
- * std::uint64_t here; the simulator drives processes from its event
- * loop and forwards transitions to tracing/metrics via Observer.
+ * std::uint64_t here; the simulator drives processes from its fault
+ * clock and forwards transitions to tracing/metrics via Observer.
  */
 
 #ifndef IADM_FAULT_FAULT_PROCESS_HPP
@@ -164,6 +164,44 @@ class BurstChurn final : public FaultProcess
     Rng rng_;
     std::uint64_t nextStart_;
     std::vector<Burst> active_; //!< sorted by endsAt (FIFO: equal durations)
+};
+
+/**
+ * A fixed schedule of transient blockage windows.  Each window adds
+ * one down and one up transition; runUntil fires the due ones in
+ * (time, add order) order, reports each at the cycle passed to it
+ * (so a transition added for a cycle that already ran fires late,
+ * at the next call), and allocates nothing itself.
+ */
+class FaultSchedule final : public FaultProcess
+{
+  public:
+    /**
+     * Add one window: @p link takes one blockage claim at cycle
+     * @p from and releases it at cycle @p until (from < until).
+     */
+    void addWindow(const topo::Link &link, std::uint64_t from,
+                   std::uint64_t until);
+
+    /** Transitions not yet fired. */
+    std::size_t pending() const { return queue_.size() - fired_; }
+
+    std::uint64_t nextTransition() const override;
+    void runUntil(std::uint64_t now, FaultSet &faults,
+                  const Observer &obs) override;
+    std::string name() const override;
+
+  private:
+    struct Transition
+    {
+        std::uint64_t at;
+        topo::Link link;
+        bool down;
+    };
+
+    /** Sorted by time, ties in add order; [0, fired_) have fired. */
+    std::vector<Transition> queue_;
+    std::size_t fired_ = 0;
 };
 
 } // namespace iadm::fault

@@ -65,7 +65,6 @@
 #include "hw/switch_logic.hpp"
 
 // Packet-switched simulation
-#include "sim/event_queue.hpp"
 #include "sim/metrics.hpp"
 #include "sim/network_sim.hpp"
 #include "sim/packet.hpp"

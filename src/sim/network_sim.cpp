@@ -199,19 +199,12 @@ void
 NetworkSim::scheduleTransientBlockage(const topo::Link &link,
                                       Cycle from, Cycle until)
 {
-    IADM_ASSERT(from < until, "empty blockage interval");
     // Each window holds exactly one blockage claim: the restore
     // releases only this window's claim, so overlap with a static
     // fault, another window or a churn process composes instead of
     // clobbering (the FaultSet refcounts claims per link).
-    events_.schedule(from, [this, link] {
-        faults_.blockLink(link);
-        recordFaultTransition(now_, link, true);
-    });
-    events_.schedule(until, [this, link] {
-        faults_.unblockLink(link);
-        recordFaultTransition(now_, link, false);
-    });
+    windows_.addWindow(link, from, until);
+    churnNext_ = std::min<Cycle>(churnNext_, windows_.nextTransition());
 }
 
 void
@@ -236,7 +229,10 @@ NetworkSim::runChurn()
             p->runUntil(now_, faults_, obs);
         next = std::min<Cycle>(next, p->nextTransition());
     }
-    churnNext_ = next;
+    // Windows after churn: a cycle's churn transitions always apply
+    // before its windows.
+    windows_.runUntil(now_, faults_, obs);
+    churnNext_ = std::min<Cycle>(next, windows_.nextTransition());
 }
 
 void
@@ -623,7 +619,19 @@ NetworkSim::chooseLink(unsigned stage, Label j, Packet &p)
             return std::nullopt;
         p.lastEpoch = ep;
         const auto re =
+            core::rerouteFromSwitch(topo_, fview_, stage, j, p.tag);
+#ifdef IADM_SANITIZE_BUILD
+        // Audit the view's answer against the authoritative set, as
+        // auditRoute does for fills; allocation-free like the repair.
+        const auto by_set =
             core::rerouteFromSwitch(topo_, faults_, stage, j, p.tag);
+        IADM_ASSERT(by_set.has_value() == re.has_value(),
+                    "in-flight repair diverged (ok) at stage ", stage,
+                    " switch ", j);
+        IADM_ASSERT(!re || *by_set == *re,
+                    "in-flight repair diverged (tag) at stage ", stage,
+                    " switch ", j);
+#endif
         if (!re)
             return std::nullopt;
         metrics_.recordRecovery(
@@ -850,7 +858,7 @@ NetworkSim::advanceStageImpl(unsigned stage)
             continue; // one hop per packet per cycle
 
         // Disposition of a head whose REROUTE/BACKTRACK returned
-        // FAIL: in a dynamic environment (pending transients or an
+        // FAIL: in a dynamic environment (a pending window or an
         // attached churn process) the verdict only holds until the
         // fault map changes, so the packet parks and retries after
         // the next FaultSet::version() bump.  It is dropped outright
@@ -858,7 +866,7 @@ NetworkSim::advanceStageImpl(unsigned stage)
         // cfg_.maxPacketAge.
         [[maybe_unused]] const auto parkOrDrop = [&](Packet &h) {
             const bool dynamic_env =
-                events_.pending() != 0 || !churn_.empty();
+                windows_.pending() != 0 || !churn_.empty();
             const bool aged = cfg_.maxPacketAge != 0 &&
                               now_ - h.injected >= cfg_.maxPacketAge;
             if (dynamic_env && !aged) {
@@ -1245,7 +1253,6 @@ NetworkSim::step()
 {
     if (now_ >= churnNext_)
         runChurn();
-    events_.runUntil(now_);
     if (faults_.version() != faultsVersion_)
         refreshFaultView();
     inject();

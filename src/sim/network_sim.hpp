@@ -8,8 +8,8 @@
  * input column, and routing-scheme plug-ins (SSDT with and without
  * queue balancing, sender-computed TSDT, and the distance-tag
  * baseline of [9]) so the schemes can be compared under identical
- * traffic and blockage conditions.  Transient blockages can be
- * scheduled on the event calendar to model busy links.
+ * traffic and blockage conditions.  Transient blockage windows model
+ * busy links; they run on the same fault clock as churn processes.
  *
  * The hot path is flat (docs/PERF.md): link destinations come from
  * a precomputed LinkTable, blockage tests from a bitset FaultView
@@ -36,7 +36,6 @@
 #include "fault/fault_view.hpp"
 #include "obs/health.hpp"
 #include "obs/trace_sink.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/link_table.hpp"
 #include "sim/metrics.hpp"
 #include "sim/route_cache.hpp"
@@ -159,7 +158,8 @@ class NetworkSim
      * and comes back at @p until.  Blockages are refcounted claims
      * on the FaultSet, so overlapping windows (or overlap with a
      * static fault or a churn process) compose: the link stays
-     * blocked until the last claim is released.
+     * blocked until the last claim is released.  Windows fire
+     * after the cycle's churn transitions, in schedule order.
      */
     void scheduleTransientBlockage(const topo::Link &link, Cycle from,
                                    Cycle until);
@@ -167,7 +167,7 @@ class NetworkSim
     /**
      * Attach a fault-churn process (fault::FaultProcess): its
      * failure/repair transitions are applied at the start of each
-     * cycle they fall on, before scheduled events and injection.
+     * cycle they fall on, before transient windows and injection.
      * Transitions emit FaultDown/FaultUp trace events and bump the
      * sim.fault_downs/ups counters.  Multiple processes compose
      * through the refcounted blockage model.
@@ -176,9 +176,6 @@ class NetworkSim
 
     /** Number of attached churn processes. */
     std::size_t faultProcessCount() const { return churn_.size(); }
-
-    /** Access the calendar for custom scheduled events. */
-    EventQueue &events() { return events_; }
 
     /**
      * The fault-epoch route cache, or nullptr when the scheme does
@@ -235,7 +232,6 @@ class NetworkSim
     Cycle now_ = 0;
     std::uint64_t nextPacketId_ = 0;
     Metrics metrics_;
-    EventQueue events_;
     core::NetworkState ssdtState_;
     obs::TraceSink *trace_ = nullptr; //!< null = tracing disabled
 
@@ -248,9 +244,12 @@ class NetworkSim
 
     // --- fault churn (docs/SIMULATOR.md, "Fault lifecycle") -------
     std::vector<std::unique_ptr<fault::FaultProcess>> churn_;
+    /** Transient blockage windows; run after churn_ each cycle. */
+    fault::FaultSchedule windows_;
     /**
-     * Earliest pending churn transition; kNever with no processes
-     * attached, so a churn-free run pays one compare per cycle.
+     * Earliest pending churn or window transition; kNever with no
+     * process attached and no window pending, so a churn-free run
+     * pays one compare per cycle.
      */
     Cycle churnNext_ = fault::FaultProcess::kNever;
 
@@ -411,7 +410,7 @@ class NetworkSim
     /** Re-sync fview_ with faults_ (called when version() moves). */
     void refreshFaultView();
 
-    /** Drain due churn transitions; recomputes churnNext_. */
+    /** Apply due churn, then due windows; recomputes churnNext_. */
     void runChurn();
 
     /** Trace + metrics for one link transition (churn/transient). */

@@ -240,10 +240,10 @@ struct SweepOptions
     /**
      * Optional pre-run hook, called once per replicate after the
      * simulator is constructed and before warmup; use it to schedule
-     * transient blockages or other calendar events.  The Rng is
-     * derived from the replicate seed, so hooked sweeps stay
-     * deterministic as long as the hook uses only it.  Called
-     * concurrently from worker threads; must not touch shared state.
+     * transient blockages.  The Rng is derived from the replicate
+     * seed, so hooked sweeps stay deterministic as long as the hook
+     * uses only it.  Called concurrently from worker threads; must
+     * not touch shared state.
      */
     std::function<void(NetworkSim &, const SweepCell &, Rng &)>
         setup;

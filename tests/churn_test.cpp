@@ -3,7 +3,8 @@
  * Fault-churn and packet-lifecycle tests (the `robustness` suite).
  *
  * Covers the composable blockage model end to end: refcounted
- * transient windows that overlap static faults, seed-derived churn
+ * transient windows that overlap static faults, the window schedule
+ * and its place on the fault clock after churn, seed-derived churn
  * processes (Bernoulli / geometric / burst), the parked-packet
  * retry protocol for transiently-unroutable packets, the stall-age
  * cap with its drop-reason taxonomy, sender-scheme head-of-line
@@ -25,6 +26,7 @@
 #include <vector>
 
 #include "fault/fault_process.hpp"
+#include "obs/trace_sink.hpp"
 #include "perm/permutation.hpp"
 #include "sim/sweep.hpp"
 
@@ -83,6 +85,31 @@ TEST(Blockage, OverlappingTransientWindowsUnwindInOrder)
     EXPECT_TRUE(s.faults().isBlocked(link))
         << "inner window's restore unblocked the outer window";
     s.run(40); // past cycle 100
+    EXPECT_FALSE(s.faults().isBlocked(link));
+    EXPECT_TRUE(s.faults().empty());
+}
+
+TEST(Blockage, CollidingBlockageEventsFireInScheduleOrder)
+{
+    // Two transient blockages of the same link share cycle 10: the
+    // first window clears exactly when the second appears.  The
+    // monotonic sequence tie-break must replay them in schedule
+    // order (clear, then block) regardless of heap internals, so
+    // the link ends cycle 10 blocked — std::priority_queue alone is
+    // not stable for equal timestamps.
+    IadmTopology topo(16);
+    const auto link = topo.plusLink(1, 3);
+    SimConfig cfg;
+    cfg.netSize = 16;
+    cfg.injectionRate = 0.0;
+    NetworkSim s(cfg, uniform(16));
+    s.scheduleTransientBlockage(link, 5, 10);
+    s.scheduleTransientBlockage(link, 10, 20);
+    s.run(8);
+    EXPECT_TRUE(s.faults().isBlocked(link)); // first window active
+    s.run(3); // past cycle 10: clear fired, then re-block
+    EXPECT_TRUE(s.faults().isBlocked(link));
+    s.run(10); // past cycle 20
     EXPECT_FALSE(s.faults().isBlocked(link));
     EXPECT_TRUE(s.faults().empty());
 }
@@ -210,6 +237,157 @@ TEST(Churn, SimAppliesAndRepairsChurnFaults)
     // Lifecycle conservation, drops included.
     EXPECT_EQ(m.injected(),
               m.delivered() + m.dropped() + s.inFlight());
+}
+
+// --- transient windows on the fault clock ------------------------
+
+TEST(FaultSchedule, FiresInTimeOrder)
+{
+    IadmTopology topo(16);
+    const topo::Link a = topo.plusLink(0, 1);
+    const topo::Link b = topo.minusLink(1, 2);
+    const topo::Link c = topo.straightLink(2, 3);
+    fault::FaultSchedule sched;
+    sched.addWindow(c, 5, 9);
+    sched.addWindow(a, 1, 3);
+    sched.addWindow(b, 3, 7);
+    fault::FaultSet fs;
+    const auto [log, str] = driveProcess(sched, fs, 10);
+    const std::vector<Transition> want{
+        {1, a.key(), true},  {3, a.key(), false}, {3, b.key(), true},
+        {5, c.key(), true},  {7, b.key(), false}, {9, c.key(), false}};
+    EXPECT_EQ(log, want);
+    EXPECT_TRUE(fs.empty());
+}
+
+TEST(FaultSchedule, TiesFireInScheduleOrder)
+{
+    // A hundred windows open on one cycle and close on three, and a
+    // later-added window opens earlier and closes on the first of
+    // those: each group of equal times replays in add order.
+    IadmTopology topo(16);
+    const std::vector<topo::Link> links = topo.allLinks();
+    fault::FaultSchedule sched;
+    for (std::size_t i = 0; i < 100; ++i)
+        sched.addWindow(links[i], 7, 8 + i % 3);
+    sched.addWindow(links[100], 3, 8);
+    fault::FaultSet fs;
+    const auto [log, str] = driveProcess(sched, fs, 20);
+
+    std::vector<Transition> want{{3, links[100].key(), true}};
+    for (std::size_t i = 0; i < 100; ++i)
+        want.emplace_back(7, links[i].key(), true);
+    for (std::uint64_t t = 8; t <= 10; ++t) {
+        for (std::size_t i = 0; i < 100; ++i)
+            if (8 + i % 3 == t)
+                want.emplace_back(t, links[i].key(), false);
+        if (t == 8)
+            want.emplace_back(8, links[100].key(), false);
+    }
+    EXPECT_EQ(log, want);
+    EXPECT_TRUE(fs.empty());
+}
+
+TEST(FaultSchedule, NextTransitionIsNeverOnceDrained)
+{
+    IadmTopology topo(8);
+    fault::FaultSchedule sched;
+    EXPECT_EQ(sched.nextTransition(), fault::FaultProcess::kNever);
+    sched.addWindow(topo.plusLink(0, 1), 4, 6);
+    EXPECT_EQ(sched.nextTransition(), 4u);
+    EXPECT_EQ(sched.pending(), 2u);
+    fault::FaultSet fs;
+    sched.runUntil(4, fs, nullptr);
+    EXPECT_EQ(sched.nextTransition(), 6u);
+    EXPECT_EQ(sched.pending(), 1u);
+    sched.runUntil(6, fs, nullptr);
+    EXPECT_EQ(sched.nextTransition(), fault::FaultProcess::kNever);
+    EXPECT_EQ(sched.pending(), 0u);
+    EXPECT_TRUE(fs.empty());
+}
+
+TEST(Blockage, WindowFromAtOrBeforeNowFiresOnNextStep)
+{
+    // Cycles 0..9 have run.  A window that should have opened at
+    // cycle 4 and one that opens at cycle 10 both open at the start
+    // of the next step, stamped with its cycle, 10.
+    IadmTopology topo(16);
+    const topo::Link late = topo.plusLink(1, 3);
+    const topo::Link due = topo.minusLink(2, 5);
+    SimConfig cfg;
+    cfg.netSize = 16;
+    cfg.injectionRate = 0.0;
+    NetworkSim s(cfg, uniform(16));
+    obs::TraceSink sink(64);
+    s.setTraceSink(&sink);
+    s.run(10);
+    s.scheduleTransientBlockage(late, 4, 30);
+    s.scheduleTransientBlockage(due, 10, 30);
+    EXPECT_FALSE(s.faults().isBlocked(late));
+    s.step();
+    EXPECT_TRUE(s.faults().isBlocked(late));
+    EXPECT_TRUE(s.faults().isBlocked(due));
+    EXPECT_EQ(s.metrics().faultDowns(), 2u);
+
+    // The stamp, at the schedule itself and, with the hooks compiled
+    // in, in the simulator's trace.
+    fault::FaultSchedule sched;
+    sched.addWindow(late, 4, 30);
+    fault::FaultSet fs;
+    std::vector<Transition> log;
+    sched.runUntil(10, fs,
+                   [&](std::uint64_t cycle, const topo::Link &l,
+                       bool down) {
+                       log.emplace_back(cycle, l.key(), down);
+                   });
+    EXPECT_EQ(log, (std::vector<Transition>{{10, late.key(), true}}));
+    if (obs::traceCompiledIn()) {
+        const std::vector<obs::TraceEvent> ev = sink.snapshot();
+        ASSERT_EQ(ev.size(), 2u);
+        for (const obs::TraceEvent &e : ev) {
+            EXPECT_EQ(e.kind, obs::EventKind::FaultDown);
+            EXPECT_EQ(e.cycle, 10u);
+        }
+        EXPECT_EQ(ev[0].sw, late.from);
+        EXPECT_EQ(ev[1].sw, due.from);
+    }
+}
+
+TEST(Blockage, ChurnTransitionsRecordBeforeWindowsOnTheSameCycle)
+{
+    // A burst and a window share cycles 5 (down) and 9 (up).  The
+    // window is scheduled before the churn process is attached, yet
+    // on each cycle the trace records the burst's transitions first:
+    // churn runs before windows.
+    if (!obs::traceCompiledIn())
+        GTEST_SKIP() << "needs IADM_TRACE hooks";
+    IadmTopology topo(16);
+    const topo::Link windowed = topo.minusLink(1, 2);
+    SimConfig cfg;
+    cfg.netSize = 16;
+    cfg.injectionRate = 0.0;
+    NetworkSim s(cfg, uniform(16));
+    obs::TraceSink sink(64);
+    s.setTraceSink(&sink);
+    s.scheduleTransientBlockage(windowed, 5, 9);
+    s.addFaultProcess(
+        std::make_unique<fault::BurstChurn>(topo, 5, 4, 1, 3));
+    s.run(10); // cycles 0..9: the second burst starts at 10
+    const std::vector<obs::TraceEvent> ev = sink.snapshot();
+    ASSERT_EQ(ev.size(), 8u); // three burst links and the window, twice
+    for (std::size_t i = 0; i < ev.size(); ++i) {
+        const bool down = i < 4;
+        EXPECT_EQ(ev[i].cycle, down ? 5u : 9u) << "event " << i;
+        EXPECT_EQ(ev[i].kind, down ? obs::EventKind::FaultDown
+                                   : obs::EventKind::FaultUp)
+            << "event " << i;
+    }
+    for (const std::size_t last : {std::size_t{3}, std::size_t{7}}) {
+        EXPECT_EQ(ev[last].stage, windowed.stage);
+        EXPECT_EQ(ev[last].sw, windowed.from);
+        EXPECT_EQ(ev[last].link,
+                  static_cast<std::uint8_t>(windowed.kind));
+    }
 }
 
 // --- packet lifecycle: park / retry / expire ----------------------

@@ -51,6 +51,40 @@ TEST(Oracle, FoundPathIsValidAndClear)
     }
 }
 
+TEST(Oracle, StartStageSearchesOnlyTheContinuation)
+{
+    // Every switch on a clear path can still reach the destination
+    // from its own stage, and the continuation found from there is
+    // a valid path whose links from that stage on are clear.  Below
+    // the start stage the result holds the start switch on straight
+    // links, which the search never looks at: blocking one of them
+    // changes nothing.
+    IadmTopology topo(16);
+    Rng rng(9);
+    for (int trial = 0; trial < 200; ++trial) {
+        auto faults = fault::randomLinkFaults(topo, 12, rng);
+        const auto s = static_cast<Label>(rng.uniform(16));
+        const auto d = static_cast<Label>(rng.uniform(16));
+        const auto full = oracleFindPath(topo, faults, s, d);
+        if (!full)
+            continue;
+        for (unsigned stage = 1; stage <= topo.stages(); ++stage) {
+            const Label j = full->switchAt(stage);
+            faults.blockLink(topo.straightLink(stage - 1, j));
+            const auto p = oracleFindPath(topo, faults, j, d, stage);
+            faults.unblockLink(topo.straightLink(stage - 1, j));
+            ASSERT_TRUE(p) << "stage " << stage << " switch " << j;
+            p->validate(topo);
+            EXPECT_EQ(p->switchAt(stage), j);
+            EXPECT_EQ(p->destination(), d);
+            for (unsigned i = 0; i < stage; ++i)
+                EXPECT_EQ(p->kindAt(i), topo::LinkKind::Straight);
+            for (unsigned i = stage; i < topo.stages(); ++i)
+                EXPECT_FALSE(faults.isBlocked(p->linkAt(i)));
+        }
+    }
+}
+
 TEST(Oracle, Figure7HasFourPaths)
 {
     // Figure 7: all routing paths from 1 to 0 in an N=8 IADM

@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "core/oracle.hpp"
@@ -208,6 +210,123 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<Label, std::size_t>{1024, 112},
                       // Dense: FAIL is common.
                       std::pair<Label, std::size_t>{64, 400}));
+
+/**
+ * The repair REROUTE makes from switch @p j of stage @p stage when
+ * every blockage ahead on @p tag's path is a single nonstraight one:
+ * Corollary 4.1 flips alone, stage by stage.  nullopt when some
+ * blockage ahead is straight or double-nonstraight, which REROUTE
+ * hands to BACKTRACK.
+ */
+std::optional<core::TsdtTag>
+flipsAlone(const IadmTopology &topo, const FaultSet &faults,
+           unsigned stage, Label j, core::TsdtTag tag)
+{
+    for (unsigned i = stage; i < topo.stages(); ++i) {
+        const topo::LinkKind kind = core::tsdtLinkKind(j, i, tag);
+        if (faults.isBlocked(i, j, kind)) {
+            if (kind == topo::LinkKind::Straight ||
+                faults.isBlocked(i, j, topo::oppositeKind(kind)))
+                return std::nullopt;
+            tag.flipStateBit(i);
+        }
+        j = core::tsdtNext(j, i, tag, topo.size());
+    }
+    return tag;
+}
+
+class RerouteFromSwitchP
+    : public ::testing::TestWithParam<std::pair<Label, std::size_t>>
+{
+};
+
+TEST_P(RerouteFromSwitchP, MatchesOracleFromMidPath)
+{
+    // The simulator's in-flight repair: a packet at switch j of
+    // stage `stage` on its tag's path finds the tag's own link there
+    // blocked.  REROUTE started at (stage, j) must succeed exactly
+    // when the oracle finds a continuation from there, in both
+    // instantiations, keep the bits the packet has already spent,
+    // and return a blockage-free continuation to the destination.
+    const auto [n_size, fault_count] = GetParam();
+    const IadmTopology topo(n_size);
+    const unsigned n = topo.stages();
+    fault::FaultView view(n, n_size);
+    Rng rng(2000 + n_size * 7 + fault_count);
+    std::array<unsigned, 4> seen{};
+    for (int trial = 0; trial < 200; ++trial) {
+        const FaultSet fs =
+            fault::randomLinkFaults(topo, fault_count, rng);
+        view.refresh(fs);
+        for (int sample = 0; sample < 8; ++sample) {
+            const auto s = static_cast<Label>(rng.uniform(n_size));
+            const auto d = static_cast<Label>(rng.uniform(n_size));
+            const core::TsdtTag tag(
+                n, d, static_cast<Label>(rng.uniform(n_size)));
+            // The stages where the tag's own link is blocked, with
+            // the tag's switch there; start at a random one.
+            std::vector<std::pair<unsigned, Label>> blocked;
+            Label j = s;
+            for (unsigned i = 0; i < n; ++i) {
+                if (fs.isBlocked(i, j, core::tsdtLinkKind(j, i, tag)))
+                    blocked.emplace_back(i, j);
+                j = core::tsdtNext(j, i, tag, n_size);
+            }
+            if (blocked.empty())
+                continue;
+            const auto [stage, at] =
+                blocked[rng.uniform(blocked.size())];
+
+            const auto by_set =
+                core::rerouteFromSwitch(topo, fs, stage, at, tag);
+            const auto by_view =
+                core::rerouteFromSwitch(topo, view, stage, at, tag);
+            const bool reachable =
+                oracleReachable(topo, fs, at, d, stage);
+            ASSERT_EQ(by_set.has_value(), reachable)
+                << "N=" << n_size << " stage=" << stage
+                << " switch=" << at << " tag=" << tag.str()
+                << " faults=" << fs.str();
+            ASSERT_EQ(by_view.has_value(), by_set.has_value());
+            if (!by_set) {
+                ++seen[static_cast<std::size_t>(Outcome::Fail)];
+                continue;
+            }
+            EXPECT_EQ(*by_view, *by_set);
+            EXPECT_EQ(by_set->destination(), d);
+            EXPECT_EQ((by_set->stateBits() ^ tag.stateBits()) &
+                          lowMask(stage),
+                      0u)
+                << "a state bit the packet spent was rewritten";
+            Label k = at;
+            for (unsigned i = stage; i < n; ++i) {
+                EXPECT_FALSE(fs.isBlocked(
+                    i, k, core::tsdtLinkKind(k, i, *by_set)))
+                    << "continuation blocked at stage " << i;
+                k = core::tsdtNext(k, i, *by_set, n_size);
+            }
+            EXPECT_EQ(k, d);
+            // REROUTE repairs single nonstraight blockages with
+            // Corollary 4.1 alone, in stage order.
+            const auto flips = flipsAlone(topo, fs, stage, at, tag);
+            if (flips)
+                EXPECT_EQ(*by_set, *flips);
+            ++seen[static_cast<std::size_t>(
+                flips ? Outcome::Corollary41 : Outcome::Backtrack)];
+        }
+    }
+    EXPECT_GT(seen[1], 0u) << "no Corollary 4.1 repair";
+    EXPECT_GT(seen[2], 0u) << "no BACKTRACK repair";
+    EXPECT_GT(seen[3], 0u) << "no FAIL";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, RerouteFromSwitchP,
+    ::testing::Values(std::pair<Label, std::size_t>{8, 28},
+                      std::pair<Label, std::size_t>{16, 30},
+                      std::pair<Label, std::size_t>{64, 150},
+                      std::pair<Label, std::size_t>{256, 800},
+                      std::pair<Label, std::size_t>{1024, 3000}));
 
 TEST(Reroute, SwitchBlockages)
 {

@@ -2,13 +2,12 @@
  * @file
  * Packet simulator tests: conservation, delivery correctness,
  * scheme behavior under faults and congestion, transient blockage
- * events and the metrics machinery.
+ * windows and the metrics machinery.
  */
 
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <functional>
 #include <new>
 
 #include <gtest/gtest.h>
@@ -16,7 +15,6 @@
 #include "common/rng.hpp"
 #include "core/reroute.hpp"
 #include "fault/injection.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/network_sim.hpp"
 #include "sim/scenario.hpp"
 #include "topology/iadm.hpp"
@@ -77,114 +75,6 @@ std::unique_ptr<TrafficPattern>
 uniform(Label n)
 {
     return std::make_unique<UniformTraffic>(n);
-}
-
-TEST(EventQueue, FiresInTimeOrder)
-{
-    EventQueue q;
-    std::vector<int> fired;
-    q.schedule(5, [&] { fired.push_back(5); });
-    q.schedule(1, [&] { fired.push_back(1); });
-    q.schedule(3, [&] { fired.push_back(3); });
-    q.runUntil(2);
-    EXPECT_EQ(fired, (std::vector<int>{1}));
-    q.runUntil(10);
-    EXPECT_EQ(fired, (std::vector<int>{1, 3, 5}));
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, FifoTieBreak)
-{
-    EventQueue q;
-    std::vector<int> fired;
-    q.schedule(2, [&] { fired.push_back(1); });
-    q.schedule(2, [&] { fired.push_back(2); });
-    q.schedule(2, [&] { fired.push_back(3); });
-    q.runUntil(2);
-    EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventQueue, CollidingBlockageEventsFireInScheduleOrder)
-{
-    // Two transient blockages of the same link share cycle 10: the
-    // first window clears exactly when the second appears.  The
-    // monotonic sequence tie-break must replay them in schedule
-    // order (clear, then block) regardless of heap internals, so
-    // the link ends cycle 10 blocked — std::priority_queue alone is
-    // not stable for equal timestamps.
-    IadmTopology topo(16);
-    const auto link = topo.plusLink(1, 3);
-    SimConfig cfg;
-    cfg.netSize = 16;
-    cfg.injectionRate = 0.0;
-    NetworkSim s(cfg, uniform(16));
-    s.scheduleTransientBlockage(link, 5, 10);
-    s.scheduleTransientBlockage(link, 10, 20);
-    s.run(8);
-    EXPECT_TRUE(s.faults().isBlocked(link)); // first window active
-    s.run(3); // past cycle 10: clear fired, then re-block
-    EXPECT_TRUE(s.faults().isBlocked(link));
-    s.run(10); // past cycle 20
-    EXPECT_FALSE(s.faults().isBlocked(link));
-    EXPECT_TRUE(s.faults().empty());
-}
-
-TEST(EventQueue, ManyCollidingCallbacksStayFifo)
-{
-    EventQueue q;
-    std::vector<int> fired;
-    for (int i = 0; i < 100; ++i)
-        q.schedule(7, [&fired, i] { fired.push_back(i); });
-    q.schedule(3, [&fired] { fired.push_back(-1); });
-    q.runUntil(7);
-    ASSERT_EQ(fired.size(), 101u);
-    EXPECT_EQ(fired.front(), -1);
-    for (int i = 0; i < 100; ++i)
-        EXPECT_EQ(fired[static_cast<std::size_t>(i) + 1], i);
-}
-
-TEST(EventQueue, NextTime)
-{
-    EventQueue q;
-    q.schedule(7, [] {});
-    EXPECT_EQ(q.nextTime(), 7u);
-    EXPECT_EQ(q.pending(), 1u);
-}
-
-TEST(EventQueue, CallbackSchedulingAtOrBeforeNowFiresInSameCall)
-{
-    // Reentrancy regression: a callback that schedules another
-    // event at a time <= now must fire within the same runUntil
-    // call, in time order with FIFO tie-break against events that
-    // were already pending.
-    EventQueue q;
-    std::vector<int> fired;
-    q.schedule(5, [&] {
-        fired.push_back(1);
-        q.schedule(5, [&] { fired.push_back(3); });
-        q.schedule(4, [&] { fired.push_back(4); });
-    });
-    q.schedule(5, [&] { fired.push_back(2); });
-    q.runUntil(5);
-    EXPECT_TRUE(q.empty());
-    // The time-4 latecomer outranks the pending time-5 events; the
-    // two time-5 events keep schedule order.
-    EXPECT_EQ(fired, (std::vector<int>{1, 4, 2, 3}));
-}
-
-TEST(EventQueue, ReentrantChainDrainsWithinOneCall)
-{
-    EventQueue q;
-    int fired = 0;
-    std::function<void()> chain = [&] {
-        ++fired;
-        if (fired < 5)
-            q.schedule(2, chain); // at now: must not be deferred
-    };
-    q.schedule(2, chain);
-    q.runUntil(2);
-    EXPECT_EQ(fired, 5);
-    EXPECT_TRUE(q.empty());
 }
 
 TEST(Packet, HotStructSizeIsPinned)
@@ -408,11 +298,7 @@ TEST(Sim, SteadyStateStepPerformsNoHeapAllocation)
     // precomputed table, paths in the packets, REROUTE's fills and
     // the dynamic scheme's BACKTRACK on stack paths, and a sharded
     // step dispatches its fill + build blocks without wrapping them
-    // in a heap-backed callable.  (The
-    // cold-path exceptions are rerouteFromSwitch's dead-end set,
-    // which a sender-routed head runs only after the fault map moves
-    // under it, and the event calendar's callbacks; static faults
-    // run neither.)
+    // in a heap-backed callable.
     for (const unsigned shards : {1u, 4u}) {
         for (const auto scheme :
              {RoutingScheme::SsdtStatic, RoutingScheme::SsdtBalanced,
@@ -490,6 +376,73 @@ TEST(Sim, SteadyStateStepPerformsNoHeapAllocation)
                     << "no BACKTRACK inside the measured window";
             }
         }
+    }
+
+    // Transient windows stacked on the statically blocked straight
+    // links: their claims only move refcounts, and every down and up
+    // fires inside the measured window.
+    for (const unsigned shards : {1u, 4u}) {
+        SimConfig cfg;
+        cfg.netSize = kN;
+        cfg.scheme = RoutingScheme::TsdtSender;
+        cfg.injectionRate = 0.35;
+        cfg.shards = shards;
+        NetworkSim s(cfg, uniform(kN), faults);
+        for (const Label j : {5u, 77u, 130u, 201u}) {
+            const topo::Link link = topo.straightLink(2 + j % 5, j);
+            s.scheduleTransientBlockage(link, 210 + j % 7, 260 + j % 11);
+            s.scheduleTransientBlockage(link, 230, 290);
+        }
+        s.run(200);
+        const std::uint64_t downs0 = s.metrics().faultDowns();
+        const std::uint64_t ups0 = s.metrics().faultUps();
+        const std::uint64_t before = g_heapAllocs.load();
+        s.run(100);
+        EXPECT_EQ(g_heapAllocs.load(), before)
+            << "heap allocation in a step firing windows at " << shards
+            << " shards";
+        EXPECT_EQ(s.metrics().faultDowns() - downs0, 8u);
+        EXPECT_EQ(s.metrics().faultUps() - ups0, 8u);
+    }
+
+    // Churn plus fresh windows move the fault map under packets in
+    // flight, so sender heads repair their tags from the switch they
+    // stall at.  An ssdt twin sees the same fault trajectory and
+    // repairs nothing, so what both allocate is the FaultSet's hash
+    // node per newly blocked link (docs/PERF.md); the repairs and
+    // the windows add nothing on top.
+    for (const unsigned shards : {1u, 4u}) {
+        const RoutingScheme twins[2] = {RoutingScheme::TsdtSender,
+                                        RoutingScheme::SsdtStatic};
+        std::uint64_t allocs[2] = {};
+        std::uint64_t recovered = 0;
+        for (int t = 0; t < 2; ++t) {
+            SimConfig cfg;
+            cfg.netSize = kN;
+            cfg.scheme = twins[t];
+            cfg.injectionRate = 0.35;
+            cfg.shards = shards;
+            NetworkSim s(cfg, uniform(kN), faults);
+            s.addFaultProcess(std::make_unique<fault::GeometricChurn>(
+                topo, 300.0, 60.0, 17));
+            for (Label j = 0; j < 16; ++j)
+                s.scheduleTransientBlockage(
+                    topo.plusLink(j % 8, 16 * j + 3), 205 + 5 * j,
+                    240 + 3 * j);
+            s.run(200);
+            const std::uint64_t rec0 = s.metrics().recoveries();
+            const std::uint64_t before = g_heapAllocs.load();
+            s.run(100);
+            allocs[t] = g_heapAllocs.load() - before;
+            if (t == 0)
+                recovered = s.metrics().recoveries() - rec0;
+        }
+        EXPECT_EQ(allocs[0], allocs[1])
+            << "tsdt allocated beyond its ssdt twin's fault-set nodes "
+               "at "
+            << shards << " shards";
+        EXPECT_GT(recovered, 0u)
+            << "no in-flight repair inside the measured window";
     }
 }
 
