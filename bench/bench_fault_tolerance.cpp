@@ -149,9 +149,9 @@ BENCHMARK(BM_RerouteUncached)->Arg(0)->Arg(16)->Arg(64);
 
 /**
  * The same pair stream through the fault-epoch route cache: after
- * the first lap of 64 sources every resolution is a hit, so this
- * measures the steady-state replay cost a faulted simulation pays
- * per injected packet.
+ * the first lap of 64 sources every resolution is a hit — a clear
+ * pair's scan of the FaultSet, or a stored repair's replay — so
+ * this measures the steady-state cost of a cached resolution.
  */
 void
 BM_RerouteCached(benchmark::State &state)

@@ -46,8 +46,9 @@
  * "route_cache" field, so the document schema is unchanged).  The
  * cache is routing-neutral by construction, so the paired rungs
  * must agree on delivered/hops exactly — the binary fails if they
- * diverge — and the cycles/sec ratio is the speedup the compressed
- * 16-byte entries buy (docs/PERF.md quotes these numbers).
+ * diverge — and the cycles/sec ratio is what the cache buys over
+ * running REROUTE for every attempt (docs/PERF.md quotes these
+ * numbers).  Only faulted tsdt rungs have a cache to toggle.
  *
  * --shards S is the paired A/B for intra-simulation sharding:
  * every configuration runs serial (SimConfig::shards = 1) and again
@@ -70,8 +71,10 @@
  * the same binary.  --traffic takes any scenario spec
  * (sim/scenario.hpp, e.g. "transpose" or
  * "shape:bursty:16:64/dst:hotspot:0:0.2"), validated at every N
- * before anything runs; the report's "traffic" field is the spec's
- * canonical name.  The binary re-reads and schema-checks its own
+ * before anything runs; given more than once, the ladder runs once
+ * per spec.  Each config's "traffic" field is its spec's canonical
+ * name, and the report's top-level "traffic" field lists them all,
+ * comma-separated.  The binary re-reads and schema-checks its own
  * report before exiting, so a malformed document fails the run.
  */
 
@@ -111,12 +114,14 @@ struct Options
     bool healthOverhead = false;
     bool churnOverhead = false;
     unsigned shards = 0; //!< 0 = no paired sharding rungs
-    ScenarioSpec traffic; //!< uniform unless --traffic
+    std::vector<ScenarioSpec> traffics; //!< one per --traffic
+    ScenarioSpec traffic; //!< the ladder running now (uniform default)
     std::string out = "BENCH_hotpath.json";
 };
 
 struct ConfigResult
 {
+    std::string traffic; //!< canonical scenario name
     Label netSize;
     RoutingScheme scheme;
     Cycle cycles;
@@ -208,6 +213,7 @@ runConfig(Label n_size, RoutingScheme scheme, std::size_t fault_links,
     std::sort(stepNs.begin(), stepNs.end());
 
     ConfigResult r;
+    r.traffic = opt.traffic.name();
     r.netSize = n_size;
     r.scheme = scheme;
     r.cycles = opt.cycles;
@@ -244,12 +250,20 @@ writeReport(std::ostream &os, const Options &opt,
     w.value(iadm::bench::buildType());
     w.key("injection_rate");
     w.value(opt.rate);
+    std::string traffics;
+    for (const ScenarioSpec &t : opt.traffics) {
+        if (!traffics.empty())
+            traffics += ',';
+        traffics += t.name();
+    }
     w.key("traffic");
-    w.value(opt.traffic.name());
+    w.value(traffics);
     w.key("configs");
     w.beginArray();
     for (const auto &r : results) {
         w.beginObject();
+        w.key("traffic");
+        w.value(r.traffic);
         w.key("net_size");
         w.value(static_cast<std::uint64_t>(r.netSize));
         w.key("scheme");
@@ -381,7 +395,7 @@ parseArgs(int argc, char **argv, Options &opt)
                 const auto spec = ScenarioSpec::parse(v);
                 if (!spec)
                     return false;
-                opt.traffic = *spec;
+                opt.traffics.push_back(*spec);
             } else if (flag == "--out") {
                 const char *v = next();
                 if (!v)
@@ -416,15 +430,19 @@ main(int argc, char **argv)
                      "[--shards S] [--cache-pairs] [--out FILE]\n";
         return 2;
     }
+    if (opt.traffics.empty())
+        opt.traffics.push_back(ScenarioSpec{});
 
     const std::vector<Label> sizes =
         opt.netSize != 0 ? std::vector<Label>{opt.netSize}
                          : std::vector<Label>{64, 256, 1024};
-    for (const Label n_size : sizes) {
-        if (const auto err = opt.traffic.validate(n_size)) {
-            std::cerr << "bench_hotpath: invalid --traffic '"
-                      << opt.traffic.name() << "': " << *err << "\n";
-            return 2;
+    for (const ScenarioSpec &t : opt.traffics) {
+        for (const Label n_size : sizes) {
+            if (const auto err = t.validate(n_size)) {
+                std::cerr << "bench_hotpath: invalid --traffic '"
+                          << t.name() << "': " << *err << "\n";
+                return 2;
+            }
         }
     }
     const std::vector<RoutingScheme> schemes{
@@ -435,7 +453,10 @@ main(int argc, char **argv)
     std::vector<ConfigResult> results;
     std::cout << "  N  scheme         faults  cache   cycles/sec"
                  "      hops/sec    p50(ns)    p99(ns)\n";
-    for (const Label n_size : sizes) {
+    // One size ladder per traffic spec.
+    for (std::size_t k = 0; k < opt.traffics.size() * sizes.size(); ++k) {
+        opt.traffic = opt.traffics[k / sizes.size()];
+        const Label n_size = sizes[k % sizes.size()];
         // Default ladder: fault-free plus a size-proportional
         // faulted row (6 blockages per 64 nodes); --faults K pins
         // one row.

@@ -128,6 +128,36 @@ rerouteKernel(const Faults &faults, unsigned n, unsigned first,
                " iterations (src=", src, ", dest=", dest, ")");
 }
 
+/**
+ * REROUTE's step 1 on the initial tag alone: test each link of the
+ * all-state-C path from @p src and report whether none is blocked.
+ * When none is, the kernel above would stop at its first scan and
+ * return initialTag(n, dest) with no repair.
+ *
+ * In state C a nonstraight link sets bit i to d_i without a carry
+ * (+2^i iff j_i = 0), so the path is the ICube path: stage i's
+ * switch is d_{0/i-1} s_{i/n-1}.  Each stage's switch comes straight
+ * from (src, dest) rather than from tsdtStep() on the previous one,
+ * so the n tests do not wait on each other.
+ */
+template <class Faults>
+bool
+initialClear(const Faults &faults, unsigned n, Label src, Label dest)
+{
+    const Label diff = src ^ dest;
+    Label bit = 1; // 2^i, stepped rather than shifted by i
+    for (unsigned i = 0; i < n; ++i, bit <<= 1) {
+        const Label j = src ^ (diff & (bit - 1));
+        // tsdtKindOf(j, i, dest, 0), with j_i = s_i.
+        const unsigned ns = (diff & bit) != 0;
+        const unsigned minus = (src & bit) != 0;
+        const auto kind = static_cast<topo::LinkKind>(ns + (ns & minus));
+        if (faults.isBlocked(i, j, kind))
+            return false;
+    }
+    return true;
+}
+
 template <class Faults>
 CompactRoute
 compactRoute(const topo::IadmTopology &topo, const Faults &faults,
@@ -215,6 +245,20 @@ universalRouteCompact(const topo::IadmTopology &topo,
                       Label dest)
 {
     return compactRoute(topo, faults, src, dest);
+}
+
+bool
+initialPathClear(const topo::IadmTopology &topo,
+                 const fault::FaultSet &faults, Label src, Label dest)
+{
+    return initialClear(faults, topo.stages(), src, dest);
+}
+
+bool
+initialPathClear(const topo::IadmTopology &topo,
+                 const fault::FaultView &faults, Label src, Label dest)
+{
+    return initialClear(faults, topo.stages(), src, dest);
 }
 
 void

@@ -135,6 +135,24 @@ CompactRoute universalRouteCompact(const topo::IadmTopology &topo,
                                    Label src, Label dest);
 
 /**
+ * REROUTE's step 1 for the initial tag: true iff the all-state-C
+ * path from @p src to @p dest is blockage-free, in which case
+ * REROUTE returns initialTag(n, dest) with no repair (Theorem 3.1:
+ * the destination bits deliver in any switch state, so nothing
+ * else needs checking).  n blockage tests, no allocation.  The
+ * route cache runs it before every probe and stores only the pairs
+ * it rejects.
+ */
+bool initialPathClear(const topo::IadmTopology &topo,
+                      const fault::FaultSet &faults, Label src,
+                      Label dest);
+
+/** The same scan over a refreshed bitset view: same answer. */
+bool initialPathClear(const topo::IadmTopology &topo,
+                      const fault::FaultView &faults, Label src,
+                      Label dest);
+
+/**
  * IADM_SANITIZE audit of a route computed elsewhere (a view-based
  * fill, or a cached replay of one): re-runs REROUTE over the
  * authoritative @p faults and asserts that the ok bit, the tag, the

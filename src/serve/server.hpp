@@ -18,7 +18,7 @@
  * runs per request and step 4 flushes per response — the
  * one-request-at-a-time baseline bench_serve compares against.
  * The request work is identical either way; what batching amortizes
- * is the mutex/epoch pin, the cache-probe prefetch ladder, and —
+ * is the mutex/epoch pin and —
  * dominant on a real socket — the per-response write() syscall.
  */
 

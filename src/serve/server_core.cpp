@@ -12,17 +12,6 @@
 
 namespace iadm::serve {
 
-namespace {
-
-/** Requests the prefetch ladder applies to (cache-probing ops). */
-bool
-probesCache(const Request &r)
-{
-    return r.op == Request::Op::Route || r.op == Request::Op::Trace;
-}
-
-} // namespace
-
 ServerCore::ServerCore(const ServeConfig &cfg,
                        fault::FaultSet static_faults)
     : cfg_(cfg), topo_(cfg.netSize),
@@ -66,24 +55,7 @@ ServerCore::resolveBatch(const Request *reqs, std::size_t n,
     stats_.requests += n;
     stats_.maxBatch = std::max<std::uint64_t>(stats_.maxBatch, n);
 
-    // Slot-prefetch ladder over the batch's cache-probing requests,
-    // as NetworkSim::inject() runs one over a cycle's injection
-    // attempts: pull the probe line of request i+4 while request i
-    // resolves, so the per-probe DRAM miss overlaps the current
-    // resolution instead of stalling the next one.
-    const bool lad = cfg_.scheme == sim::RoutingScheme::TsdtSender &&
-                     !faults_.empty();
-    constexpr std::size_t kGuess = 4;
-    if (lad) {
-        for (std::size_t i = 0; i < n && i < kGuess; ++i)
-            if (probesCache(reqs[i]))
-                rcache_.prefetch(reqs[i].src, reqs[i].dst);
-    }
     for (std::size_t i = 0; i < n; ++i) {
-        if (lad && i + kGuess < n && probesCache(reqs[i + kGuess]))
-            rcache_.prefetch(reqs[i + kGuess].src,
-                             reqs[i + kGuess].dst);
-
         // The torn-snapshot invariant: between requests of one
         // batch the fault version may move only through this
         // batch's own inject/clear-fault handling (which repins).

@@ -13,9 +13,9 @@
  * over a real Unix socket.
  *
  * Batching is the perf core (docs/SERVING.md): a batch pins one
- * fault epoch, claims the serving mutex once, walks the route
- * cache with a slot-prefetch ladder (probe i+4 while resolving i;
- * NetworkSim::inject() prefetches the same way), and appends every
+ * fault epoch, claims the serving mutex once, resolves each tsdt
+ * request through the route cache (a clear initial path after n
+ * bit tests, a stored repair otherwise), and appends every
  * response to one output buffer the caller flushes with one write()
  * per connection.  One-at-a-time resolution (cfg.batching = false at
  * the server layer — the engine itself just sees batches of 1)
@@ -101,8 +101,10 @@ class ServerCore
         std::uint64_t requests = 0;
         std::uint64_t batches = 0;
         std::uint64_t maxBatch = 0;
-        std::uint64_t routeHits = 0;   //!< route-cache hits
-        std::uint64_t routeMisses = 0; //!< route-cache misses
+        /** Faulted tsdt resolutions with no REROUTE fill: clear
+         *  initial paths and replayed repairs. */
+        std::uint64_t routeHits = 0;
+        std::uint64_t routeMisses = 0; //!< REROUTE fills
         std::uint64_t unroutable = 0;  //!< FAIL verdicts served
         std::uint64_t errors = 0;      //!< error responses
         std::uint64_t epochTorn = 0;   //!< torn snapshots (must be 0)

@@ -26,22 +26,6 @@ fastTsdtKind(Label j, unsigned i, const core::TsdtTag &tag)
                                           : topo::LinkKind::Minus;
 }
 
-/**
- * Residency bound for the dynamic scheme's route-cache table: the
- * initial-tag fill it memoizes is so cheap (a handful of integer
- * ops since the compressed entry carries no explicit path) that the
- * cache only pays while the table itself stays cache-resident.  At
- * the 16-byte compressed entry size the unchanged 4 MiB bound holds
- * 4x the slots the 64-byte layout did — the full auto-sized table
- * of N <= 362 networks, vs N <= 181 before — so uniform dynamic
- * traffic keeps the cache on across the mid sizes that previously
- * fell off the residency cliff.  Beyond that the gate still turns
- * the cache off rather than shrink it: a 4x-oversubscribed table
- * evicts faster than it hits and loses to the ~10-load link-table
- * trace it replaces (measured at N=1024 — docs/PERF.md).
- */
-constexpr std::size_t kDynamicCacheMaxBytes = 4u << 20;
-
 /** @p capacity, or a fatal error when the arena cannot hold it. */
 std::size_t
 checkedQueueCapacity(std::size_t capacity)
@@ -124,11 +108,11 @@ NetworkSim::NetworkSim(const SimConfig &cfg,
         0);
     gated_ = traffic_->gated();
     feedback_ = traffic_->closedLoop();
-    // The route cache exists whenever the scheme resolves tags at
+    // The route cache exists whenever the scheme runs REROUTE at
     // injection and the packet path cache can hold a full path; the
     // config flag only governs whether it starts enabled, so the
     // uncached baseline is one setRouteCacheEnabled(true) away.
-    if (schemeResolvesTags(cfg.scheme) &&
+    if (cfg.scheme == RoutingScheme::TsdtSender &&
         topo_.stages() <= Packet::kMaxTracedStages) {
         rcache_ = RouteCache(cfg.netSize, cfg.routeCacheCapacity);
         rcacheEnabled_ = cfg.routeCache;
@@ -238,18 +222,12 @@ NetworkSim::runChurn()
 void
 NetworkSim::cachePath(Packet &p) const
 {
-    const unsigned n = ltab_.stages();
-    if (n > Packet::kMaxTracedStages) {
-        p.pathValid = false; // huge network: fall back to re-tracing
-        return;
-    }
-    Label j = p.src;
-    p.pathSw[0] = static_cast<std::uint16_t>(j);
-    for (unsigned i = 0; i < n; ++i) {
-        j = ltab_.to(i, j, fastTsdtKind(j, i, p.tag));
-        p.pathSw[i + 1] = static_cast<std::uint16_t>(j);
-    }
-    p.pathValid = true;
+    // The tag's state bits are the path (Lemma A1.1): decode them.
+    // Huge networks fall back to re-tracing on demand.
+    p.pathValid = ltab_.stages() <= Packet::kMaxTracedStages;
+    if (p.pathValid)
+        core::decodeDelta(p.src, p.tag.destination(), p.tag.stateBits(),
+                          ltab_.stages(), p.pathSw);
 }
 
 Label
@@ -264,22 +242,12 @@ NetworkSim::pathSwitchAt(const Packet &p, unsigned stage) const
 void
 NetworkSim::inject()
 {
-    // The batch's resolution mode.  Fault-free sender tags are the
-    // plain initial tags: cheaper to recompute than to probe for, so
-    // the cache sits this out.  The dynamic scheme's fill (an
-    // initial tag, decoded to a path only at packet construction) is
-    // almost as cheap, so memoizing it only pays while the table
-    // stays cache-resident (kDynamicCacheMaxBytes above; the
-    // compressed entries put the full auto-sized table of N <= 362
-    // under the bound).
+    // The batch's resolution mode.  Fault-free sender tags and
+    // every dynamic packet's tag are the plain initial tags, with
+    // nothing to search or store.
     Resolve mode = Resolve::InitialTag;
     if (cfg_.scheme == RoutingScheme::TsdtSender && !faults_.empty())
         mode = rcacheEnabled_ ? Resolve::Cached : Resolve::Reroute;
-    else if (cfg_.scheme == RoutingScheme::TsdtDynamic &&
-             rcacheEnabled_ &&
-             rcache_.capacity() * sizeof(RouteCache::Entry) <=
-                 kDynamicCacheMaxBytes)
-        mode = Resolve::CachedPath;
 
     // Draw phase: collect this cycle's injection attempts.  The RNG
     // draw order — gate, then chance, then destination pick, per
@@ -306,27 +274,18 @@ NetworkSim::inject()
     nextPacketId_ += cnt;
     const std::uint64_t version = faults_.version();
 
-    // Probe phase (serial): claim cache slots in attempt order, so
-    // the hit/miss/eviction sequence is the one-at-a-time sequence.
+    // Probe phase (serial): each attempt's clear-path scan, then a
+    // slot claim for the blocked ones, in attempt order, so the
+    // hit/miss/eviction sequence is the one-at-a-time sequence.
     // acquire() decides from header fields it sets itself, never
     // from a fill's payload, so every fill can wait for the next
-    // phase.  Each slot is prefetched four probes ahead.
+    // phase.
     probes_.clear();
-    if (mode == Resolve::Cached || mode == Resolve::CachedPath) {
-        const std::uint8_t content = mode == Resolve::Cached
-                                         ? RouteCache::Entry::kUniversal
-                                         : 0;
+    if (mode == Resolve::Cached) {
         const std::uint64_t evict0 = rcache_.stats().evictions;
-        constexpr std::size_t kAhead = 4;
-        for (std::size_t i = 0; i < cnt && i < kAhead; ++i)
-            rcache_.prefetch(attempts_[i].src, attempts_[i].dst);
-        for (std::size_t i = 0; i < cnt; ++i) {
-            if (i + kAhead < cnt)
-                rcache_.prefetch(attempts_[i + kAhead].src,
-                                 attempts_[i + kAhead].dst);
-            const InjectAttempt &at = attempts_[i];
+        for (const InjectAttempt &at : attempts_) {
             const auto [e, hit] =
-                rcache_.acquire(at.src, at.dst, version, content);
+                rcache_.acquire(topo_, fview_, at.src, at.dst, version);
             probes_.push_back({*e, hit ? nullptr : e});
             if (hit)
                 metrics_.recordRouteCacheHit();
@@ -353,9 +312,6 @@ NetworkSim::inject()
           case Resolve::Cached:
             return injectFillBuild<Resolve::Cached>(version, first_id,
                                                     lo, hi);
-          case Resolve::CachedPath:
-            return injectFillBuild<Resolve::CachedPath>(
-                version, first_id, lo, hi);
         }
     };
     if (pool_ != nullptr &&
@@ -435,10 +391,12 @@ NetworkSim::injectFillBuild(std::uint64_t version,
             ok = cr.ok;
             tag = cr.tag;
             reroutes = cr.reroutes;
-        } else if constexpr (M == Resolve::Cached) {
-            // Memoized REROUTE: one computation per (src, dst) per
-            // fault epoch, replayed (tag, reroute count and FAIL bit
-            // alike) for every later packet.
+        } else {
+            static_assert(M == Resolve::Cached);
+            // Memoized REROUTE: a clear pair's initial tag, or one
+            // repair per (src, dst) per fault epoch, replayed (tag,
+            // reroute count and FAIL bit alike) for every later
+            // packet.
             CacheProbe &pr = probes_[i];
             const bool hit = pr.claim == nullptr;
             if (hit) {
@@ -458,47 +416,6 @@ NetworkSim::injectFillBuild(std::uint64_t version,
             ok = pr.entry.ok();
             tag = pr.entry.tagFor(n);
             reroutes = pr.entry.reroutes;
-        } else {
-            static_assert(M == Resolve::CachedPath);
-            // Dynamic TSDT packets start from the initial tag; the
-            // cache memoizes the packet-embedded path trace that
-            // cachePath() would otherwise redo per packet.
-            CacheProbe &pr = probes_[i];
-            const bool hit = pr.claim == nullptr;
-            IADM_TRACE_EVENT(trace_,
-                             hit ? obs::EventKind::CacheHit
-                                 : obs::EventKind::CacheMiss,
-                             id, now_, 0, src, obs::TraceEvent::kNoLink,
-                             dst, dst, 0);
-            if (!hit) {
-                // The initial tag's all-state-C path: delta word 0.
-                pr.entry.delta = 0;
-                pr.entry.reroutes = 0;
-                pr.entry.flags |= RouteCache::Entry::kOk;
-            }
-            tag = pr.entry.tagFor(n);
-#ifdef IADM_SANITIZE_BUILD
-            if (hit) {
-                // Decode the hit and replay it against the link
-                // table — the cross-check that pins decodeDelta() to
-                // the simulator's own topology.
-                const core::TsdtTag fresh = core::initialTag(n, dst);
-                IADM_ASSERT(fresh == tag,
-                            "route cache hit diverged (tag) for ", src,
-                            "->", dst);
-                std::uint16_t chk[RouteCache::kMaxPathSw];
-                core::decodeDelta(src, dst, pr.entry.delta, n, chk);
-                Label jv = src;
-                for (unsigned st = 0; st <= n; ++st) {
-                    IADM_ASSERT(chk[st] == jv,
-                                "route cache hit diverged (path) for ",
-                                src, "->", dst, " at stage ", st);
-                    if (st < n)
-                        jv = ltab_.to(st, jv,
-                                      fastTsdtKind(jv, st, fresh));
-                }
-            }
-#endif
         }
         if (!ok) {
             at.outcome = InjectAttempt::Outcome::Unroutable;
@@ -539,18 +456,9 @@ NetworkSim::injectFillBuild(std::uint64_t version,
         p.hasTag = cfg_.scheme == RoutingScheme::TsdtSender;
         p.goingBack = false;
         p.undeliverable = false;
-        if constexpr (M == Resolve::CachedPath) {
-            // Expand the compressed delta straight into the packet's
-            // path buffer — the decode IS the fill (~n integer ops,
-            // no table loads; see core::decodeDelta).
-            core::decodeDelta(src, dst, probes_[i].entry.delta, n,
-                              p.pathSw);
-            p.pathValid = true;
-        } else {
-            p.pathValid = false;
-            if (cfg_.scheme == RoutingScheme::TsdtDynamic)
-                cachePath(p);
-        }
+        p.pathValid = false;
+        if (cfg_.scheme == RoutingScheme::TsdtDynamic)
+            cachePath(p); // decodeDelta(src, dst, 0): the C-state path
         queues_.pushHandle(q, at.handle);
         at.outcome = InjectAttempt::Outcome::Injected;
     }

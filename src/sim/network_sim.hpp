@@ -76,9 +76,10 @@ struct SimConfig
     bool crossbarSwitches = false; //!< Gamma semantics: accept up to 3
 
     /**
-     * Memoize injection-time route resolution in a fault-epoch
-     * RouteCache (tag-computing schemes only; see docs/PERF.md).
-     * Off recovers the uncached per-packet computation — routing
+     * Resolve faulted tsdt sender tags through a fault-epoch
+     * RouteCache (docs/PERF.md): a clear initial path is taken after
+     * n bit tests, and only REROUTE's repairs are stored and
+     * replayed.  Off runs REROUTE for every attempt — routing
      * results are identical either way, only speed differs.
      */
     bool routeCache = true;
@@ -178,8 +179,8 @@ class NetworkSim
     std::size_t faultProcessCount() const { return churn_.size(); }
 
     /**
-     * The fault-epoch route cache, or nullptr when the scheme does
-     * not resolve tags at injection (SSDT / distance-tag) or the
+     * The fault-epoch route cache, or nullptr when the scheme runs
+     * no REROUTE at injection (every scheme but tsdt) or the
      * network exceeds the packet path-cache size.  Exposed for
      * tests and tools; warming it never changes routing outcomes,
      * only hit rates.
@@ -302,7 +303,6 @@ class NetworkSim
         InitialTag, //!< initial tag, nothing to search
         Reroute,    //!< sender REROUTE per attempt (no cache)
         Cached,     //!< sender REROUTE through the route cache
-        CachedPath, //!< dynamic initial-tag path through the cache
     };
     /** One injection attempt, staged between the phases. */
     struct InjectAttempt
@@ -335,17 +335,9 @@ class NetworkSim
         RouteCache::Entry *claim = nullptr;
     };
     std::vector<InjectAttempt> attempts_; //!< scratch, size <= N
-    std::vector<CacheProbe> probes_;      //!< scratch, cached modes
+    std::vector<CacheProbe> probes_;      //!< scratch, cached mode
     /** Runs the fill + build blocks; null when serial. */
     std::unique_ptr<ShardPool> pool_;
-
-    /** True iff @p s resolves routing tags at injection time. */
-    static bool
-    schemeResolvesTags(RoutingScheme s)
-    {
-        return s == RoutingScheme::TsdtSender ||
-               s == RoutingScheme::TsdtDynamic;
-    }
 
     /** Draw, probe, fill + build and commit this cycle's attempts. */
     void inject();

@@ -1,6 +1,7 @@
 #include "sim/route_cache.hpp"
 
 #include <algorithm>
+#include <new>
 
 #include "common/logging.hpp"
 #include "obs/stats.hpp"
@@ -33,8 +34,12 @@ RouteCache::RouteCache(Label n_size, std::size_t capacity)
                 " does not fit — run with the cache disabled");
     if (capacity == 0)
         capacity = autoCapacity(n_size);
-    table_.assign(pow2At(capacity), Entry{});
-    mask_ = table_.size() - 1;
+    const std::size_t slots = pow2At(capacity);
+    table_.reset(
+        static_cast<Entry *>(std::calloc(slots, sizeof(Entry))));
+    if (!table_)
+        throw std::bad_alloc();
+    mask_ = slots - 1;
 }
 
 std::size_t
@@ -42,29 +47,57 @@ RouteCache::autoCapacity(Label n_size)
 {
     const std::size_t pairs =
         static_cast<std::size_t>(n_size) * n_size;
-    return std::min<std::size_t>(pairs * 2, std::size_t{1} << 20);
+    return std::min<std::size_t>(pairs * 2, std::size_t{1} << 16);
 }
 
 void
 RouteCache::clear()
 {
-    for (Entry &e : table_)
-        e.flags = 0;
+    for (std::size_t i = 0; i < capacity(); ++i)
+        table_[i].flags = 0;
 }
 
 std::size_t
 RouteCache::occupied() const
 {
     std::size_t live = 0;
-    for (const Entry &e : table_)
-        live += e.occupied();
+    for (std::size_t i = 0; i < capacity(); ++i)
+        live += table_[i].occupied();
     return live;
 }
 
 std::pair<RouteCache::Entry *, bool>
-RouteCache::acquire(Label src, Label dst, std::uint64_t version,
-                    std::uint8_t mode)
+RouteCache::acquire(const topo::IadmTopology &topo,
+                    const fault::FaultSet &faults, Label src,
+                    Label dst, std::uint64_t version)
 {
+    return probe(core::initialPathClear(topo, faults, src, dst), src,
+                 dst, version);
+}
+
+std::pair<RouteCache::Entry *, bool>
+RouteCache::acquire(const topo::IadmTopology &topo,
+                    const fault::FaultView &faults, Label src,
+                    Label dst, std::uint64_t version)
+{
+    return probe(core::initialPathClear(topo, faults, src, dst), src,
+                 dst, version);
+}
+
+std::pair<RouteCache::Entry *, bool>
+RouteCache::probe(bool path_clear, Label src, Label dst,
+                  std::uint64_t version)
+{
+    if (path_clear) {
+        // REROUTE would return the initial tag untouched (delta 0,
+        // no reroutes): answer with it and leave the table to the
+        // pairs that need a repair.
+        ++stats_.hits;
+        clear_ = {keyOf(src, dst), static_cast<std::uint32_t>(version),
+                  0, 0, Entry::kOk};
+        return {&clear_, true};
+    }
+
     // Entries hold 32-bit truncated stamps.  The full 64-bit stream
     // is monotone per owner, so the high word moves at most once per
     // 2^32 mutations; clearing the table there makes truncated
@@ -81,11 +114,10 @@ RouteCache::acquire(Label src, Label dst, std::uint64_t version,
     const std::size_t base = slotOf(src, dst);
 
     // One pass over the probe window: a current-version key match
-    // (of the same content mode) is a hit; otherwise remember the
-    // best slot to claim — the key's own (stale) slot if present,
-    // else the first vacant or stale slot.  Claims never leave
-    // holes (occupied slots stay occupied), so stopping the scan at
-    // a vacant slot is safe.
+    // is a hit; otherwise remember the best slot to claim — the
+    // key's own (stale) slot if present, else the first vacant or
+    // stale slot.  Claims never leave holes (occupied slots stay
+    // occupied), so stopping the scan at a vacant slot is safe.
     Entry *claim = nullptr;
     bool evicting = false;
     for (unsigned i = 0; i < kMaxProbe; ++i) {
@@ -96,14 +128,12 @@ RouteCache::acquire(Label src, Label dst, std::uint64_t version,
             break;
         }
         if (e.key == key) {
-            if (e.version == v32 &&
-                (e.flags & Entry::kUniversal) == mode) {
+            if (e.version == v32) {
                 ++stats_.hits;
                 return {&e, true};
             }
-            // The pair's previous-epoch (or other-mode) entry:
-            // always reuse it so a key never occupies two slots of
-            // the window.
+            // The pair's previous-epoch entry: always reuse it so a
+            // key never occupies two slots of the window.
             claim = &e;
             continue;
         }
@@ -121,13 +151,13 @@ RouteCache::acquire(Label src, Label dst, std::uint64_t version,
         ++stats_.evictions;
     claim->key = key;
     claim->version = v32;
-    claim->flags = Entry::kOccupied | mode;
+    claim->flags = Entry::kOccupied;
     return {claim, false};
 }
 
 namespace {
 
-/** Write REROUTE's outcome @p cr into a universal-mode entry. */
+/** Write REROUTE's outcome @p cr into a claimed entry. */
 void
 store(RouteCache::Entry &e, const core::CompactRoute &cr)
 {
@@ -181,7 +211,7 @@ RouteCache::resolveUniversal(const topo::IadmTopology &topo,
                              Label dst)
 {
     const auto [entry, hit] =
-        acquire(src, dst, faults.version(), Entry::kUniversal);
+        acquire(topo, faults, src, dst, faults.version());
     if (hit) {
         checkUniversalHit(*entry, topo, faults, src, dst);
         return {entry, true};
@@ -197,7 +227,7 @@ RouteCache::resolveUniversal(const topo::IadmTopology &topo,
                              Label dst)
 {
     const auto [entry, hit] =
-        acquire(src, dst, faults.version(), Entry::kUniversal);
+        acquire(topo, view, src, dst, faults.version());
     if (hit) {
         checkUniversalHit(*entry, topo, faults, src, dst);
         return {entry, true};
@@ -209,7 +239,7 @@ RouteCache::resolveUniversal(const topo::IadmTopology &topo,
 void
 RouteCache::exportStats(obs::StatsRegistry &reg) const
 {
-    reg.counter("route_cache.capacity", table_.size());
+    reg.counter("route_cache.capacity", capacity());
     reg.counter("route_cache.entry_bytes", sizeof(Entry));
     reg.counter("route_cache.occupancy", occupied());
     reg.counter("route_cache.hits", stats_.hits);

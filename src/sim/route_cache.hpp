@@ -1,15 +1,26 @@
 /**
  * @file
- * Fault-epoch route cache: memoized REROUTE outcomes keyed by
+ * Fault-epoch route cache: memoized REROUTE repairs keyed by
  * (source, destination) and stamped with the fault set's mutation
  * version.
  *
  * Algorithm REROUTE is a pure function of (topology, fault set,
  * src, dst), and a simulation's fault set changes only at injection
  * epochs (static scenarios never, transient blockages a handful of
- * times per run) — so the classic flow-cache move applies: compute
- * each pair's route once per fault epoch and replay the stored
- * outcome for every later packet of that epoch.
+ * times per run).  Most pairs need no search at all: REROUTE's
+ * step 1 proves a pair's initial tag (every switch in state C)
+ * blockage-free with n bit tests, and by Theorem 3.1 that tag
+ * delivers.  So every probe runs that scan first
+ * (core::initialPathClear), and a clear pair takes the initial tag
+ * without touching the table.  Only pairs whose initial path is
+ * blocked are looked up, and only their repairs are stored:
+ * Corollary 4.1 flips, BACKTRACK results and FAIL verdicts, the one
+ * part of a resolution that cannot be recomputed cheaply.
+ *
+ * A resolution that runs no REROUTE fill is a hit, whether its
+ * path was clear or a stored repair was replayed; a fill is a miss.
+ * Hits plus misses therefore count resolutions, in the simulator,
+ * the daemon and resolveUniversal()'s second result alike.
  *
  * An entry stores everything a replay needs in 16 bytes: the key,
  * the epoch stamp, the per-packet reroute count, a FAIL bit so
@@ -31,23 +42,22 @@
  * high word and clears itself whenever it moves (at most once per
  * 2^32 mutations), so truncated equality always implies full
  * equality.  The table is open-addressing with linear probing over
- * a bounded probe window — four entries per cache line now, so the
- * window spans 4 lines instead of 8 at double the associativity;
- * when the window is full of live entries the first-probed slot is
- * evicted — a wrong answer is impossible, an evicted pair is merely
- * recomputed.
+ * a bounded probe window of four cache lines; when the window is
+ * full of live entries the first-probed slot is evicted — a wrong
+ * answer is impossible, an evicted pair is merely recomputed.
  *
- * Under IADM_SANITIZE builds every hit, and every fill over a
- * FaultView, is cross-checked against REROUTE re-run over the
- * FaultSet (core::auditRoute).
+ * Under IADM_SANITIZE builds every hit (clear paths included), and
+ * every fill over a FaultView, is cross-checked against REROUTE
+ * re-run over the FaultSet (core::auditRoute).
  */
 
 #ifndef IADM_SIM_ROUTE_CACHE_HPP
 #define IADM_SIM_ROUTE_CACHE_HPP
 
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <utility>
-#include <vector>
 
 #include "core/reroute.hpp"
 #include "sim/packet.hpp"
@@ -83,19 +93,10 @@ class RouteCache
         std::uint32_t version = 0;  //!< truncated FaultSet::version()
         std::uint16_t delta = 0;    //!< final-tag state bits (path)
         std::uint16_t reroutes = 0; //!< Packet::reroutes to charge
-        std::uint8_t flags = 0;     //!< kOccupied | kOk | kUniversal
+        std::uint8_t flags = 0;     //!< kOccupied | kOk
 
         static constexpr std::uint8_t kOccupied = 1;
         static constexpr std::uint8_t kOk = 2; //!< FAIL bit inverse
-        /**
-         * Content mode: set when the entry holds a REROUTE
-         * (universalRoute) outcome, clear when it holds the
-         * initial-tag (all-state-C) route the dynamic scheme injects
-         * with.  Part of the match key — the two fills answer
-         * different questions for the same (src, dst), so a mode
-         * mismatch is a miss, never a wrong replay.
-         */
-        static constexpr std::uint8_t kUniversal = 8;
 
         bool occupied() const { return flags & kOccupied; }
         bool ok() const { return flags & kOk; }
@@ -111,10 +112,9 @@ class RouteCache
         Label srcLabel() const { return key >> 16; }
 
         /**
-         * Reconstruct the entry's final TsdtTag.  Valid because the
-         * destination bits of both content modes equal the key's dst
-         * (Theorem 3.1 for REROUTE outcomes, by construction for
-         * initial tags), so they need not be stored.
+         * Reconstruct the entry's final TsdtTag.  Valid because
+         * REROUTE never changes the destination bits (Theorem 3.1),
+         * so the key's dst stands in for them.
          */
         core::TsdtTag
         tagFor(unsigned n_stages) const
@@ -157,31 +157,42 @@ class RouteCache
     explicit RouteCache(Label n_size, std::size_t capacity = 0);
 
     /**
-     * Default sizing: two slots per (src, dst) pair, capped at 2^20
-     * entries (16 MiB at the compressed entry size — a quarter of
-     * the 64-byte layout's 64 MiB) so giant networks degrade to an
-     * eviction-bounded cache instead of exhausting memory.
+     * Default sizing: two slots per (src, dst) pair, capped at 2^16
+     * entries.  The table holds only repairs, a few percent of the
+     * pairs, so 1 MiB of 16-byte entries stays within L2 at every N.
      */
     static std::size_t autoCapacity(Label n_size);
 
     /**
-     * Look up (src, dst) under fault version @p version and content
-     * mode @p mode (Entry::kUniversal or 0) and claim a slot on
-     * miss.  Returns (entry, hit): on a hit the entry is valid and
-     * must not be written; on a miss it has key/version/mode set
-     * and is otherwise blank, and the caller must fill delta /
-     * reroutes and the kOk flag — in place before the next acquire,
-     * or through the batch discipline below.  Stats are updated.
+     * Probe (src, dst) under fault version @p version.  REROUTE's
+     * step 1 runs first (core::initialPathClear over @p faults): a
+     * clear pair is a hit answered by the initial tag, and no slot
+     * is touched — the entry returned is a scratch copy.  Otherwise
+     * the pair is looked up and a slot claimed on miss.  Returns
+     * (entry, hit): on a hit the entry is valid and must not be
+     * written; on a miss it has key/version set and is otherwise
+     * blank, and the caller must fill delta / reroutes and the kOk
+     * flag — in place before the next acquire, or through the batch
+     * discipline below.  Either entry may be overwritten by the next
+     * acquire.  Stats are updated.
      */
-    std::pair<Entry *, bool> acquire(Label src, Label dst,
-                                     std::uint64_t version,
-                                     std::uint8_t mode);
+    std::pair<Entry *, bool> acquire(const topo::IadmTopology &topo,
+                                     const fault::FaultSet &faults,
+                                     Label src, Label dst,
+                                     std::uint64_t version);
+
+    /** The same probe with the clear scan over a FaultView. */
+    std::pair<Entry *, bool> acquire(const topo::IadmTopology &topo,
+                                     const fault::FaultView &faults,
+                                     Label src, Label dst,
+                                     std::uint64_t version);
 
     /**
-     * Convenience resolution through universalRouteCompact(): probe,
-     * fill on miss, and (under IADM_SANITIZE builds) cross-check
-     * every hit (checkUniversalHit).  Returns (entry, hit); the
-     * entry is always filled (check ok()).
+     * Convenience resolution through universalRouteCompact(): probe
+     * (clear scan first), fill on miss, and (under IADM_SANITIZE
+     * builds) cross-check every hit (checkUniversalHit).  Returns
+     * (entry, hit); the entry is always filled (check ok()) and
+     * valid until the next probe.
      */
     std::pair<const Entry *, bool>
     resolveUniversal(const topo::IadmTopology &topo,
@@ -208,7 +219,7 @@ class RouteCache
     // mutate the table (claims, evictions) and stay serial to keep
     // the one-at-a-time hit/miss/eviction sequence, while fills are
     // the expensive part and may run on any thread.  Probe decisions
-    // read only the header fields (key/version/flags mode bit) that
+    // read only the header fields (key/version/flags) that
     // acquire() itself sets, never the payload a fill writes, so the
     // fills can wait.  The discipline: acquire() every attempt of
     // the batch in order and copy each returned entry out (a hit is
@@ -219,7 +230,7 @@ class RouteCache
     // leaves it.
 
     /**
-     * Fill a freshly acquire()d universal-mode entry from REROUTE
+     * Fill a freshly acquire()d entry from REROUTE
      * (universalRouteCompact).  A pure function of
      * (topo, faults, src, dst) writing only @p e's payload — safe to
      * run concurrently for distinct entries.
@@ -242,8 +253,9 @@ class RouteCache
                               Label src, Label dst);
 
     /**
-     * IADM_SANITIZE cross-check of a universal-mode hit (or a
-     * snapshot of one) against REROUTE re-run over @p faults
+     * IADM_SANITIZE cross-check of a hit (or a snapshot of one),
+     * clear-path answers included, against REROUTE re-run over
+     * @p faults
      * (core::auditRoute).  No-op in regular builds.  Read-only —
      * safe concurrently.
      */
@@ -252,14 +264,7 @@ class RouteCache
                                   const fault::FaultSet &faults,
                                   Label src, Label dst);
 
-    /** Hint the first probe slot of (src, dst) into cache. */
-    void
-    prefetch(Label src, Label dst) const
-    {
-        __builtin_prefetch(&table_[slotOf(src, dst)]);
-    }
-
-    std::size_t capacity() const { return table_.size(); }
+    std::size_t capacity() const { return table_ ? mask_ + 1 : 0; }
 
     /** Live entries (O(capacity) scan — stats-export cold path). */
     std::size_t occupied() const;
@@ -274,9 +279,19 @@ class RouteCache
     void clear();
 
   private:
-    std::vector<Entry> table_;
+    struct Free
+    {
+        void operator()(Entry *p) const { std::free(p); }
+    };
+    /**
+     * calloc'd, so pages stay untouched until a repair lands in
+     * them (Entry is an aggregate, and all-zero bytes are a vacant
+     * slot).
+     */
+    std::unique_ptr<Entry[], Free> table_;
     std::size_t mask_ = 0;
     Stats stats_;
+    Entry clear_; //!< the last clear pair's answer (acquire())
     /**
      * High word of the last version acquire() saw.  Entries store
      * 32-bit truncated stamps; whenever the high word moves the
@@ -290,6 +305,10 @@ class RouteCache
     {
         return Entry::packKey(src, dst);
     }
+
+    /** acquire() after the clear scan: the table probe itself. */
+    std::pair<Entry *, bool> probe(bool path_clear, Label src, Label dst,
+                                   std::uint64_t version);
 
     /** First probe slot of (src, dst): a splitmix64-mixed key. */
     std::size_t

@@ -2,6 +2,7 @@
  * @file
  * Fault-epoch route cache tests: probe/fill/invalidation mechanics,
  * FAIL-bit memoization, eviction behaviour under adversarial load,
+ * the clear-path scan that keeps unrepaired pairs out of the table,
  * and — the property everything rests on — that cache warm-up order
  * can never change what the simulator delivers.
  */
@@ -9,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -30,11 +33,26 @@ using namespace sim;
 using fault::FaultSet;
 using topo::IadmTopology;
 
+/** Every (src, dst) whose initial (all-state-C) path is blocked. */
+std::vector<std::pair<Label, Label>>
+blockedPairs(const IadmTopology &topo, const FaultSet &faults)
+{
+    std::vector<std::pair<Label, Label>> out;
+    for (Label s = 0; s < topo.size(); ++s)
+        for (Label d = 0; d < topo.size(); ++d)
+            if (!core::initialPathClear(topo, faults, s, d))
+                out.emplace_back(s, d);
+    return out;
+}
+
 TEST(RouteCache, MissThenHitThenEpochInvalidation)
 {
     const IadmTopology topo(16);
     FaultSet faults;
-    faults.blockLink(topo.plusLink(1, 3));
+    // 2 -> 9's initial path takes minus(1, 3); Corollary 4.1 repairs
+    // it, so the pair is stored.  (A clear pair never misses.)
+    faults.blockLink(topo.minusLink(1, 3));
+    ASSERT_FALSE(core::initialPathClear(topo, faults, 2, 9));
     RouteCache cache(16);
 
     const auto [e1, hit1] = cache.resolveUniversal(topo, faults, 2, 9);
@@ -83,12 +101,15 @@ TEST(RouteCache, CachedEntriesMatchFreshRerouteEverywhere)
     for (int round = 0; round < 2; ++round) {
         for (Label s = 0; s < 16; ++s) {
             for (Label d = 0; d < 16; ++d) {
+                // A clear pair hits from the first round on.
+                const bool clear =
+                    core::initialPathClear(topo, faults, s, d);
                 const auto [e, hit] =
                     cache.resolveUniversal(topo, faults, s, d);
-                EXPECT_EQ(hit, round == 1);
+                EXPECT_EQ(hit, round == 1 || clear);
                 const auto [v, vhit] =
                     by_view.resolveUniversal(topo, faults, view, s, d);
-                EXPECT_EQ(vhit, round == 1);
+                EXPECT_EQ(vhit, round == 1 || clear);
                 EXPECT_EQ(v->ok(), e->ok()) << s << "->" << d;
                 EXPECT_EQ(v->delta, e->delta) << s << "->" << d;
                 EXPECT_EQ(v->reroutes, e->reroutes) << s << "->" << d;
@@ -202,26 +223,25 @@ TEST(RouteCache, TruncatedVersionHighWordNeverAliases)
     // share a low word must never be confused: the table clears
     // itself when the high word moves.
     const IadmTopology topo(16);
+    FaultSet faults;
+    faults.blockLink(topo.straightLink(0, 3)); // 3 -> 11's first link
+    ASSERT_FALSE(core::initialPathClear(topo, faults, 3, 11));
     RouteCache cache(16);
     const std::uint64_t low = 7;
-    const auto [e1, hit1] =
-        cache.acquire(3, 11, low, RouteCache::Entry::kUniversal);
+    const auto [e1, hit1] = cache.acquire(topo, faults, 3, 11, low);
     EXPECT_FALSE(hit1);
     e1->flags |= RouteCache::Entry::kOk;
 
-    const auto [e2, hit2] =
-        cache.acquire(3, 11, low, RouteCache::Entry::kUniversal);
+    const auto [e2, hit2] = cache.acquire(topo, faults, 3, 11, low);
     EXPECT_TRUE(hit2);
 
     // Same low word, different high word: a stale entry under
     // truncation-blind matching, so it must miss.
     const std::uint64_t aliased = (std::uint64_t{1} << 32) | low;
-    const auto [e3, hit3] =
-        cache.acquire(3, 11, aliased, RouteCache::Entry::kUniversal);
+    const auto [e3, hit3] = cache.acquire(topo, faults, 3, 11, aliased);
     EXPECT_FALSE(hit3);
     e3->flags |= RouteCache::Entry::kOk;
-    const auto [e4, hit4] =
-        cache.acquire(3, 11, aliased, RouteCache::Entry::kUniversal);
+    const auto [e4, hit4] = cache.acquire(topo, faults, 3, 11, aliased);
     EXPECT_TRUE(hit4);
 }
 
@@ -252,12 +272,15 @@ TEST(RouteCache, FailOutcomesAreCachedToo)
 
 TEST(RouteCache, TinyCapacityEvictsButNeverLies)
 {
-    // A one-slot table is the adversarial extreme: every pair
-    // collides, every insert after the first evicts.  Answers must
-    // still be exactly the fresh REROUTE answers.
+    // A one-slot table is the adversarial extreme: every blocked
+    // pair collides, every insert after the first evicts.  Answers
+    // must still be exactly the fresh REROUTE answers.
     const IadmTopology topo(16);
     FaultSet faults;
-    faults.blockLink(topo.plusLink(1, 3));
+    faults.blockLink(topo.minusLink(1, 3));
+    faults.blockLink(topo.straightLink(2, 6));
+    const auto blocked = blockedPairs(topo, faults);
+    ASSERT_GT(blocked.size(), 1u);
     RouteCache cache(16, 1);
     ASSERT_EQ(cache.capacity(), 1u);
 
@@ -265,7 +288,7 @@ TEST(RouteCache, TinyCapacityEvictsButNeverLies)
         for (Label d = 0; d < 16; ++d) {
             const auto [e, hit] =
                 cache.resolveUniversal(topo, faults, s, d);
-            EXPECT_FALSE(hit);
+            EXPECT_EQ(hit, core::initialPathClear(topo, faults, s, d));
             const auto fresh =
                 core::universalRoute(topo, faults, s, d);
             ASSERT_EQ(e->ok(), fresh.ok);
@@ -274,32 +297,39 @@ TEST(RouteCache, TinyCapacityEvictsButNeverLies)
             }
         }
     }
-    EXPECT_EQ(cache.stats().hits, 0u);
-    EXPECT_EQ(cache.stats().misses, 256u);
-    // 256 misses into one slot: all but the very first claim evicted
-    // a live entry.
-    EXPECT_EQ(cache.stats().evictions, 255u);
+    EXPECT_EQ(cache.stats().hits, 256u - blocked.size());
+    EXPECT_EQ(cache.stats().misses, blocked.size());
+    // One miss per blocked pair into one slot: all but the very
+    // first claim evicted a live entry.
+    EXPECT_EQ(cache.stats().evictions, blocked.size() - 1);
 
-    // A repeated pair still hits while it survives.
+    // A repeated blocked pair still hits while it survives.
+    const auto [s_last, d_last] = blocked.back();
     const auto [e_last, hit_again] =
-        cache.resolveUniversal(topo, faults, 15, 15);
+        cache.resolveUniversal(topo, faults, s_last, d_last);
     EXPECT_TRUE(hit_again);
-    EXPECT_TRUE(e_last->ok());
+    EXPECT_EQ(e_last->ok(),
+              core::universalRoute(topo, faults, s_last, d_last).ok);
 }
 
 TEST(RouteCache, HighLoadFactorKeepsRepeatsHitting)
 {
     const IadmTopology topo(64);
     FaultSet faults;
-    faults.blockLink(topo.plusLink(2, 17));
-    // 4096 pairs into 256 slots: a 16x oversubscription.
+    // Every stage-1 plus link: the quarter of the pairs whose
+    // initial path takes one needs a Corollary 4.1 flip.
+    for (Label j = 0; j < 64; ++j)
+        faults.blockLink(topo.plusLink(1, j));
+    const std::size_t blocked = blockedPairs(topo, faults).size();
+    ASSERT_EQ(blocked, 1024u);
+    // 1024 repairs into 256 slots: a 4x oversubscription.
     RouteCache cache(64, 256);
 
     for (Label s = 0; s < 64; ++s)
         for (Label d = 0; d < 64; ++d)
             (void)cache.resolveUniversal(topo, faults, s, d);
     const auto first_pass = cache.stats();
-    EXPECT_EQ(first_pass.misses, 4096u);
+    EXPECT_EQ(first_pass.misses, blocked);
     EXPECT_GT(first_pass.evictions, 0u);
 
     // Re-resolving a pair immediately after its fill must hit: the
@@ -322,7 +352,8 @@ TEST(RouteCache, ClearDropsEntriesAndKeepsStats)
 {
     const IadmTopology topo(16);
     FaultSet faults;
-    faults.blockLink(topo.plusLink(0, 1));
+    faults.blockLink(topo.minusLink(0, 1)); // 1 -> 2's first link
+    ASSERT_FALSE(core::initialPathClear(topo, faults, 1, 2));
     RouteCache cache(16);
     (void)cache.resolveUniversal(topo, faults, 1, 2);
     (void)cache.resolveUniversal(topo, faults, 1, 2);
@@ -333,6 +364,103 @@ TEST(RouteCache, ClearDropsEntriesAndKeepsStats)
     EXPECT_FALSE(hit);
     EXPECT_TRUE(e_after->ok());
     EXPECT_EQ(cache.stats().hits, 1u); // preserved across clear()
+}
+
+/**
+ * Resolve each of @p pairs (distinct) once through both resolver
+ * overloads: every answer must equal REROUTE's, both overloads must
+ * count it alike, clear pairs must claim no slot, and the table
+ * must end up holding exactly the pairs whose initial path is
+ * blocked.
+ */
+void
+expectOnlyRepairsStored(const IadmTopology &topo, const FaultSet &faults,
+                        const std::vector<std::pair<Label, Label>> &pairs)
+{
+    fault::FaultView view(topo.stages(), topo.size());
+    view.refresh(faults);
+    RouteCache by_set(topo.size());
+    RouteCache by_view(topo.size());
+    RouteCache clear_only(topo.size());
+    std::size_t blocked = 0;
+    for (const auto &[s, d] : pairs) {
+        const bool clear = core::initialPathClear(topo, faults, s, d);
+        ASSERT_EQ(core::initialPathClear(topo, view, s, d), clear)
+            << s << "->" << d;
+        blocked += !clear;
+        const core::CompactRoute want =
+            core::universalRouteCompact(topo, faults, s, d);
+        // REROUTE's own trace agrees: clear iff it repaired nothing.
+        EXPECT_EQ(want.ok && want.reroutes == 0, clear)
+            << s << "->" << d;
+        const auto [e, hit] = by_set.resolveUniversal(topo, faults, s, d);
+        const auto [v, vhit] =
+            by_view.resolveUniversal(topo, faults, view, s, d);
+        EXPECT_EQ(hit, clear) << s << "->" << d;
+        EXPECT_EQ(vhit, hit) << s << "->" << d;
+        for (const RouteCache::Entry *got : {e, v}) {
+            EXPECT_EQ(got->ok(), want.ok) << s << "->" << d;
+            EXPECT_EQ(got->tagFor(topo.stages()), want.tag)
+                << s << "->" << d;
+            EXPECT_EQ(got->reroutes, want.reroutes) << s << "->" << d;
+        }
+        if (clear)
+            (void)clear_only.resolveUniversal(topo, faults, view, s, d);
+    }
+    ASSERT_GT(blocked, 0u);
+    ASSERT_LT(blocked, pairs.size());
+    for (const RouteCache *c : {&by_set, &by_view}) {
+        ASSERT_EQ(c->stats().evictions, 0u);
+        EXPECT_EQ(c->occupied(), blocked);
+        EXPECT_EQ(c->stats().misses, blocked);
+        EXPECT_EQ(c->stats().hits, pairs.size() - blocked);
+    }
+    EXPECT_EQ(clear_only.occupied(), 0u);
+    EXPECT_EQ(clear_only.stats().misses, 0u);
+}
+
+/** @p weight random link faults plus four random straight ones. */
+FaultSet
+faultsWithStraights(const IadmTopology &topo, std::size_t weight,
+                    Rng &rng)
+{
+    FaultSet faults = fault::randomLinkFaults(topo, weight, rng);
+    for (int k = 0; k < 4; ++k)
+        faults.blockLink(topo.straightLink(
+            static_cast<unsigned>(rng.uniform(topo.stages())),
+            static_cast<Label>(rng.uniform(topo.size()))));
+    return faults;
+}
+
+TEST(RouteCache, StoresOnlyRepairedPairs)
+{
+    Rng rng(20261017);
+    {
+        const IadmTopology topo(64);
+        std::vector<std::pair<Label, Label>> all;
+        for (Label s = 0; s < 64; ++s)
+            for (Label d = 0; d < 64; ++d)
+                all.emplace_back(s, d);
+        for (const std::size_t weight : {8u, 48u}) {
+            SCOPED_TRACE("N=64, " + std::to_string(weight) + " links");
+            expectOnlyRepairsStored(
+                topo, faultsWithStraights(topo, weight, rng), all);
+        }
+    }
+    const IadmTopology topo(1024);
+    for (const std::size_t weight : {96u, 512u}) {
+        SCOPED_TRACE("N=1024, " + std::to_string(weight) + " links");
+        const FaultSet faults = faultsWithStraights(topo, weight, rng);
+        std::set<std::pair<Label, Label>> seen;
+        std::vector<std::pair<Label, Label>> sample;
+        while (sample.size() < 4096) {
+            const auto s = static_cast<Label>(rng.uniform(1024));
+            const auto d = static_cast<Label>(rng.uniform(1024));
+            if (seen.emplace(s, d).second)
+                sample.emplace_back(s, d);
+        }
+        expectOnlyRepairsStored(topo, faults, sample);
+    }
 }
 
 /** Counters that must be identical for identically-routed runs. */
@@ -357,7 +485,9 @@ TEST(RouteCache, WarmupOrderCannotChangeDeliveredOutcomes)
     // a deliberately odd order, and cache disabled.  REROUTE is a
     // pure function of (topology, faults, src, dst), so all three
     // must inject, route, stall and deliver identically — the cache
-    // can only move hit/miss counters.
+    // can only move hit/miss counters.  The dynamic scheme injects
+    // every packet with its initial tag and has no cache at all, so
+    // its three runs differ only in the flag.
     const Label n = 32;
     const auto schemes = {RoutingScheme::TsdtSender,
                           RoutingScheme::TsdtDynamic};
@@ -382,9 +512,10 @@ TEST(RouteCache, WarmupOrderCannotChangeDeliveredOutcomes)
                        faults);
         off.setRouteCacheEnabled(false);
 
-        ASSERT_NE(warmed.routeCache(), nullptr);
+        const bool sender = scheme == RoutingScheme::TsdtSender;
+        ASSERT_EQ(warmed.routeCache() != nullptr, sender);
         // Backwards, strided warm-up: nothing like injection order.
-        for (Label s = n; s-- > 0;)
+        for (Label s = n; sender && s-- > 0;)
             for (Label d = (s * 7) & (n - 1), k = 0; k < n;
                  ++k, d = (d + 5) & (n - 1))
                 (void)warmed.routeCache()->resolveUniversal(
@@ -402,15 +533,13 @@ TEST(RouteCache, WarmupOrderCannotChangeDeliveredOutcomes)
             << routingSchemeName(scheme);
         // Hit/miss counters are the only thing allowed to move, and
         // their sum (= resolutions attempted) cannot: injection is
-        // identical.  The split itself may shift either way — warm
-        // universal-mode entries can collide with the dynamic
-        // scheme's initial-trace entries.
+        // identical.
         EXPECT_EQ(warmed.metrics().routeCacheHits() +
                       warmed.metrics().routeCacheMisses(),
                   cold.metrics().routeCacheHits() +
                       cold.metrics().routeCacheMisses())
             << routingSchemeName(scheme);
-        EXPECT_GT(cold.metrics().routeCacheHits(), 0u)
+        EXPECT_EQ(cold.metrics().routeCacheHits() > 0, sender)
             << routingSchemeName(scheme);
         EXPECT_EQ(off.metrics().routeCacheHits() +
                       off.metrics().routeCacheMisses(),
@@ -428,6 +557,8 @@ TEST(RouteCache, ChurnEpochBumpsKeepCachedRoutingExact)
     // routes byte-for-byte the same.  IADM_SANITIZE builds also
     // cross-check every injection-time hit against a fresh
     // resolution, so merely running this is the consistency audit.
+    // The dynamic scheme has no cache: its twins differ only in the
+    // flag, and neither counts a resolution.
     const Label n = 32;
     for (const RoutingScheme scheme :
          {RoutingScheme::TsdtSender, RoutingScheme::TsdtDynamic}) {
@@ -456,7 +587,9 @@ TEST(RouteCache, ChurnEpochBumpsKeepCachedRoutingExact)
         EXPECT_EQ(routingSignature(on.metrics()),
                   routingSignature(off.metrics()))
             << routingSchemeName(scheme);
-        EXPECT_GT(on.metrics().routeCacheMisses(), 0u);
+        EXPECT_EQ(on.metrics().routeCacheMisses() > 0,
+                  scheme == RoutingScheme::TsdtSender)
+            << routingSchemeName(scheme);
         EXPECT_EQ(off.metrics().routeCacheHits() +
                       off.metrics().routeCacheMisses(),
                   0u);
@@ -465,23 +598,24 @@ TEST(RouteCache, ChurnEpochBumpsKeepCachedRoutingExact)
 
 TEST(RouteCache, SimExposesCacheOnlyForTagResolvingSchemes)
 {
+    // Only tsdt resolves its tags with REROUTE.  The dynamic
+    // scheme's injection tag is always the initial tag, which costs
+    // less to compute than to look up.
     SimConfig cfg;
     cfg.netSize = 16;
     for (const auto scheme :
          {RoutingScheme::SsdtStatic, RoutingScheme::SsdtBalanced,
-          RoutingScheme::DistanceTag}) {
+          RoutingScheme::DistanceTag, RoutingScheme::TsdtDynamic}) {
         cfg.scheme = scheme;
         NetworkSim s(cfg, std::make_unique<UniformTraffic>(16));
         EXPECT_EQ(s.routeCache(), nullptr)
             << routingSchemeName(scheme);
         EXPECT_FALSE(s.routeCacheEnabled());
     }
-    for (const auto scheme :
-         {RoutingScheme::TsdtSender, RoutingScheme::TsdtDynamic}) {
-        cfg.scheme = scheme;
+    cfg.scheme = RoutingScheme::TsdtSender;
+    {
         NetworkSim s(cfg, std::make_unique<UniformTraffic>(16));
-        EXPECT_NE(s.routeCache(), nullptr)
-            << routingSchemeName(scheme);
+        EXPECT_NE(s.routeCache(), nullptr);
         EXPECT_TRUE(s.routeCacheEnabled());
     }
     // Config opt-out: the cache still exists (toggleable) but starts

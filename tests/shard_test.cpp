@@ -377,11 +377,13 @@ makeInjectSim(RoutingScheme scheme, unsigned shards,
  * The batched injector (probe every attempt, then fill, then write
  * fills back in attempt order) must reproduce resolving each attempt
  * one at a time: the traced run's CacheHit/CacheMiss sequence is
- * replayed through a fresh cache one resolveUniversal-style call at
- * a time, and every probe outcome, every injected tag and the final
+ * replayed through a fresh cache one resolveUniversal() call at a
+ * time, and every probe outcome, every injected tag and the final
  * hit/miss/eviction totals must agree.  Sender REROUTE searches
  * (the only source of Reroute events under static faults) must
- * belong to misses: a hit replays its entry without searching.
+ * belong to misses: a hit (a clear initial path or a stored repair)
+ * runs no search.  The dynamic scheme has no cache: it records no
+ * probe, and every packet enters with its initial tag.
  */
 TEST(ShardInject, BatchedProbesReplayOneAtATimeResolution)
 {
@@ -393,36 +395,25 @@ TEST(ShardInject, BatchedProbesReplayOneAtATimeResolution)
                                            std::size_t{0}}) {
             SCOPED_TRACE(std::string(routingSchemeName(scheme)) +
                          " capacity " + std::to_string(capacity));
+            const bool sender = scheme == RoutingScheme::TsdtSender;
             NetworkSim s = makeInjectSim(scheme, 1, capacity);
-            ASSERT_NE(s.routeCache(), nullptr);
+            ASSERT_EQ(s.routeCache() != nullptr, sender);
             obs::TraceSink sink(std::size_t{1} << 18);
             s.setTraceSink(&sink);
             s.run(300);
             ASSERT_EQ(sink.droppedOldest(), 0u);
 
-            const bool sender = scheme == RoutingScheme::TsdtSender;
-            const std::uint8_t content =
-                sender ? RouteCache::Entry::kUniversal : 0;
             const unsigned n = s.topology().stages();
-            RouteCache ref(64, s.routeCache()->capacity());
+            RouteCache ref(64, sender ? s.routeCache()->capacity() : 1);
             std::unordered_map<std::uint64_t, RouteCache::Entry> want;
             std::unordered_map<std::uint64_t, bool> missed;
-            std::size_t probes = 0;
+            std::size_t probes = 0, injected = 0;
             std::vector<std::uint64_t> searched;
             for (const obs::TraceEvent &e : sink.snapshot()) {
                 if (e.kind == obs::EventKind::CacheHit ||
                     e.kind == obs::EventKind::CacheMiss) {
-                    const auto [entry, hit] = ref.acquire(
-                        e.sw, e.aux, s.faults().version(), content);
-                    if (!hit && sender) {
-                        RouteCache::fillUniversal(*entry, s.topology(),
-                                                  s.faults(), e.sw,
-                                                  e.aux);
-                    } else if (!hit) {
-                        entry->flags |= RouteCache::Entry::kOk;
-                        entry->delta = 0;
-                        entry->reroutes = 0;
-                    }
+                    const auto [entry, hit] = ref.resolveUniversal(
+                        s.topology(), s.faults(), e.sw, e.aux);
                     ASSERT_EQ(hit, e.kind == obs::EventKind::CacheHit)
                         << "probe " << probes << ": " << e.sw << "->"
                         << e.aux;
@@ -430,6 +421,12 @@ TEST(ShardInject, BatchedProbesReplayOneAtATimeResolution)
                     missed[e.packet] = !hit;
                     ++probes;
                 } else if (e.kind == obs::EventKind::Inject) {
+                    ++injected;
+                    if (!sender) {
+                        EXPECT_EQ(e.tagState, 0u)
+                            << "packet " << e.packet;
+                        continue;
+                    }
                     ASSERT_EQ(want.count(e.packet), 1u);
                     const RouteCache::Entry &w = want[e.packet];
                     EXPECT_TRUE(w.ok());
@@ -453,15 +450,18 @@ TEST(ShardInject, BatchedProbesReplayOneAtATimeResolution)
                 EXPECT_TRUE(missed[id])
                     << "REROUTE ran for a cache hit, packet " << id;
             const Metrics &m = s.metrics();
+            EXPECT_GT(injected, 0u);
             EXPECT_EQ(probes, m.routeCacheHits() + m.routeCacheMisses());
             EXPECT_EQ(ref.stats().hits, m.routeCacheHits());
             EXPECT_EQ(ref.stats().misses, m.routeCacheMisses());
             EXPECT_EQ(ref.stats().evictions, m.routeCacheEvictions());
-            EXPECT_EQ(ref.stats().evictions == 0, capacity == 0);
-            EXPECT_GT(m.routeCacheHits(), 0u);
             if (sender) {
+                EXPECT_EQ(ref.stats().evictions == 0, capacity == 0);
+                EXPECT_GT(m.routeCacheHits(), 0u);
                 EXPECT_FALSE(searched.empty());
                 EXPECT_GT(m.unroutable(), 0u);
+            } else {
+                EXPECT_EQ(probes, 0u);
             }
         }
     }
@@ -471,7 +471,8 @@ TEST(ShardInject, BatchedProbesReplayOneAtATimeResolution)
  * The same in-batch eviction churn at 2 and 4 shards: fills run on
  * worker threads and land at commit, so every counter — cache
  * totals included — must match the one-shard run, which in turn
- * routes exactly like the uncached run.
+ * routes exactly like the uncached run.  The dynamic scheme has no
+ * cache, so its cache totals stay zero.
  */
 TEST(ShardInject, ShardedBatchesMatchOneShardUnderInBatchEvictions)
 {
@@ -485,7 +486,10 @@ TEST(ShardInject, ShardedBatchesMatchOneShardUnderInBatchEvictions)
         one.run(300);
         const Metrics &u = uncached.metrics();
         const Metrics &o = one.metrics();
-        EXPECT_GT(o.routeCacheEvictions(), 0u);
+        if (scheme == RoutingScheme::TsdtSender)
+            EXPECT_GT(o.routeCacheEvictions(), 0u);
+        else
+            EXPECT_EQ(o.routeCacheHits() + o.routeCacheMisses(), 0u);
         EXPECT_EQ(o.injected(), u.injected());
         EXPECT_EQ(o.delivered(), u.delivered());
         EXPECT_EQ(o.unroutable(), u.unroutable());

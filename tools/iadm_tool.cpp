@@ -280,8 +280,9 @@ cmdRoute(Label n_size, Label s, Label d,
     const auto res = core::universalRoute(net, faults, s, d);
     if (repeat > 1) {
         // Resolve the same pair through the fault-epoch route cache
-        // (what a faulted simulation does per injected packet): one
-        // miss computes, every repeat replays.
+        // (what a faulted simulation does per injected packet): a
+        // clear initial path is taken every time and stores nothing;
+        // a blocked one is computed by one miss and replayed after.
         sim::RouteCache cache(n_size);
         unsigned agree = 0;
         for (unsigned k = 0; k < repeat; ++k) {
@@ -294,6 +295,9 @@ cmdRoute(Label n_size, Label s, Label d,
         std::cout << "cache: " << repeat << " resolutions -> "
                   << cache.stats().hits << " hit(s), "
                   << cache.stats().misses << " miss(es); "
+                  << (cache.occupied() == 0
+                          ? "initial path clear, nothing stored; "
+                          : "")
                   << (agree == repeat ? "every replay matches REROUTE"
                                       : "REPLAY DIVERGED?!")
                   << "\n";
