@@ -193,10 +193,10 @@ struct RunResult
     std::uint64_t maxBatch = 0;
     std::uint64_t cacheHits = 0;
     /** Daemon-side per-request service time (log-bucket upper
-     *  bounds, µs) — the client-side p50/p99 minus socket and
-     *  queueing delay. */
-    std::uint64_t serviceP50Us = 0;
-    std::uint64_t serviceP99Us = 0;
+     *  bounds, powers of two ns, in fractional µs) — the
+     *  client-side p50/p99 minus socket and queueing delay. */
+    double serviceP50Us = 0;
+    double serviceP99Us = 0;
     std::string bytes; //!< concatenated response lines, in order
 };
 
@@ -329,7 +329,14 @@ runOnce(const Options &opt, sim::RoutingScheme scheme,
                 ++seen;
                 scan = nl + 1;
             }
-            received.store(seen);
+            {
+                // Under the writer's mutex: a store between its
+                // predicate check and its wait would lose this
+                // wakeup, and with the window drained neither side
+                // would ever move again.
+                std::lock_guard<std::mutex> lk(mu);
+                received.store(seen);
+            }
             cv.notify_one();
         }
         const auto t1 = Clock::now();

@@ -103,18 +103,29 @@ applyState(Label j, unsigned t, unsigned i, Label n_size,
     return modAdd(j, deltaFor(j, t, i, st), n_size);
 }
 
+// The link-kind formulas below (and tsdtKindOf in core/tsdt.hpp)
+// compute a kind's enum value arithmetically.
+static_assert(static_cast<unsigned>(topo::LinkKind::Straight) == 0 &&
+              static_cast<unsigned>(topo::LinkKind::Plus) == 1 &&
+              static_cast<unsigned>(topo::LinkKind::Minus) == 2);
+static_assert(static_cast<unsigned>(SwitchState::C) == 0 &&
+              static_cast<unsigned>(SwitchState::Cbar) == 1);
+
 /**
  * The physical kind of the link a switch in state @p st takes for
  * tag bit @p t: Straight when t equals bit i of j, otherwise the
- * nonstraight link whose sign depends on parity and state.
+ * nonstraight link whose sign depends on parity and state.  Branch
+ * free: with ns = j_i ^ t, kind = ns * (1 + (j_i ^ st)) — deltaC's
+ * nonstraight link is +2^i on an even_i switch and -2^i on an odd_i
+ * one, and state Cbar swaps the two.
  */
 constexpr topo::LinkKind
 linkKindFor(Label j, unsigned t, unsigned i, SwitchState st)
 {
-    const std::int64_t d = deltaFor(j, t, i, st);
-    if (d == 0)
-        return topo::LinkKind::Straight;
-    return d > 0 ? topo::LinkKind::Plus : topo::LinkKind::Minus;
+    const unsigned j_i = bit(j, i);
+    const unsigned ns = j_i ^ (t & 1u);
+    const unsigned minus = j_i ^ static_cast<unsigned>(st);
+    return static_cast<topo::LinkKind>(ns + (ns & minus));
 }
 
 /**

@@ -71,11 +71,8 @@ TsdtTag::str() const
 topo::LinkKind
 tsdtLinkKind(Label j, unsigned i, const TsdtTag &tag)
 {
-    const unsigned ji = bit(j, i);
-    if (tag.destBit(i) == ji)
-        return topo::LinkKind::Straight;
-    return tag.stateBit(i) == ji ? topo::LinkKind::Plus
-                                 : topo::LinkKind::Minus;
+    IADM_ASSERT(i < tag.stages(), "stage out of range");
+    return tsdtKindOf(j, i, tag.destination(), tag.stateBits());
 }
 
 Label

@@ -93,7 +93,10 @@ class TsdtTag
     Label state_ = 0;
 };
 
-/** Link kind chosen by switch @p j at stage @p i under @p tag. */
+/**
+ * Link kind chosen by switch @p j at stage @p i under @p tag:
+ * tsdtKindOf() on the tag's words, after a stage range check.
+ */
 topo::LinkKind tsdtLinkKind(Label j, unsigned i, const TsdtTag &tag);
 
 /** Next-stage switch chosen by @p j at stage @p i under @p tag. */
@@ -126,8 +129,9 @@ tsdtStep(Label j, unsigned i, Label dest, Label state, Label n_size)
 }
 
 /**
- * tsdtLinkKind() on raw tag words, in the same branch-free form:
- * Straight (0), Plus (1) or Minus (2).
+ * The TSDT link kind on raw tag words, branch free: Straight (0),
+ * Plus (1) or Minus (2).  It is linkKindFor()'s formula with tag bit
+ * b_i and state bit b_{n+i}: ns + (ns & minus) = ns * (1 + minus).
  */
 constexpr topo::LinkKind
 tsdtKindOf(Label j, unsigned i, Label dest, Label state)

@@ -102,11 +102,11 @@ ServerCore::resolveBatch(const Request *reqs, std::size_t n,
     // batch, each request charged the per-request average.  Batched
     // and unbatched modes fill the same histogram, so BENCH_serve
     // can put daemon-side p50/p99 next to the client-side numbers.
-    const auto us = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
+    const auto ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - t0)
             .count());
-    const std::uint64_t per_req = us / n;
+    const std::uint64_t per_req = ns / n;
     const unsigned bucket =
         per_req == 0
             ? 0
@@ -317,9 +317,9 @@ ServerCore::answerStats(const Request &r, std::uint64_t epoch,
     w.field("service_samples", stats_.serviceSamples);
     w.field("service_p50_us", stats_.servicePercentileUs(0.5));
     w.field("service_p99_us", stats_.servicePercentileUs(0.99));
-    // Sparse log-bucket histogram, [upper_bound_us, count] pairs —
+    // Sparse log-bucket histogram, [upper_bound_ns, count] pairs —
     // the sweep report's latency_hist convention.
-    w.beginArray("service_hist");
+    w.beginArray("service_hist_ns");
     for (unsigned b = 0; b < kServiceBuckets; ++b) {
         if (stats_.serviceHist[b] == 0)
             continue;
@@ -330,7 +330,7 @@ ServerCore::answerStats(const Request &r, std::uint64_t epoch,
     w.finish();
 }
 
-std::uint64_t
+double
 ServerCore::Stats::servicePercentileUs(double q) const
 {
     if (serviceSamples == 0)
@@ -339,13 +339,18 @@ ServerCore::Stats::servicePercentileUs(double q) const
         q * static_cast<double>(serviceSamples));
     if (target == 0)
         target = 1;
+    // Bucket b's upper bound is 2^b ns (0 for bucket 0).
+    const auto upper_us = [](unsigned b) {
+        return b == 0 ? 0.0
+                      : static_cast<double>(std::uint64_t{1} << b) / 1e3;
+    };
     std::uint64_t cum = 0;
     for (unsigned b = 0; b < kServiceBuckets; ++b) {
         cum += serviceHist[b];
         if (cum >= target)
-            return b == 0 ? 0 : std::uint64_t{1} << b;
+            return upper_us(b);
     }
-    return std::uint64_t{1} << (kServiceBuckets - 1);
+    return upper_us(kServiceBuckets - 1);
 }
 
 void

@@ -92,7 +92,8 @@ class ServerCore
     };
 
     /** Log-bucket count for the service-time histogram: bucket b
-     *  holds requests that took [2^(b-1), 2^b) µs (b = 0: < 1 µs). */
+     *  holds requests that took [2^(b-1), 2^b) ns (b = 0: < 1 ns),
+     *  the last one everything from 2^30 ns (about 1.07 s) up. */
     static constexpr unsigned kServiceBuckets = 32;
 
     /** Cumulative serving counters (all mutex-guarded). */
@@ -118,8 +119,9 @@ class ServerCore
         std::uint64_t lastProgressEpoch = 0;
 
         /**
-         * Daemon-side per-request service time, log-bucketed (µs,
-         * amortized: a batch's wall time divided by its size).  The
+         * Daemon-side per-request service time, log-bucketed (ns,
+         * amortized: a batch's wall time divided by its size; a
+         * request takes well under a microsecond).  The
          * daemon-side complement of bench_serve's client-side
          * latency: client numbers include socket + queueing delay,
          * these isolate resolution + serialization.
@@ -127,8 +129,9 @@ class ServerCore
         std::uint64_t serviceSamples = 0;
         std::array<std::uint64_t, kServiceBuckets> serviceHist{};
 
-        /** Histogram quantile as the bucket upper bound in µs. */
-        std::uint64_t servicePercentileUs(double q) const;
+        /** Histogram quantile as the bucket upper bound, in
+         *  fractional µs (bucket bounds are powers of two ns). */
+        double servicePercentileUs(double q) const;
     };
 
     ServerCore(const ServeConfig &cfg,

@@ -230,6 +230,19 @@ ResponseWriter::field(std::string_view key, std::uint64_t v)
 }
 
 void
+ResponseWriter::field(std::string_view key, double v)
+{
+    out_.push_back(',');
+    out_.push_back('"');
+    out_.append(key);
+    out_.append("\":");
+    char buf[32];
+    const auto [p, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+    (void)ec;
+    out_.append(buf, p);
+}
+
+void
 ResponseWriter::field(std::string_view key, bool v)
 {
     out_.push_back(',');

@@ -87,6 +87,8 @@ class ResponseWriter
     explicit ResponseWriter(std::string &out, std::uint64_t id);
 
     void field(std::string_view key, std::uint64_t v);
+    /** A finite double in to_chars' shortest round-trip form. */
+    void field(std::string_view key, double v);
     void field(std::string_view key, bool v);
     void field(std::string_view key, std::string_view v);
 

@@ -11,21 +11,6 @@ namespace iadm::sim {
 
 namespace {
 
-/**
- * TSDT link kind straight from the tag words (Lemma A1.1:
- * straight iff b_i == j_i, else Plus iff b_{n+i} == j_i).  Matches
- * core::tsdtLinkKind without the per-bit accessor calls.
- */
-inline topo::LinkKind
-fastTsdtKind(Label j, unsigned i, const core::TsdtTag &tag)
-{
-    const unsigned j_i = bit(j, i);
-    if (bit(tag.destination(), i) == j_i)
-        return topo::LinkKind::Straight;
-    return bit(tag.stateBits(), i) == j_i ? topo::LinkKind::Plus
-                                          : topo::LinkKind::Minus;
-}
-
 /** @p capacity, or a fatal error when the arena cannot hold it. */
 std::size_t
 checkedQueueCapacity(std::size_t capacity)
@@ -349,10 +334,8 @@ NetworkSim::inject()
             // Sources are distinct, so a row holding one packet was
             // empty before this cycle's injection.
             ++stageSize_[0];
-            if (queues_.size(queues_.qid(0, at.src)) == 1) {
-                ++stageOccupied_[0];
-                setOccupied(0, at.src);
-            }
+            noteFilled(0, at.src,
+                       queues_.size(queues_.qid(0, at.src)) == 1);
             ++inFlight_;
             if (feedback_)
                 traffic_->onInject(at.src);
@@ -464,6 +447,25 @@ NetworkSim::injectFillBuild(std::uint64_t version,
     }
 }
 
+template <RoutingScheme S>
+topo::LinkKind
+NetworkSim::headKind(unsigned stage, Label j, const Packet &h) const
+{
+    if constexpr (S == RoutingScheme::SsdtStatic ||
+                  S == RoutingScheme::SsdtBalanced) {
+        return core::linkKindFor(j, bit(h.dst, stage), stage,
+                                 ssdtState_.get(stage, j));
+    } else if constexpr (S == RoutingScheme::DistanceTag) {
+        // Both dominant digits zero: straight; otherwise the Plus
+        // link first (chooseLink falls back to Minus).
+        return static_cast<topo::LinkKind>(
+            ((h.dst - j) & lowMask(stage + 1)) != 0);
+    } else {
+        return core::tsdtKindOf(j, stage, h.tag.destination(),
+                                h.tag.stateBits());
+    }
+}
+
 template <RoutingScheme S, bool Traced>
 std::optional<topo::Link>
 NetworkSim::chooseLink(unsigned stage, Label j, Packet &p)
@@ -472,16 +474,20 @@ NetworkSim::chooseLink(unsigned stage, Label j, Packet &p)
     // this instantiation matches a trace-off build's code exactly.
     [[maybe_unused]] obs::TraceSink *const trace =
         Traced ? trace_ : nullptr;
+    // Open link first: the head's kind comes from its scheme's bit
+    // formula, and an open link is taken as is, except that the
+    // balanced scheme weighs its two nonstraight links.  Only
+    // blocked links and balanced nonstraight hops go further.
+    const topo::LinkKind kind = headKind<S>(stage, j, p);
+    if (!fview_.isBlocked(ltab_.index(stage, j, kind))) {
+        if (S != RoutingScheme::SsdtBalanced ||
+            kind == topo::LinkKind::Straight)
+            return ltab_.link(stage, j, kind);
+    }
     if constexpr (S == RoutingScheme::SsdtStatic ||
                   S == RoutingScheme::SsdtBalanced) {
-        const unsigned t = bit(p.dst, stage);
-        const core::SwitchState st = ssdtState_.get(stage, j);
-        const topo::LinkKind kind = core::linkKindFor(j, t, stage, st);
-        if (kind == topo::LinkKind::Straight) {
-            if (fview_.isBlocked(ltab_.index(stage, j, kind)))
-                return std::nullopt;
-            return ltab_.link(stage, j, kind);
-        }
+        if (kind == topo::LinkKind::Straight)
+            return std::nullopt; // blocked: SSDT cannot route around
         const topo::LinkKind spare_kind = topo::oppositeKind(kind);
         const bool link_ok =
             !fview_.isBlocked(ltab_.index(stage, j, kind));
@@ -513,9 +519,6 @@ NetworkSim::chooseLink(unsigned stage, Label j, Packet &p)
         }
         return ltab_.link(stage, j, kind);
     } else if constexpr (S == RoutingScheme::TsdtSender) {
-        const topo::LinkKind kind = fastTsdtKind(j, stage, p.tag);
-        if (!fview_.isBlocked(ltab_.index(stage, j, kind)))
-            return ltab_.link(stage, j, kind);
         // Sender-computed tags do not adapt in flight, so a blocked
         // link here means the fault map changed after the tag was
         // resolved.  Rather than wedging this FIFO forever, the head
@@ -552,11 +555,8 @@ NetworkSim::chooseLink(unsigned stage, Label j, Packet &p)
                          static_cast<Label>(p.tag.destination()),
                          static_cast<Label>(p.tag.stateBits()));
         // The repaired tag's stage link is unblocked by construction.
-        return ltab_.link(stage, j, fastTsdtKind(j, stage, p.tag));
+        return ltab_.link(stage, j, headKind<S>(stage, j, p));
     } else if constexpr (S == RoutingScheme::TsdtDynamic) {
-        const topo::LinkKind kind = fastTsdtKind(j, stage, p.tag);
-        if (!fview_.isBlocked(ltab_.index(stage, j, kind)))
-            return ltab_.link(stage, j, kind);
         if (kind != topo::LinkKind::Straight) {
             const topo::LinkKind spare_kind =
                 topo::oppositeKind(kind);
@@ -618,17 +618,11 @@ NetworkSim::chooseLink(unsigned stage, Label j, Packet &p)
     } else {
         static_assert(S == RoutingScheme::DistanceTag);
         // Extra-tag-bit dominant-tag scheme of [9]: both dominant
-        // digits are simultaneously zero or of opposite signs.
-        const Label rem = (p.dst - j) & mask_;
-        if ((rem & lowMask(stage + 1)) == 0) {
-            const auto straight = topo::LinkKind::Straight;
-            if (fview_.isBlocked(ltab_.index(stage, j, straight)))
-                return std::nullopt;
-            return ltab_.link(stage, j, straight);
-        }
-        if (!fview_.isBlocked(
-                ltab_.index(stage, j, topo::LinkKind::Plus)))
-            return ltab_.link(stage, j, topo::LinkKind::Plus);
+        // digits are simultaneously zero or of opposite signs.  A
+        // blocked straight link stalls; a blocked Plus link falls
+        // back to Minus.
+        if (kind == topo::LinkKind::Straight)
+            return std::nullopt;
         if (!fview_.isBlocked(
                 ltab_.index(stage, j, topo::LinkKind::Minus))) {
             ++p.reroutes;
@@ -680,6 +674,40 @@ NetworkSim::gatherOccupied(unsigned stage, Label offset)
     return cnt;
 }
 
+#ifdef IADM_SANITIZE_BUILD
+void
+NetworkSim::auditOccupancy() const
+{
+    for (unsigned stage = 0; stage < ltab_.stages(); ++stage) {
+        const std::uint64_t *words =
+            &occWords_[static_cast<std::size_t>(stage) *
+                       occWordsPerStage_];
+        std::size_t packets = 0;
+        unsigned nonempty = 0;
+        for (Label j = 0; j < cfg_.netSize; ++j) {
+            const std::size_t q = queues_.qid(stage, j);
+            const bool set = (words[j >> 6] >> (j & 63)) & 1u;
+            IADM_ASSERT(set == !queues_.empty(q),
+                        "occupancy bit drift at stage ", stage,
+                        " switch ", j, ": bit ", set, ", ",
+                        queues_.size(q), " packets");
+            nonempty += set;
+            packets += queues_.size(q);
+        }
+        unsigned bits = 0;
+        for (unsigned w = 0; w < occWordsPerStage_; ++w)
+            bits += static_cast<unsigned>(std::popcount(words[w]));
+        IADM_ASSERT(stageOccupied_[stage] == bits && bits == nonempty,
+                    "stage ", stage, " occupancy drift: count ",
+                    stageOccupied_[stage], ", popcount ", bits, ", ",
+                    nonempty, " nonempty queues");
+        IADM_ASSERT(stageSize_[stage] == packets, "stage ", stage,
+                    " size drift: ", stageSize_[stage], " != ",
+                    packets);
+    }
+}
+#endif
+
 template <RoutingScheme S, bool Traced>
 void
 NetworkSim::advanceStageImpl(unsigned stage)
@@ -730,23 +758,7 @@ NetworkSim::advanceStageImpl(unsigned stage)
                     queues_.qid(stage - 1, h.pathSw[stage - 1]));
             return;
         }
-        Label to;
-        if constexpr (S == RoutingScheme::SsdtStatic ||
-                      S == RoutingScheme::SsdtBalanced) {
-            const unsigned t = bit(h.dst, stage);
-            to = ltab_.to(stage, j2,
-                          core::linkKindFor(
-                              j2, t, stage,
-                              ssdtState_.get(stage, j2)));
-        } else if constexpr (S == RoutingScheme::DistanceTag) {
-            const Label rem = (h.dst - j2) & mask_;
-            to = (rem & lowMask(stage + 1)) == 0
-                     ? j2
-                     : ltab_.to(stage, j2, topo::LinkKind::Plus);
-        } else {
-            to = ltab_.to(stage, j2,
-                          fastTsdtKind(j2, stage, h.tag));
-        }
+        const Label to = ltab_.to(stage, j2, headKind<S>(stage, j2, h));
         queues_.prefetchTail(queues_.qid(stage + 1, to));
     };
 
@@ -1058,18 +1070,13 @@ NetworkSim::healthNextQueue(unsigned stage, Label j,
     switch (cfg_.scheme) {
       case RoutingScheme::SsdtStatic:
       case RoutingScheme::SsdtBalanced:
-        kind = core::linkKindFor(j, bit(h.dst, stage), stage,
-                                 ssdtState_.get(stage, j));
+        kind = headKind<RoutingScheme::SsdtStatic>(stage, j, h);
         break;
-      case RoutingScheme::DistanceTag: {
-        const Label rem = (h.dst - j) & mask_;
-        kind = (rem & lowMask(stage + 1)) == 0
-                   ? topo::LinkKind::Straight
-                   : topo::LinkKind::Plus;
+      case RoutingScheme::DistanceTag:
+        kind = headKind<RoutingScheme::DistanceTag>(stage, j, h);
         break;
-      }
       default:
-        kind = fastTsdtKind(j, stage, h.tag);
+        kind = headKind<RoutingScheme::TsdtSender>(stage, j, h);
     }
     if (fview_.isBlocked(ltab_.index(stage, j, kind)))
         return kHealthNoQueue;
@@ -1172,6 +1179,9 @@ NetworkSim::step()
         if (__builtin_expect(health_ != nullptr, 0))
             healthTick();
     }
+#ifdef IADM_SANITIZE_BUILD
+    auditOccupancy();
+#endif
     ++now_;
 }
 

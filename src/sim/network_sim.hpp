@@ -16,7 +16,12 @@
  * that re-syncs on FaultSet mutation, queues are rings of packet
  * handles into one QueueArena pool, and the dynamic TSDT scheme
  * reads the path cached in each packet instead of re-tracing its
- * tag.
+ * tag.  A hop takes no data-dependent branch until its blockage
+ * test: the head's link kind is core's bit formula for the scheme
+ * (headKind: linkKindFor, tsdtKindOf or distance-tag's dominant
+ * digits), an open link is taken at once (chooseLink's logic runs
+ * only for blocked links and balanced nonstraight hops), and queue
+ * occupancy moves by arithmetic on the emptied and was-empty flags.
  * step() performs no heap allocation and no virtual topology calls
  * in steady state, at any shard count.
  */
@@ -371,6 +376,18 @@ class NetworkSim
     void advanceStageImpl(unsigned stage);
 
     /**
+     * The kind of link the head packet @p h of (stage, j) asks for
+     * under scheme @p S, before any blockage test: core's branch-free
+     * bit formula for the scheme (linkKindFor on the switch state,
+     * tsdtKindOf on the tag words), or distance-tag's Straight/Plus.
+     * chooseLink, the service loop's landing-slot guess and the
+     * health scan all read it.
+     */
+    template <RoutingScheme S>
+    topo::LinkKind headKind(unsigned stage, Label j,
+                            const Packet &h) const;
+
+    /**
      * Choose the output link for the head packet of (stage, j) under
      * scheme @p S; returns nullopt to stall this cycle.
      */
@@ -417,21 +434,34 @@ class NetworkSim
 
     // Queue operations with stage occupancy bookkeeping.  Inline:
     // every packet movement of every cycle funnels through these.
+    // Occupancy is kept without branches: a queue that just received
+    // a packet gets its bit set whether or not it was set, and one
+    // that gave a packet away clears its bit by its emptied flag
+    // (0 or 1) shifted into place; stageOccupied_ moves by the same
+    // flags.
 
-    void
-    setOccupied(unsigned stage, Label j)
+    std::uint64_t &
+    occWord(unsigned stage, Label j)
     {
-        occWords_[static_cast<std::size_t>(stage) *
-                      occWordsPerStage_ +
-                  (j >> 6)] |= std::uint64_t{1} << (j & 63);
+        return occWords_[static_cast<std::size_t>(stage) *
+                             occWordsPerStage_ +
+                         (j >> 6)];
     }
 
+    /** Bookkeeping after (stage, j) received a packet. */
     void
-    clearOccupied(unsigned stage, Label j)
+    noteFilled(unsigned stage, Label j, bool was_empty)
     {
-        occWords_[static_cast<std::size_t>(stage) *
-                      occWordsPerStage_ +
-                  (j >> 6)] &= ~(std::uint64_t{1} << (j & 63));
+        stageOccupied_[stage] += was_empty;
+        occWord(stage, j) |= std::uint64_t{1} << (j & 63);
+    }
+
+    /** Bookkeeping after (stage, j) gave its head packet away. */
+    void
+    noteDrained(unsigned stage, Label j, bool emptied)
+    {
+        stageOccupied_[stage] -= emptied;
+        occWord(stage, j) &= ~(std::uint64_t{emptied} << (j & 63));
     }
 
     void
@@ -440,10 +470,7 @@ class NetworkSim
         const std::size_t q = queues_.qid(stage, j);
         queues_.dropFront(q);
         --stageSize_[stage];
-        if (queues_.empty(q)) {
-            --stageOccupied_[stage];
-            clearOccupied(stage, j);
-        }
+        noteDrained(stage, j, queues_.empty(q));
     }
 
     void
@@ -456,14 +483,8 @@ class NetworkSim
         queues_.moveFront(from_q, to_q);
         --stageSize_[from_stage];
         ++stageSize_[to_stage];
-        if (queues_.empty(from_q)) {
-            --stageOccupied_[from_stage];
-            clearOccupied(from_stage, from_j);
-        }
-        if (was_empty) {
-            ++stageOccupied_[to_stage];
-            setOccupied(to_stage, to_j);
-        }
+        noteDrained(from_stage, from_j, queues_.empty(from_q));
+        noteFilled(to_stage, to_j, was_empty);
     }
 
     /**
@@ -471,6 +492,16 @@ class NetworkSim
      * rotated service order; returns the count.
      */
     unsigned gatherOccupied(unsigned stage, Label offset);
+
+#ifdef IADM_SANITIZE_BUILD
+    /**
+     * Sanitize builds, end of every step(): per stage, assert that
+     * each occupancy bit equals !empty(q), that stageOccupied_ equals
+     * the popcount of the stage's words and that stageSize_ is the
+     * sum of its queue sizes.  O(stages x N), allocation-free.
+     */
+    void auditOccupancy() const;
+#endif
 };
 
 } // namespace iadm::sim

@@ -119,13 +119,14 @@ TEST(Wire, ResponseWriterBytes)
     w.field("op", std::string_view("route"));
     w.field("epoch", std::uint64_t{7});
     w.field("ok", true);
+    w.field("p50_us", 0.512);
     w.beginArray("path");
     w.element(3);
     w.element(1);
     w.endArray();
     w.finish();
     EXPECT_EQ(out, "{\"id\":42,\"op\":\"route\",\"epoch\":7,"
-                   "\"ok\":true,\"path\":[3,1]}\n");
+                   "\"ok\":true,\"p50_us\":0.512,\"path\":[3,1]}\n");
 }
 
 TEST(Wire, ParseLinkSpec)

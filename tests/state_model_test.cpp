@@ -104,19 +104,25 @@ TEST(StateModel, LastStageCEqualsCbarModN)
 
 TEST(StateModel, LinkKindForMatchesDelta)
 {
-    for (unsigned i = 0; i < 4; ++i) {
-        for (Label j = 0; j < 16; ++j) {
-            for (unsigned t = 0; t < 2; ++t) {
-                for (auto st :
-                     {SwitchState::C, SwitchState::Cbar}) {
-                    const auto d = core::deltaFor(j, t, i, st);
-                    const auto k = core::linkKindFor(j, t, i, st);
-                    if (d == 0)
-                        EXPECT_EQ(k, topo::LinkKind::Straight);
-                    else if (d > 0)
-                        EXPECT_EQ(k, topo::LinkKind::Plus);
-                    else
-                        EXPECT_EQ(k, topo::LinkKind::Minus);
+    // linkKindFor's branch-free formula against the sign of the
+    // state model's offset, at every stage and switch of N = 2..1024.
+    for (unsigned n = 1; n <= 10; ++n) {
+        const Label n_size = Label{1} << n;
+        for (unsigned i = 0; i < n; ++i) {
+            for (Label j = 0; j < n_size; ++j) {
+                for (unsigned t = 0; t < 2; ++t) {
+                    for (auto st :
+                         {SwitchState::C, SwitchState::Cbar}) {
+                        const auto d = core::deltaFor(j, t, i, st);
+                        const auto want =
+                            d == 0 ? topo::LinkKind::Straight
+                            : d > 0 ? topo::LinkKind::Plus
+                                    : topo::LinkKind::Minus;
+                        ASSERT_EQ(core::linkKindFor(j, t, i, st), want)
+                            << "N=" << n_size << " stage " << i
+                            << " switch " << j << " t=" << t
+                            << " state " << static_cast<int>(st);
+                    }
                 }
             }
         }

@@ -59,28 +59,40 @@ TEST(TsdtTag, PaperSwitchingTable)
 {
     // Paper, Section 4: for an even_i switch b_i b_{n+i} = 00,01 ->
     // straight, 10 -> +2^i, 11 -> -2^i; for an odd_i switch 10,11 ->
-    // straight, 01 -> +2^i, 00 -> -2^i.
-    const unsigned n = 3;
-    const unsigned i = 1;
-    const Label even_sw = 0b000; // bit 1 = 0
-    const Label odd_sw = 0b010;  // bit 1 = 1
-
-    const auto kind = [&](Label j, unsigned bi, unsigned bni) {
-        const TsdtTag tag(
-            n, static_cast<Label>(bi << i),
-            static_cast<Label>(bni << i));
-        return tsdtLinkKind(j, i, tag);
+    // straight, 01 -> +2^i, 00 -> -2^i.  Indexed [j_i][b_i][b_{n+i}].
+    constexpr LinkKind kTable[2][2][2] = {
+        {{LinkKind::Straight, LinkKind::Straight},
+         {LinkKind::Plus, LinkKind::Minus}},
+        {{LinkKind::Minus, LinkKind::Plus},
+         {LinkKind::Straight, LinkKind::Straight}},
     };
 
-    EXPECT_EQ(kind(even_sw, 0, 0), LinkKind::Straight);
-    EXPECT_EQ(kind(even_sw, 0, 1), LinkKind::Straight);
-    EXPECT_EQ(kind(even_sw, 1, 0), LinkKind::Plus);
-    EXPECT_EQ(kind(even_sw, 1, 1), LinkKind::Minus);
-
-    EXPECT_EQ(kind(odd_sw, 1, 0), LinkKind::Straight);
-    EXPECT_EQ(kind(odd_sw, 1, 1), LinkKind::Straight);
-    EXPECT_EQ(kind(odd_sw, 0, 1), LinkKind::Plus);
-    EXPECT_EQ(kind(odd_sw, 0, 0), LinkKind::Minus);
+    // Every stage and switch (both parities) of N = 1024, with the
+    // tag's other bits random: only b_i, b_{n+i} and j_i may matter,
+    // and tsdtLinkKind and tsdtKindOf must both read the table.
+    const unsigned n = 10;
+    const Label n_size = Label{1} << n;
+    Rng rng(58);
+    for (unsigned i = 0; i < n; ++i) {
+        for (Label j = 0; j < n_size; ++j) {
+            for (unsigned bi = 0; bi < 2; ++bi) {
+                for (unsigned bni = 0; bni < 2; ++bni) {
+                    const auto dest = static_cast<Label>(
+                        withBit(rng.uniform(n_size), i, bi));
+                    const auto state = static_cast<Label>(
+                        withBit(rng.uniform(n_size), i, bni));
+                    const LinkKind want = kTable[bit(j, i)][bi][bni];
+                    ASSERT_EQ(tsdtLinkKind(j, i, TsdtTag(n, dest, state)),
+                              want)
+                        << "stage " << i << " switch " << j
+                        << " b_i=" << bi << " b_n+i=" << bni;
+                    ASSERT_EQ(core::tsdtKindOf(j, i, dest, state), want)
+                        << "stage " << i << " switch " << j
+                        << " b_i=" << bi << " b_n+i=" << bni;
+                }
+            }
+        }
+    }
 }
 
 class TsdtP : public ::testing::TestWithParam<Label>
