@@ -12,53 +12,27 @@
  *
  * Usage:
  *   bench_hotpath [--cycles N] [--net-size N] [--rate R]
- *                 [--faults K] [--no-cache] [--out FILE]
- *                 [--traffic SPEC]
- *                 [--trace-overhead] [--health-overhead]
- *                 [--churn-overhead] [--shards S] [--cache-pairs]
+ *                 [--faults K] [--traffic SPEC] [--out FILE]
+ *                 [--pair KNOB=A,B]
  *
- * --trace-overhead runs every configuration twice in a paired
- * A/B — trace sink detached (the normal production setting) and
- * attached — and reports the relative cycles/sec cost of each.
- * Configs gain a "trace_mode" field ("off"/"on"); without the flag
- * the field is absent and the document is unchanged.  The paired
- * run is how the <=2% disabled-hook budget in docs/PERF.md is
- * measured: compare a --trace-overhead "off" rung of an IADM_TRACE
- * build against a plain run of a trace-off build.
- *
- * --health-overhead is the same paired A/B for the IADM_HEALTH
- * monitor hooks: every configuration runs with no monitor attached
- * and again with a HealthMonitor watching ("health_mode"
- * "off"/"on").  The "on" rung is the acceptance gate for the <=2%
- * monitor-on budget (docs/OBSERVABILITY.md); the "off" rung checks
- * the detached hook costs a plain run nothing.
- *
- * --churn-overhead is the same paired A/B for fault churn: every
- * configuration runs without churn and with a geometric MTBF/MTTR
- * process attached ("churn_mode" "off"/"on").  The "off" rung is
- * the acceptance gate that the churn machinery costs a churn-free
- * run nothing — its cycles/sec must stay within the run-to-run
- * noise band (±2%) of a plain BENCH_hotpath.json rung.
- *
- * --cache-pairs is the paired A/B for the fault-epoch route cache:
- * every configuration runs cache-on and again with the cache
- * force-disabled (the rungs are told apart by the existing
- * "route_cache" field, so the document schema is unchanged).  The
- * cache is routing-neutral by construction, so the paired rungs
- * must agree on delivered/hops exactly — the binary fails if they
- * diverge — and the cycles/sec ratio is what the cache buys over
- * running REROUTE for every attempt (docs/PERF.md quotes these
- * numbers).  Only faulted tsdt rungs have a cache to toggle.
- *
- * --shards S is the paired A/B for intra-simulation sharding:
- * every configuration runs serial (SimConfig::shards = 1) and again
- * with its injection fill + build split across S worker threads,
- * and each rung reports its *effective* shard count in a "shards"
- * field (clamped to N).  Sharding is byte-deterministic, so the
- * paired rungs must agree on delivered / hops exactly — the A/B
- * isolates pure scheduling overhead or speedup.  Meaningful
- * speedups need >= S free cores; docs/PERF.md has the measured
- * ladders.
+ * --pair runs every configuration twice, A then B, as a paired A/B
+ * that differs in one knob:
+ *   trace   on/off  an event-trace sink attached (both rungs of a
+ *                   pair share one sink allocation, so "on" measures
+ *                   recording, not first-touch page faults);
+ *   health  on/off  a HealthMonitor watching the measured cycles;
+ *   churn   on/off  a geometric MTBF/MTTR fault process attached;
+ *   cache   on/off  the route cache toggled at runtime (only faulted
+ *                   tsdt has one; other schemes run alike twice);
+ *   shards  S >= 1  injection fill + build split across S workers.
+ * Each rung carries a "pair" field, "KNOB=value" (for shards the
+ * effective count, clamped to N), and the console prints the B/A
+ * cycles/sec ratio.  Every knob but churn must leave routing alone,
+ * so the binary exits 1 when a pair's delivered or hops differ.
+ * A = B is the A/A noise-floor run (docs/PERF.md "Comparing runs").
+ * The trace pair is also how the <=2% disabled-hook budget is
+ * measured: compare a trace=off rung of an IADM_TRACE build against
+ * a plain run of a trace-off build.
  *
  * --net-size 0 (default) runs the full {64, 256, 1024} ladder; a
  * specific size runs only that one (the perf-smoke ctest uses
@@ -66,30 +40,31 @@
  * pair runs twice — fault-free and with 6 * (N / 64) random static
  * link blockages — so the faulted injection path (where the
  * fault-epoch route cache earns its keep) is always on the perf
- * trajectory; --faults K pins a single blockage count instead, and
- * --no-cache disables the route cache for an uncached baseline of
- * the same binary.  --traffic takes any scenario spec
- * (sim/scenario.hpp, e.g. "transpose" or
- * "shape:bursty:16:64/dst:hotspot:0:0.2"), validated at every N
- * before anything runs; given more than once, the ladder runs once
- * per spec.  Each config's "traffic" field is its spec's canonical
- * name, and the report's top-level "traffic" field lists them all,
- * comma-separated.  The binary re-reads and schema-checks its own
- * report before exiting, so a malformed document fails the run.
+ * trajectory; --faults K pins a single blockage count instead.
+ * --traffic takes any scenario spec (sim/scenario.hpp, e.g.
+ * "transpose" or "shape:bursty:16:64/dst:hotspot:0:0.2"), validated
+ * at every N before anything runs; given more than once, the ladder
+ * runs once per spec.  Each config's "traffic" field is its spec's
+ * canonical name, and the report's top-level "traffic" field lists
+ * them all, comma-separated.  The binary re-reads and schema-checks
+ * its own report before exiting, so a malformed document fails the
+ * run.
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "common/json_writer.hpp"
+#include "common/parse.hpp"
 #include "obs/health.hpp"
 #include "obs/trace_sink.hpp"
 #include "sim/network_sim.hpp"
@@ -102,18 +77,41 @@ using namespace iadm;
 using namespace iadm::sim;
 using Clock = std::chrono::steady_clock;
 
+/** What a --pair run changes between its two rungs. */
+enum class Knob
+{
+    None, //!< no --pair: one plain rung per configuration
+    Trace,
+    Health,
+    Churn,
+    Cache,
+    Shards,
+};
+
+constexpr std::pair<const char *, Knob> kKnobs[] = {
+    {"trace", Knob::Trace}, {"health", Knob::Health},
+    {"churn", Knob::Churn}, {"cache", Knob::Cache},
+    {"shards", Knob::Shards}};
+
+const char *
+knobName(Knob k)
+{
+    for (const auto &[name, knob] : kKnobs)
+        if (knob == k)
+            return name;
+    return "";
+}
+
 struct Options
 {
     Cycle cycles = 8000;
     Label netSize = 0; //!< 0 = the full {64, 256, 1024} ladder
     double rate = 0.35;
-    long faults = -1;  //!< -1 = ladder default {0, 6 * N / 64}
-    bool noCache = false;
-    bool cachePairs = false;
-    bool traceOverhead = false;
-    bool healthOverhead = false;
-    bool churnOverhead = false;
-    unsigned shards = 0; //!< 0 = no paired sharding rungs
+    /** Pinned blockage count; unset = ladder default {0, 6 * N / 64}. */
+    std::optional<std::size_t> faults;
+    Knob knob = Knob::None;
+    /** The A and B values: 1/0 for on/off, or the shard counts. */
+    unsigned pair[2] = {0, 0};
     std::vector<ScenarioSpec> traffics; //!< one per --traffic
     ScenarioSpec traffic; //!< the ladder running now (uniform default)
     std::string out = "BENCH_hotpath.json";
@@ -136,10 +134,7 @@ struct ConfigResult
     std::uint64_t hops;
     std::uint64_t cacheHits;
     std::uint64_t cacheMisses;
-    const char *traceMode = nullptr; //!< "off"/"on" in paired mode
-    const char *healthMode = nullptr; //!< "off"/"on" in paired mode
-    const char *churnMode = nullptr; //!< "off"/"on" in paired mode
-    unsigned shards = 0; //!< effective shard count; 0 = field absent
+    std::string pair; //!< "KNOB=value" on paired rungs, else empty
 };
 
 std::uint64_t
@@ -152,22 +147,21 @@ percentileNs(std::vector<std::uint64_t> &sorted, double q)
     return sorted[idx];
 }
 
+/** One rung, with opt.knob (if any) set to @p value. */
 ConfigResult
 runConfig(Label n_size, RoutingScheme scheme, std::size_t fault_links,
-          const Options &opt, obs::TraceSink *sink = nullptr,
-          bool churn = false, unsigned shards = 1,
-          bool force_no_cache = false, bool health = false)
+          const Options &opt, unsigned value)
 {
+    const bool on = value != 0;
     SimConfig cfg;
     cfg.netSize = n_size;
     cfg.scheme = scheme;
     cfg.injectionRate = opt.rate;
     cfg.seed = 97;
-    cfg.routeCache = !opt.noCache && !force_no_cache;
-    cfg.shards = shards;
+    cfg.shards = opt.knob == Knob::Shards ? value : 1;
 
     // Static random-link blockages, deterministically derived from
-    // (N, count) so reruns and cached/uncached pairs see identical
+    // (N, count) so reruns and both rungs of a pair see identical
     // fault sets.
     fault::FaultSet faults;
     if (fault_links != 0) {
@@ -178,11 +172,14 @@ runConfig(Label n_size, RoutingScheme scheme, std::size_t fault_links,
                      .make(topo, frng);
     }
     NetworkSim s(cfg, opt.traffic.make(n_size), std::move(faults));
-    if (sink != nullptr) {
-        sink->clear();
-        s.setTraceSink(sink);
+    if (opt.knob == Knob::Cache && s.routeCache() != nullptr)
+        s.setRouteCacheEnabled(on);
+    if (opt.knob == Knob::Trace && on) {
+        static obs::TraceSink sink;
+        sink.clear();
+        s.setTraceSink(&sink);
     }
-    if (churn)
+    if (opt.knob == Knob::Churn && on)
         // Mild, size-independent churn: enough transitions to keep
         // the epoch machinery hot without drowning the routing work.
         s.addFaultProcess(std::make_unique<fault::GeometricChurn>(
@@ -191,7 +188,7 @@ runConfig(Label n_size, RoutingScheme scheme, std::size_t fault_links,
     s.run(opt.cycles / 10); // warm the queues into steady state
     s.resetMetrics();
     obs::HealthMonitor monitor; // must outlive the stepped loop
-    if (health)
+    if (opt.knob == Knob::Health && on)
         s.setHealthMonitor(&monitor); // after warmup: watch the
                                       // measured cycles only
     const std::uint64_t hops0 = s.metrics().totalHops();
@@ -233,8 +230,11 @@ runConfig(Label n_size, RoutingScheme scheme, std::size_t fault_links,
     r.stepP50Ns = percentileNs(stepNs, 0.50);
     r.stepP99Ns = percentileNs(stepNs, 0.99);
     r.delivered = s.metrics().delivered();
-    if (shards != 1)
-        r.shards = s.shards(); // effective count, after clamping
+    if (opt.knob != Knob::None)
+        r.pair = std::string(knobName(opt.knob)) + '=' +
+                 (opt.knob == Knob::Shards
+                      ? std::to_string(s.shards()) // after clamping
+                      : on ? "on" : "off");
     return r;
 }
 
@@ -292,21 +292,9 @@ writeReport(std::ostream &os, const Options &opt,
         w.value(r.delivered);
         w.key("hops");
         w.value(r.hops);
-        if (r.traceMode != nullptr) {
-            w.key("trace_mode");
-            w.value(r.traceMode);
-        }
-        if (r.healthMode != nullptr) {
-            w.key("health_mode");
-            w.value(r.healthMode);
-        }
-        if (r.churnMode != nullptr) {
-            w.key("churn_mode");
-            w.value(r.churnMode);
-        }
-        if (r.shards != 0) {
-            w.key("shards");
-            w.value(static_cast<std::uint64_t>(r.shards));
+        if (!r.pair.empty()) {
+            w.key("pair");
+            w.value(r.pair);
         }
         w.endObject();
     }
@@ -340,73 +328,70 @@ reportIsSchemaValid(const std::string &path)
     return true;
 }
 
+/** "KNOB=A,B" into opt.knob and opt.pair; false if malformed. */
+bool
+parsePair(const std::string &spec, Options &opt)
+{
+    const auto eq = spec.find('=');
+    if (eq == std::string::npos)
+        return false;
+    for (const auto &[name, knob] : kKnobs)
+        if (spec.compare(0, eq, name) == 0)
+            opt.knob = knob;
+    const auto values = splitOn(spec.substr(eq + 1), ',');
+    if (opt.knob == Knob::None || values.size() != 2)
+        return false;
+    for (std::size_t k = 0; k < 2; ++k) {
+        const std::string &v = values[k];
+        if (opt.knob == Knob::Shards) {
+            if (!parseUnsigned(v, opt.pair[k]) || opt.pair[k] == 0)
+                return false;
+        } else if (v == "on" || v == "off") {
+            opt.pair[k] = v == "on";
+        } else {
+            return false;
+        }
+    }
+    return true;
+}
+
 bool
 parseArgs(int argc, char **argv, Options &opt)
 {
+    // Every flag takes a value; numbers parse strictly.
     for (int i = 1; i < argc; ++i) {
         const std::string flag = argv[i];
-        const auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        try {
-            if (flag == "--cycles") {
-                const char *v = next();
-                if (!v)
-                    return false;
-                opt.cycles = std::stoull(v);
-            } else if (flag == "--net-size") {
-                const char *v = next();
-                if (!v)
-                    return false;
-                opt.netSize = static_cast<Label>(std::stoul(v));
-            } else if (flag == "--rate") {
-                const char *v = next();
-                if (!v)
-                    return false;
-                opt.rate = std::stod(v);
-            } else if (flag == "--faults") {
-                const char *v = next();
-                if (!v)
-                    return false;
-                opt.faults = std::stol(v);
-                if (opt.faults < 0)
-                    return false;
-            } else if (flag == "--no-cache") {
-                opt.noCache = true;
-            } else if (flag == "--cache-pairs") {
-                opt.cachePairs = true;
-            } else if (flag == "--trace-overhead") {
-                opt.traceOverhead = true;
-            } else if (flag == "--health-overhead") {
-                opt.healthOverhead = true;
-            } else if (flag == "--churn-overhead") {
-                opt.churnOverhead = true;
-            } else if (flag == "--shards") {
-                const char *v = next();
-                if (!v)
-                    return false;
-                opt.shards = static_cast<unsigned>(std::stoul(v));
-                if (opt.shards < 2)
-                    return false;
-            } else if (flag == "--traffic") {
-                const char *v = next();
-                if (!v)
-                    return false;
-                const auto spec = ScenarioSpec::parse(v);
-                if (!spec)
-                    return false;
-                opt.traffics.push_back(*spec);
-            } else if (flag == "--out") {
-                const char *v = next();
-                if (!v)
-                    return false;
-                opt.out = v;
-            } else {
-                std::cerr << "unknown flag: " << flag << "\n";
+        const std::string v = i + 1 < argc ? argv[++i] : "";
+        bool ok = true;
+        if (flag == "--cycles") {
+            ok = parseUnsigned(v, opt.cycles);
+        } else if (flag == "--net-size") {
+            ok = parseUnsigned(v, opt.netSize);
+        } else if (flag == "--rate") {
+            ok = parseDouble(v, opt.rate);
+        } else if (flag == "--faults") {
+            ok = parseUnsigned(v, opt.faults.emplace());
+        } else if (flag == "--pair") {
+            if (opt.knob != Knob::None) {
+                std::cerr << "bench_hotpath: --pair given twice\n";
                 return false;
             }
-        } catch (...) {
-            std::cerr << "bad value for " << flag << "\n";
+            ok = parsePair(v, opt);
+        } else if (flag == "--traffic") {
+            const auto spec = ScenarioSpec::parse(v);
+            ok = spec.has_value();
+            if (ok)
+                opt.traffics.push_back(*spec);
+        } else if (flag == "--out") {
+            opt.out = v;
+            ok = !v.empty();
+        } else {
+            std::cerr << "bench_hotpath: unknown flag " << flag << "\n";
+            return false;
+        }
+        if (!ok) {
+            std::cerr << "bench_hotpath: bad value for " << flag
+                      << ": '" << v << "'\n";
             return false;
         }
     }
@@ -424,10 +409,9 @@ main(int argc, char **argv)
     if (!parseArgs(argc, argv, opt)) {
         std::cerr << "usage: bench_hotpath [--cycles N] "
                      "[--net-size N] [--rate R] [--faults K] "
-                     "[--no-cache] [--traffic SPEC] "
-                     "[--trace-overhead] [--health-overhead] "
-                     "[--churn-overhead] "
-                     "[--shards S] [--cache-pairs] [--out FILE]\n";
+                     "[--traffic SPEC] [--out FILE] [--pair KNOB=A,B]\n"
+                     "  KNOB is trace, health, churn or cache "
+                     "(A, B: on or off) or shards (A, B >= 1)\n";
         return 2;
     }
     if (opt.traffics.empty())
@@ -452,7 +436,9 @@ main(int argc, char **argv)
 
     std::vector<ConfigResult> results;
     std::cout << "  N  scheme         faults  cache   cycles/sec"
-                 "      hops/sec    p50(ns)    p99(ns)\n";
+                 "      hops/sec"
+              << (opt.knob == Knob::None ? "    p50(ns)    p99(ns)\n"
+                                         : "  B: cycles/sec  (B/A)\n");
     // One size ladder per traffic spec.
     for (std::size_t k = 0; k < opt.traffics.size() * sizes.size(); ++k) {
         opt.traffic = opt.traffics[k / sizes.size()];
@@ -461,174 +447,48 @@ main(int argc, char **argv)
         // faulted row (6 blockages per 64 nodes); --faults K pins
         // one row.
         const std::vector<std::size_t> fault_counts =
-            opt.faults >= 0
-                ? std::vector<std::size_t>{static_cast<std::size_t>(
-                      opt.faults)}
-                : std::vector<std::size_t>{
-                      0, static_cast<std::size_t>(6) * (n_size / 64)};
+            opt.faults ? std::vector<std::size_t>{*opt.faults}
+                       : std::vector<std::size_t>{0, 6 * (n_size / 64)};
         for (const std::size_t fault_links : fault_counts) {
             for (const RoutingScheme scheme : schemes) {
-                if (opt.traceOverhead) {
-                    // Paired A/B: identical config, sink detached
-                    // then attached.  Both rungs share one sink
-                    // allocation so the "on" rung measures
-                    // recording, not first-touch page faults.
-                    static obs::TraceSink sink;
-                    auto off =
-                        runConfig(n_size, scheme, fault_links, opt);
-                    off.traceMode = "off";
-                    auto on = runConfig(n_size, scheme, fault_links,
-                                        opt, &sink);
-                    on.traceMode = "on";
-                    const double pct =
-                        off.cyclesPerSec > 0
-                            ? 100.0 * (off.cyclesPerSec -
-                                       on.cyclesPerSec) /
-                                  off.cyclesPerSec
-                            : 0.0;
+                const auto a = runConfig(n_size, scheme, fault_links,
+                                         opt, opt.pair[0]);
+                results.push_back(a);
+                if (opt.knob == Knob::None) {
                     std::printf(
-                        "%5u  %-13s %6zu  %5s %12.0f  %12.0f  "
-                        "trace on: %12.0f  (%+.1f%%)\n",
-                        off.netSize, routingSchemeName(off.scheme),
-                        off.faultLinks,
-                        off.routeCache ? "on" : "off",
-                        off.cyclesPerSec, off.hopsPerSec,
-                        on.cyclesPerSec, pct);
-                    results.push_back(off);
-                    results.push_back(on);
+                        "%5u  %-13s %6zu  %5s %12.0f  %12.0f  %9llu  "
+                        "%9llu\n",
+                        a.netSize, routingSchemeName(a.scheme),
+                        a.faultLinks, a.routeCache ? "on" : "off",
+                        a.cyclesPerSec, a.hopsPerSec,
+                        static_cast<unsigned long long>(a.stepP50Ns),
+                        static_cast<unsigned long long>(a.stepP99Ns));
                     continue;
                 }
-                if (opt.healthOverhead) {
-                    // Paired A/B: identical config, monitor detached
-                    // then attached.  The "on" rung carries the
-                    // <=2% monitor budget (docs/OBSERVABILITY.md).
-                    auto off =
-                        runConfig(n_size, scheme, fault_links, opt);
-                    off.healthMode = "off";
-                    auto on =
-                        runConfig(n_size, scheme, fault_links, opt,
-                                  nullptr, false, 1, false, true);
-                    on.healthMode = "on";
-                    const double pct =
-                        off.cyclesPerSec > 0
-                            ? 100.0 * (off.cyclesPerSec -
-                                       on.cyclesPerSec) /
-                                  off.cyclesPerSec
-                            : 0.0;
-                    std::printf(
-                        "%5u  %-13s %6zu  %5s %12.0f  %12.0f  "
-                        "health on: %12.0f  (%+.1f%%)\n",
-                        off.netSize, routingSchemeName(off.scheme),
-                        off.faultLinks,
-                        off.routeCache ? "on" : "off",
-                        off.cyclesPerSec, off.hopsPerSec,
-                        on.cyclesPerSec, pct);
-                    results.push_back(off);
-                    results.push_back(on);
-                    continue;
-                }
-                if (opt.cachePairs) {
-                    // Paired A/B: identical config, cache on then
-                    // force-disabled.  Routing neutrality makes
-                    // delivered/hops a built-in cross-check.
-                    const auto on =
-                        runConfig(n_size, scheme, fault_links, opt);
-                    const auto off =
-                        runConfig(n_size, scheme, fault_links, opt,
-                                  nullptr, false, 1, true);
-                    if (on.delivered != off.delivered ||
-                        on.hops != off.hops) {
-                        std::cerr << "cached run diverged from "
-                                     "uncached (routing-neutrality "
-                                     "bug)\n";
-                        return 1;
-                    }
-                    const double speedup =
-                        off.cyclesPerSec > 0
-                            ? on.cyclesPerSec / off.cyclesPerSec
-                            : 0.0;
-                    std::printf(
-                        "%5u  %-13s %6zu  cache %12.0f  %12.0f  "
-                        "no-cache: %12.0f  (x%.2f)\n",
-                        on.netSize, routingSchemeName(on.scheme),
-                        on.faultLinks, on.cyclesPerSec,
-                        on.hopsPerSec, off.cyclesPerSec, speedup);
-                    results.push_back(on);
-                    results.push_back(off);
-                    continue;
-                }
-                if (opt.shards != 0) {
-                    // Paired A/B: identical config, serial then
-                    // sharded.  Determinism makes delivered/hops a
-                    // built-in cross-check between the rungs.
-                    auto serial =
-                        runConfig(n_size, scheme, fault_links, opt,
-                                  nullptr, false, 1);
-                    serial.shards = 1;
-                    const auto sharded =
-                        runConfig(n_size, scheme, fault_links, opt,
-                                  nullptr, false, opt.shards);
-                    if (serial.delivered != sharded.delivered ||
-                        serial.hops != sharded.hops) {
-                        std::cerr << "sharded run diverged from "
-                                     "serial (determinism bug)\n";
-                        return 1;
-                    }
-                    const double speedup =
-                        serial.cyclesPerSec > 0
-                            ? sharded.cyclesPerSec /
-                                  serial.cyclesPerSec
-                            : 0.0;
-                    std::printf(
-                        "%5u  %-13s %6zu  %5s %12.0f  %12.0f  "
-                        "shards=%u: %12.0f  (x%.2f)\n",
-                        serial.netSize,
-                        routingSchemeName(serial.scheme),
-                        serial.faultLinks,
-                        serial.routeCache ? "on" : "off",
-                        serial.cyclesPerSec, serial.hopsPerSec,
-                        sharded.shards, sharded.cyclesPerSec,
-                        speedup);
-                    results.push_back(serial);
-                    results.push_back(sharded);
-                    continue;
-                }
-                if (opt.churnOverhead) {
-                    auto off =
-                        runConfig(n_size, scheme, fault_links, opt);
-                    off.churnMode = "off";
-                    auto on = runConfig(n_size, scheme, fault_links,
-                                        opt, nullptr, true);
-                    on.churnMode = "on";
-                    const double pct =
-                        off.cyclesPerSec > 0
-                            ? 100.0 * (off.cyclesPerSec -
-                                       on.cyclesPerSec) /
-                                  off.cyclesPerSec
-                            : 0.0;
-                    std::printf(
-                        "%5u  %-13s %6zu  %5s %12.0f  %12.0f  "
-                        "churn on: %12.0f  (%+.1f%%)\n",
-                        off.netSize, routingSchemeName(off.scheme),
-                        off.faultLinks,
-                        off.routeCache ? "on" : "off",
-                        off.cyclesPerSec, off.hopsPerSec,
-                        on.cyclesPerSec, pct);
-                    results.push_back(off);
-                    results.push_back(on);
-                    continue;
-                }
-                const auto r =
-                    runConfig(n_size, scheme, fault_links, opt);
+                const auto b = runConfig(n_size, scheme, fault_links,
+                                         opt, opt.pair[1]);
+                results.push_back(b);
                 std::printf(
-                    "%5u  %-13s %6zu  %5s %12.0f  %12.0f  %9llu  "
-                    "%9llu\n",
-                    r.netSize, routingSchemeName(r.scheme),
-                    r.faultLinks, r.routeCache ? "on" : "off",
-                    r.cyclesPerSec, r.hopsPerSec,
-                    static_cast<unsigned long long>(r.stepP50Ns),
-                    static_cast<unsigned long long>(r.stepP99Ns));
-                results.push_back(r);
+                    "%5u  %-13s %6zu  %5s %12.0f  %12.0f  "
+                    "%s: %12.0f  (B/A x%.3f)\n",
+                    a.netSize, routingSchemeName(a.scheme),
+                    a.faultLinks, a.routeCache ? "on" : "off",
+                    a.cyclesPerSec, a.hopsPerSec, b.pair.c_str(),
+                    b.cyclesPerSec,
+                    a.cyclesPerSec > 0 ? b.cyclesPerSec / a.cyclesPerSec
+                                       : 0.0);
+                // Churn changes the fault map on purpose; every
+                // other knob must leave each routing decision alone.
+                if (opt.knob != Knob::Churn &&
+                    (a.delivered != b.delivered || a.hops != b.hops)) {
+                    std::cerr << "bench_hotpath: " << a.pair << " and "
+                              << b.pair << " diverged (delivered "
+                              << a.delivered << " vs " << b.delivered
+                              << ", hops " << a.hops << " vs "
+                              << b.hops << "): the knob changed "
+                              << "routing\n";
+                    return 1;
+                }
             }
         }
     }

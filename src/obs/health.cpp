@@ -1,9 +1,6 @@
 #include "obs/health.hpp"
 
 #include <algorithm>
-#ifdef IADM_HEALTH_DEBUG_DUMP
-#include <cstdio>
-#endif
 
 namespace iadm::obs {
 
@@ -99,16 +96,6 @@ HealthMonitor::endScan()
                 sig += mixNode(mixNode(u) ^ stamp_[u]);
                 u = edgeTo_[u];
             } while (u != v);
-#ifdef IADM_HEALTH_DEBUG_DUMP
-            std::fprintf(stderr, "[health] sighting sig=%016llx:",
-                         static_cast<unsigned long long>(sig));
-            u = v;
-            do {
-                std::fprintf(stderr, " %u", u);
-                u = edgeTo_[u];
-            } while (u != v);
-            std::fprintf(stderr, "\n");
-#endif
             seenThisScan_.push_back(sig);
         }
     }

@@ -48,21 +48,6 @@
 
 namespace iadm::obs {
 
-/**
- * Compile-time gate, same discipline as the TraceSink: with
- * IADM_HEALTH=OFF the per-cycle hook in NetworkSim::step() compiles
- * away entirely and attaching a monitor is a no-op.
- */
-constexpr bool
-healthCompiledIn()
-{
-#if IADM_HEALTH
-    return true;
-#else
-    return false;
-#endif
-}
-
 struct HealthConfig
 {
     /** Cycles between wait-for scans. */

@@ -12,25 +12,6 @@ namespace iadm::obs {
 
 namespace {
 
-/** The oppositely-signed nonstraight link (Theorem 3.2's spare). */
-topo::LinkKind
-spareOf(topo::LinkKind k)
-{
-    return k == topo::LinkKind::Plus ? topo::LinkKind::Minus
-                                     : topo::LinkKind::Plus;
-}
-
-Label
-linkTarget(Label j, unsigned i, topo::LinkKind k, Label n_size)
-{
-    const std::int64_t d =
-        k == topo::LinkKind::Straight
-            ? 0
-            : (k == topo::LinkKind::Plus ? (std::int64_t{1} << i)
-                                         : -(std::int64_t{1} << i));
-    return modAdd(j, d, n_size);
-}
-
 void
 emitHop(TraceSink *sink, std::uint64_t pid, const ReplayHop &h,
         Label tag_dest, Label tag_state)
@@ -49,72 +30,56 @@ emitHop(TraceSink *sink, std::uint64_t pid, const ReplayHop &h,
 }
 
 /**
- * SSDT: walk src -> dst with the local repair rule of Theorem 3.2 —
- * a blocked nonstraight link flips the switch state and uses the
- * spare; straight / double-nonstraight blockages are unrepairable.
+ * SSDT: run core::SsdtRouter — the local repair rule of Theorem 3.2,
+ * where a blocked nonstraight link flips the switch state and uses
+ * the spare, and straight / double-nonstraight blockages are
+ * unrepairable — then narrate its walk.  The router starts every
+ * switch in state C and the walk visits each stage once, so a hop's
+ * switch reads C~ exactly when the walk flipped it, and a failed
+ * walk's last hop is the blocked state-C link at its failed stage.
  */
 ReplayResult
 replaySsdt(const topo::IadmTopology &topo,
            const fault::FaultSet &faults, Label src, Label dst,
            TraceSink *sink, std::uint64_t pid)
 {
-    const Label n_size = topo.size();
-    const unsigned n = topo.stages();
-
     ReplayResult r;
     r.src = src;
     r.dst = dst;
-    r.netSize = n_size;
+    r.netSize = topo.size();
     r.scheme = ReplayScheme::Ssdt;
 
-    core::NetworkState state(n_size);
-    Label j = src;
-    for (unsigned i = 0; i < n; ++i) {
+    core::SsdtRouter router(topo);
+    const core::SsdtResult route = router.route(src, dst, faults);
+    r.delivered = route.delivered;
+    r.reroutes = route.stateFlips;
+    const auto hop = [&](unsigned i) {
         ReplayHop h;
         h.stage = i;
-        h.sw = j;
-        h.odd = core::isOddSwitch(j, i);
-        h.state = state.get(i, j);
+        h.sw = route.path.switchAt(i);
+        h.odd = core::isOddSwitch(h.sw, i);
+        h.state = router.state().get(i, h.sw);
+        h.flipped = h.state == core::SwitchState::Cbar;
+        h.stateBit = h.flipped ? 1u : 0u;
         h.tagBit = bit(dst, i);
-        h.kind = core::linkKindFor(j, h.tagBit, i, h.state);
-        h.next = core::applyState(j, h.tagBit, i, n_size, h.state);
-
-        const topo::Link chosen{i, j, h.next, h.kind};
-        if (faults.isBlocked(chosen)) {
-            if (h.kind == topo::LinkKind::Straight) {
-                r.failReason =
-                    "straight blockage at stage " +
-                    std::to_string(i) +
-                    " is locally unrepairable (Theorem 3.2)";
-                r.hops.push_back(h);
-                break;
-            }
-            const topo::LinkKind spare = spareOf(h.kind);
-            const Label spareTo = linkTarget(j, i, spare, n_size);
-            const topo::Link spareLink{i, j, spareTo, spare};
-            if (faults.isBlocked(spareLink)) {
-                r.failReason =
-                    "double-nonstraight blockage at stage " +
-                    std::to_string(i) +
-                    " is locally unrepairable (Theorem 3.2)";
-                r.hops.push_back(h);
-                break;
-            }
-            // Flip the switch state and take the spare (Lemma 2.1:
-            // both states set bit i of the label to the tag bit).
-            state.flip(i, j);
-            h.state = state.get(i, j);
-            h.kind = spare;
-            h.next = spareTo;
-            h.flipped = true;
-            ++r.reroutes;
-        }
-        h.stateBit = h.state == core::SwitchState::Cbar ? 1u : 0u;
-        r.hops.push_back(h);
-        emitHop(sink, pid, h, dst, 0);
-        j = h.next;
+        h.kind = core::linkKindFor(h.sw, h.tagBit, i, h.state);
+        h.next =
+            core::applyState(h.sw, h.tagBit, i, r.netSize, h.state);
+        return h;
+    };
+    for (unsigned i = 0; i < route.path.length(); ++i) {
+        r.hops.push_back(hop(i));
+        emitHop(sink, pid, r.hops.back(), dst, 0);
     }
-    r.delivered = r.failReason.empty() && j == dst;
+    if (!route.delivered) {
+        r.hops.push_back(hop(route.path.length()));
+        r.failReason =
+            std::string(route.failure == fault::BlockageKind::Straight
+                            ? "straight"
+                            : "double-nonstraight") +
+            " blockage at stage " + std::to_string(route.failedStage) +
+            " is locally unrepairable (Theorem 3.2)";
+    }
     return r;
 }
 

@@ -20,7 +20,7 @@
  *    additionally specialized on traced-vs-not (one test per stage
  *    call selects an instantiation whose hooks folded away), so the
  *    compiled-in-but-disabled path costs <= 2% on the paired
- *    bench_hotpath ladder (see --trace-overhead).
+ *    bench_hotpath ladder (--pair trace=off,on).
  *
  * routeTraceContext() is the bridge into REROUTE's kernel — the
  * algorithmic layer cannot depend on the simulator, so the simulator

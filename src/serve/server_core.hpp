@@ -52,7 +52,10 @@ struct ServeConfig
     Label netSize = 16;
     sim::RoutingScheme scheme = sim::RoutingScheme::TsdtSender;
 
-    /** Route-cache entries; 0 = RouteCache::autoCapacity(). */
+    /**
+     * Route-cache entries, at most RouteCache::kMaxCapacity; 0 =
+     * RouteCache::autoCapacity().
+     */
     std::size_t cacheCapacity = 0;
 
     /**

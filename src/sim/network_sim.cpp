@@ -93,14 +93,14 @@ NetworkSim::NetworkSim(const SimConfig &cfg,
         0);
     gated_ = traffic_->gated();
     feedback_ = traffic_->closedLoop();
-    // The route cache exists whenever the scheme runs REROUTE at
-    // injection and the packet path cache can hold a full path; the
-    // config flag only governs whether it starts enabled, so the
-    // uncached baseline is one setRouteCacheEnabled(true) away.
+    // The route cache exists, enabled, whenever the scheme runs
+    // REROUTE at injection and the packet path cache can hold a
+    // full path; the uncached baseline is one
+    // setRouteCacheEnabled(false) away.
     if (cfg.scheme == RoutingScheme::TsdtSender &&
         topo_.stages() <= Packet::kMaxTracedStages) {
         rcache_ = RouteCache(cfg.netSize, cfg.routeCacheCapacity);
-        rcacheEnabled_ = cfg.routeCache;
+        rcacheEnabled_ = true;
         probes_.reserve(cfg.netSize);
     }
     attempts_.reserve(cfg.netSize);
@@ -152,7 +152,8 @@ NetworkSim::refreshFaultView()
 }
 
 void
-NetworkSim::recordFaultTransition(Cycle cycle, const topo::Link &link,
+NetworkSim::recordFaultTransition([[maybe_unused]] Cycle cycle,
+                                  [[maybe_unused]] const topo::Link &link,
                                   bool down)
 {
     metrics_.recordFaultTransition(down);
@@ -762,6 +763,66 @@ NetworkSim::advanceStageImpl(unsigned stage)
         queues_.prefetchTail(queues_.qid(stage + 1, to));
     };
 
+    // What becomes of a head that cannot move this cycle, written
+    // once for every wait class.  A stall records where it waits
+    // (link kind and aux label, trace only); a drop retires the
+    // packet, and its Drop event carries kFlagUnroutable for a FAIL
+    // verdict.
+    const auto aged = [&](const Packet &h) {
+        return cfg_.maxPacketAge != 0 &&
+               now_ - h.injected >= cfg_.maxPacketAge;
+    };
+    const auto stall = [&]([[maybe_unused]] Label j,
+                           [[maybe_unused]] const Packet &h,
+                           [[maybe_unused]] std::uint8_t link,
+                           [[maybe_unused]] Label aux) {
+        metrics_.recordStall(stage);
+        IADM_TRACE_EVENT(trace, obs::EventKind::Stall, h.id, now_,
+                         stage, j, link, aux,
+                         static_cast<Label>(h.tag.destination()),
+                         static_cast<Label>(h.tag.stateBits()));
+    };
+    const auto drop = [&](Label j, const Packet &h, DropReason reason) {
+        metrics_.recordDropped(stage, reason);
+        IADM_TRACE_EVENT(trace, obs::EventKind::Drop, h.id, now_, stage,
+                         j, obs::TraceEvent::kNoLink, h.dst,
+                         static_cast<Label>(h.tag.destination()),
+                         static_cast<Label>(h.tag.stateBits()),
+                         reason == DropReason::Unroutable
+                             ? obs::TraceEvent::kFlagUnroutable
+                             : std::uint8_t{0});
+        dropAt(stage, j);
+        --inFlight_;
+        if (feedback_)
+            traffic_->onRetire(h.src);
+    };
+    // Every wait class ages out, or wait-for cycles through it
+    // wedge until churn happens to break them: a stall past
+    // cfg_.maxPacketAge is an Expired drop (a route may yet open,
+    // so it is not proven unroutable).
+    const auto stallOrExpire = [&](Label j, const Packet &h,
+                                   std::uint8_t link, Label aux) {
+        if (aged(h))
+            drop(j, h, DropReason::Expired);
+        else
+            stall(j, h, link, aux);
+    };
+    // Disposition of a head whose REROUTE/BACKTRACK returned FAIL:
+    // in a dynamic environment (a pending window or an attached
+    // churn process) the verdict only holds until the fault map
+    // changes, so the packet parks and retries after the next
+    // FaultSet::version() bump.  It is dropped outright when nothing
+    // can ever change, or once it ages past cfg_.maxPacketAge.
+    [[maybe_unused]] const auto parkOrDrop = [&](Label j,
+                                                 const Packet &h) {
+        const bool dynamic_env =
+            windows_.pending() != 0 || !churn_.empty();
+        if (dynamic_env && !aged(h))
+            stall(j, h, obs::TraceEvent::kNoLink, h.dst);
+        else
+            drop(j, h, DropReason::Unroutable);
+    };
+
     for (unsigned i = 0; i < cnt; ++i) {
         if (i + kPrefetch < cnt)
             queues_.prefetchFront(
@@ -777,40 +838,6 @@ NetworkSim::advanceStageImpl(unsigned stage)
         if (head.movedAt == now_)
             continue; // one hop per packet per cycle
 
-        // Disposition of a head whose REROUTE/BACKTRACK returned
-        // FAIL: in a dynamic environment (a pending window or an
-        // attached churn process) the verdict only holds until the
-        // fault map changes, so the packet parks and retries after
-        // the next FaultSet::version() bump.  It is dropped outright
-        // when nothing can ever change, or once it ages past
-        // cfg_.maxPacketAge.
-        [[maybe_unused]] const auto parkOrDrop = [&](Packet &h) {
-            const bool dynamic_env =
-                windows_.pending() != 0 || !churn_.empty();
-            const bool aged = cfg_.maxPacketAge != 0 &&
-                              now_ - h.injected >= cfg_.maxPacketAge;
-            if (dynamic_env && !aged) {
-                metrics_.recordStall(stage);
-                IADM_TRACE_EVENT(
-                    trace, obs::EventKind::Stall, h.id, now_, stage,
-                    j, obs::TraceEvent::kNoLink, h.dst,
-                    static_cast<Label>(h.tag.destination()),
-                    static_cast<Label>(h.tag.stateBits()));
-                return;
-            }
-            metrics_.recordDropped(stage, DropReason::Unroutable);
-            IADM_TRACE_EVENT(
-                trace, obs::EventKind::Drop, h.id, now_, stage, j,
-                obs::TraceEvent::kNoLink, h.dst,
-                static_cast<Label>(h.tag.destination()),
-                static_cast<Label>(h.tag.stateBits()),
-                obs::TraceEvent::kFlagUnroutable);
-            dropAt(stage, j);
-            --inFlight_;
-            if (feedback_)
-                traffic_->onRetire(h.src);
-        };
-
         // Only the dynamic scheme can carry a FAIL verdict (the
         // undeliverable flag comes from in-network BACKTRACK), so
         // the whole retry protocol folds away for every other
@@ -823,7 +850,7 @@ NetworkSim::advanceStageImpl(unsigned stage)
                 if (head.lastEpoch == ep) {
                     // Fault map unchanged since the FAIL verdict; a
                     // new search would reach the same dead ends.
-                    parkOrDrop(head);
+                    parkOrDrop(j, head);
                     continue;
                 }
                 // The map changed: clear the verdict and re-run the
@@ -843,33 +870,10 @@ NetworkSim::advanceStageImpl(unsigned stage)
                 if (queues_.full(queues_.qid(stage - 1, down_j))) {
                     // A backward walker stalled on a full queue can
                     // be one arc of a wait-for cycle (the queue's
-                    // own head waiting forward on this one); the age
-                    // cap must cover this wait class too, or such
-                    // cycles wedge until churn happens to break
-                    // them (HealthMonitor found exactly that).
-                    if (cfg_.maxPacketAge != 0 &&
-                        now_ - head.injected >= cfg_.maxPacketAge) {
-                        metrics_.recordDropped(stage,
-                                               DropReason::Expired);
-                        IADM_TRACE_EVENT(
-                            trace, obs::EventKind::Drop, head.id,
-                            now_, stage, j, obs::TraceEvent::kNoLink,
-                            head.dst,
-                            static_cast<Label>(
-                                head.tag.destination()),
-                            static_cast<Label>(head.tag.stateBits()));
-                        dropAt(stage, j);
-                        --inFlight_;
-                        if (feedback_)
-                            traffic_->onRetire(head.src);
-                        continue;
-                    }
-                    metrics_.recordStall(stage);
-                    IADM_TRACE_EVENT(
-                        trace, obs::EventKind::Stall, head.id, now_,
-                        stage, j, obs::TraceEvent::kNoLink, down_j,
-                        static_cast<Label>(head.tag.destination()),
-                        static_cast<Label>(head.tag.stateBits()));
+                    // own head waiting forward on this one);
+                    // HealthMonitor found such cycles wedged.
+                    stallOrExpire(j, head, obs::TraceEvent::kNoLink,
+                                  down_j);
                     continue;
                 }
                 head.movedAt = now_;
@@ -900,32 +904,11 @@ NetworkSim::advanceStageImpl(unsigned stage)
                 if (head.undeliverable) {
                     // Fresh FAIL verdict this cycle (chooseLink
                     // stamped the epoch): park or drop.
-                    parkOrDrop(head);
+                    parkOrDrop(j, head);
                     continue;
                 }
             }
-            if (cfg_.maxPacketAge != 0 &&
-                now_ - head.injected >= cfg_.maxPacketAge) {
-                // Stalled past the age cap with a route that may yet
-                // open: expired, not proven unroutable.
-                metrics_.recordDropped(stage, DropReason::Expired);
-                IADM_TRACE_EVENT(
-                    trace, obs::EventKind::Drop, head.id, now_,
-                    stage, j, obs::TraceEvent::kNoLink, head.dst,
-                    static_cast<Label>(head.tag.destination()),
-                    static_cast<Label>(head.tag.stateBits()));
-                dropAt(stage, j);
-                --inFlight_;
-                if (feedback_)
-                    traffic_->onRetire(head.src);
-                continue;
-            }
-            metrics_.recordStall(stage);
-            IADM_TRACE_EVENT(
-                trace, obs::EventKind::Stall, head.id, now_, stage,
-                j, obs::TraceEvent::kNoLink, head.dst,
-                static_cast<Label>(head.tag.destination()),
-                static_cast<Label>(head.tag.stateBits()));
+            stallOrExpire(j, head, obs::TraceEvent::kNoLink, head.dst);
             continue;
         }
         if (!deliver) {
@@ -941,28 +924,8 @@ NetworkSim::advanceStageImpl(unsigned stage)
                 // waiting on a queue whose backward-walking head
                 // waits on *this* queue is a two-cycle deadlock no
                 // recovery mechanism can reach.
-                if (cfg_.maxPacketAge != 0 &&
-                    now_ - head.injected >= cfg_.maxPacketAge) {
-                    metrics_.recordDropped(stage,
-                                           DropReason::Expired);
-                    IADM_TRACE_EVENT(
-                        trace, obs::EventKind::Drop, head.id, now_,
-                        stage, j, obs::TraceEvent::kNoLink, head.dst,
-                        static_cast<Label>(head.tag.destination()),
-                        static_cast<Label>(head.tag.stateBits()));
-                    dropAt(stage, j);
-                    --inFlight_;
-                    if (feedback_)
-                        traffic_->onRetire(head.src);
-                    continue;
-                }
-                metrics_.recordStall(stage);
-                IADM_TRACE_EVENT(
-                    trace, obs::EventKind::Stall, head.id, now_,
-                    stage, j,
-                    static_cast<std::uint8_t>(link->kind), to,
-                    static_cast<Label>(head.tag.destination()),
-                    static_cast<Label>(head.tag.stateBits()));
+                stallOrExpire(j, head,
+                              static_cast<std::uint8_t>(link->kind), to);
                 continue;
             }
             accepted_[to] = (epoch_ << 8) | (acc + 1);
@@ -1175,10 +1138,8 @@ NetworkSim::step()
         ++epoch_; // resets every acceptance count to zero, O(1)
         advanceStage(stage);
     }
-    if constexpr (obs::healthCompiledIn()) {
-        if (__builtin_expect(health_ != nullptr, 0))
-            healthTick();
-    }
+    if (__builtin_expect(health_ != nullptr, 0))
+        healthTick();
 #ifdef IADM_SANITIZE_BUILD
     auditOccupancy();
 #endif

@@ -81,15 +81,9 @@ struct SimConfig
     bool crossbarSwitches = false; //!< Gamma semantics: accept up to 3
 
     /**
-     * Resolve faulted tsdt sender tags through a fault-epoch
-     * RouteCache (docs/PERF.md): a clear initial path is taken after
-     * n bit tests, and only REROUTE's repairs are stored and
-     * replayed.  Off runs REROUTE for every attempt — routing
-     * results are identical either way, only speed differs.
+     * Route-cache entries, at most RouteCache::kMaxCapacity; 0 =
+     * RouteCache::autoCapacity().
      */
-    bool routeCache = true;
-
-    /** Route-cache entries; 0 = RouteCache::autoCapacity(). */
     std::size_t routeCacheCapacity = 0;
 
     /**
@@ -184,11 +178,13 @@ class NetworkSim
     std::size_t faultProcessCount() const { return churn_.size(); }
 
     /**
-     * The fault-epoch route cache, or nullptr when the scheme runs
-     * no REROUTE at injection (every scheme but tsdt) or the
-     * network exceeds the packet path-cache size.  Exposed for
-     * tests and tools; warming it never changes routing outcomes,
-     * only hit rates.
+     * The fault-epoch route cache that resolves faulted tsdt sender
+     * tags (docs/PERF.md): a clear initial path is taken after n
+     * bit tests, and only REROUTE's repairs are stored and
+     * replayed.  nullptr when the scheme runs no REROUTE at
+     * injection (every scheme but tsdt) or the network exceeds the
+     * packet path-cache size.  Exposed for tests and tools; warming
+     * it never changes routing outcomes, only hit rates.
      */
     RouteCache *routeCache()
     {
@@ -196,10 +192,11 @@ class NetworkSim
     }
 
     /**
-     * Toggle route-cache use at runtime (e.g. to measure the
-     * uncached baseline with the same binary, or from a sweep's
-     * setup hook).  Enabling requires the cache to exist — see
-     * routeCache().
+     * Toggle route-cache use at runtime; an existing cache starts
+     * enabled.  Off runs REROUTE for every attempt (the uncached
+     * baseline of the same binary, e.g. from a sweep's setup hook):
+     * routing is identical either way, only speed differs.
+     * Enabling requires the cache to exist — see routeCache().
      */
     void setRouteCacheEnabled(bool on);
     bool routeCacheEnabled() const { return rcacheEnabled_; }
@@ -216,13 +213,11 @@ class NetworkSim
 
     /**
      * Attach (or detach, with nullptr) a liveness monitor
-     * (docs/OBSERVABILITY.md).  Gated like the trace sink: hooks
-     * only exist when the build compiled them in (CMake option
-     * IADM_HEALTH; see obs::healthCompiledIn()), and a detached
-     * monitor costs one predicted-false branch per cycle.  When
-     * attached, step() feeds it wait-for scans every
-     * HealthConfig::checkInterval cycles and a steady-state rollup
-     * window every HealthConfig::windowCycles.  Unlike the trace
+     * (docs/OBSERVABILITY.md).  A detached monitor costs one
+     * predicted-false branch per cycle.  When attached, step()
+     * feeds it wait-for scans every HealthConfig::checkInterval
+     * cycles and a steady-state rollup window every
+     * HealthConfig::windowCycles.  Unlike the trace
      * sink the monitor does not force a sharded sim serial: it runs
      * after the cycle's injection and service have completed.
      */

@@ -32,6 +32,9 @@ RouteCache::RouteCache(Label n_size, std::size_t capacity)
                 "RouteCache supports net_size <= 65536 (16-bit key "
                 "halves and a 16-bit path-delta word); N=", n_size,
                 " does not fit — run with the cache disabled");
+    if (capacity > kMaxCapacity)
+        IADM_FATAL("route cache capacity ", capacity, " above ",
+                   kMaxCapacity, " entries");
     if (capacity == 0)
         capacity = autoCapacity(n_size);
     const std::size_t slots = pow2At(capacity);

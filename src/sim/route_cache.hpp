@@ -149,9 +149,17 @@ class RouteCache
     RouteCache() = default;
 
     /**
+     * Largest explicit capacity: 2^24 entries, a 256 MiB table.  A
+     * bound keeps the power-of-two rounding from wrapping to 0 (a
+     * hang) for capacities above 2^63.
+     */
+    static constexpr std::size_t kMaxCapacity = std::size_t{1} << 24;
+
+    /**
      * @param n_size   network size (keys pack two 16-bit labels, so
      *                 n_size must be <= 65536)
-     * @param capacity table entries; 0 picks autoCapacity(n_size).
+     * @param capacity table entries, at most kMaxCapacity (fatal
+     *                 otherwise); 0 picks autoCapacity(n_size).
      *                 Rounded up to a power of two.
      */
     explicit RouteCache(Label n_size, std::size_t capacity = 0);

@@ -283,8 +283,7 @@ struct SweepOptions
      * ReplicateResult.  Purely additive: the simulation trajectory
      * is untouched and the report gains `health` / `steady_state`
      * sections per replicate — with this off the report stays
-     * byte-identical to a build without the feature.  Detection
-     * requires hooks compiled in (obs::healthCompiledIn()).
+     * byte-identical to a build without the feature.
      */
     bool health = false;
 

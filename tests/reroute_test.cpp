@@ -309,8 +309,9 @@ TEST_P(RerouteFromSwitchP, MatchesOracleFromMidPath)
             // REROUTE repairs single nonstraight blockages with
             // Corollary 4.1 alone, in stage order.
             const auto flips = flipsAlone(topo, fs, stage, at, tag);
-            if (flips)
+            if (flips) {
                 EXPECT_EQ(*by_set, *flips);
+            }
             ++seen[static_cast<std::size_t>(
                 flips ? Outcome::Corollary41 : Outcome::Backtrack)];
         }

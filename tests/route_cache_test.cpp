@@ -312,6 +312,20 @@ TEST(RouteCache, TinyCapacityEvictsButNeverLies)
               core::universalRoute(topo, faults, s_last, d_last).ok);
 }
 
+TEST(RouteCache, CapacityAboveBoundIsFatal)
+{
+    // `serve --cache-capacity` rejects these; API callers get the
+    // same bound as a fatal error.  Unbounded, a capacity above 2^63
+    // would wrap the power-of-two rounding to 0 and spin forever.
+    for (const std::size_t cap :
+         {RouteCache::kMaxCapacity + 1, ~std::size_t{0}}) {
+        EXPECT_EXIT(RouteCache(64, cap), ::testing::ExitedWithCode(1),
+                    "route cache capacity " + std::to_string(cap) +
+                        " above " +
+                        std::to_string(RouteCache::kMaxCapacity));
+    }
+}
+
 TEST(RouteCache, HighLoadFactorKeepsRepeatsHitting)
 {
     const IadmTopology topo(64);
@@ -618,11 +632,11 @@ TEST(RouteCache, SimExposesCacheOnlyForTagResolvingSchemes)
         EXPECT_NE(s.routeCache(), nullptr);
         EXPECT_TRUE(s.routeCacheEnabled());
     }
-    // Config opt-out: the cache still exists (toggleable) but starts
+    // Runtime opt-out: the cache still exists (toggleable) but is
     // disabled.
     cfg.scheme = RoutingScheme::TsdtSender;
-    cfg.routeCache = false;
     NetworkSim s(cfg, std::make_unique<UniformTraffic>(16));
+    s.setRouteCacheEnabled(false);
     EXPECT_NE(s.routeCache(), nullptr);
     EXPECT_FALSE(s.routeCacheEnabled());
 }

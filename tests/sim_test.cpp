@@ -352,9 +352,10 @@ TEST(Sim, SteadyStateStepPerformsNoHeapAllocation)
             cfg.netSize = kN;
             cfg.scheme = c.scheme;
             cfg.injectionRate = 0.35;
-            cfg.routeCache = c.cache;
             cfg.shards = shards;
             NetworkSim s(cfg, uniform(kN), faults);
+            if (!c.cache)
+                s.setRouteCacheEnabled(false);
             s.run(200);
             const RouteCache *rc = s.routeCache();
             const std::uint64_t misses0 =

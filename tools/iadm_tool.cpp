@@ -26,7 +26,6 @@
  */
 
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -232,6 +231,17 @@ parseNetSize(const char *cmd, const std::string &flag,
                     [](Label n) { return n >= 2 && isPowerOfTwo(n); });
 }
 
+/** Switch labels: @p val must name one of N's switches. */
+bool
+parseSwitchLabel(const char *cmd, const std::string &flag,
+                 const std::string &val, Label n_size, Label &out)
+{
+    const std::string want =
+        "a switch label in [0, " + std::to_string(n_size - 1) + "]";
+    return parseArg(cmd, flag, val, want.c_str(), out,
+                    [n_size](Label v) { return v < n_size; });
+}
+
 bool
 parseLink(const topo::IadmTopology &net, const std::string &spec,
           topo::Link &out)
@@ -263,10 +273,8 @@ cmdRoute(Label n_size, Label s, Label d,
                 std::cerr << "--repeat needs a count\n";
                 return 2;
             }
-            repeat = static_cast<unsigned>(
-                std::atoi(link_specs[++i].c_str()));
-            if (repeat == 0)
-                repeat = 1;
+            if (!parseCount("route", spec, link_specs[++i], repeat))
+                return 2;
             continue;
         }
         topo::Link l{};
@@ -384,10 +392,20 @@ cmdPerm(Label n_size, const std::string &spec)
     perm::Permutation p(n_size);
     const auto col = spec.find(':');
     const std::string name = spec.substr(0, col);
-    const Label arg =
-        col == std::string::npos
-            ? 0
-            : static_cast<Label>(std::atoi(spec.c_str() + col + 1));
+    // exchange:K names a dimension; shift and complement take any
+    // offset or mask, reduced mod N.
+    const unsigned dims = log2Floor(n_size);
+    const std::string want =
+        name == "exchange"
+            ? "a dimension in [0, " + std::to_string(dims - 1) + "]"
+            : std::string("an integer >= 0");
+    Label arg = 0;
+    if (col != std::string::npos &&
+        !parseArg("perm", name + ":K", spec.substr(col + 1),
+                  want.c_str(), arg, [&](Label k) {
+                      return name != "exchange" || k < dims;
+                  }))
+        return 2;
     if (name == "identity")
         p = perm::Permutation(n_size);
     else if (name == "shift")
@@ -443,17 +461,9 @@ cmdSim(Label n_size, const std::string &scheme, double rate,
     sim::SimConfig cfg;
     cfg.netSize = n_size;
     cfg.injectionRate = rate;
-    if (scheme == "ssdt")
-        cfg.scheme = sim::RoutingScheme::SsdtStatic;
-    else if (scheme == "ssdt-balanced")
-        cfg.scheme = sim::RoutingScheme::SsdtBalanced;
-    else if (scheme == "tsdt")
-        cfg.scheme = sim::RoutingScheme::TsdtSender;
-    else if (scheme == "distance-tag")
-        cfg.scheme = sim::RoutingScheme::DistanceTag;
-    else if (scheme == "tsdt-dynamic")
-        cfg.scheme = sim::RoutingScheme::TsdtDynamic;
-    else {
+    if (const auto s = sim::parseRoutingScheme(scheme)) {
+        cfg.scheme = *s;
+    } else {
         std::cerr << "unknown scheme: " << scheme << "\n";
         return 2;
     }
@@ -529,12 +539,8 @@ cmdSim(Label n_size, const std::string &scheme, double rate,
         s.setTraceSink(&sink);
     }
     obs::HealthMonitor monitor;
-    if (health) {
-        if (!obs::healthCompiledIn())
-            IADM_WARN("this build compiled without IADM_HEALTH; "
-                      "the monitor will observe nothing");
+    if (health)
         s.setHealthMonitor(&monitor);
-    }
     s.run(cycles);
     std::cout << s.metrics().summary(cycles) << "\n";
     std::cout << "p50/p90/p99 latency: "
@@ -614,8 +620,14 @@ cmdTrace(const std::vector<std::string> &args)
 {
     if (args.size() < 2)
         return usage();
-    const auto src = static_cast<Label>(std::atoi(args[0].c_str()));
-    const auto dst = static_cast<Label>(std::atoi(args[1].c_str()));
+    // Checked against N once --n is known.
+    Label src = 0, dst = 0;
+    const auto any = [](Label) { return true; };
+    if (!parseArg("trace", "<src>", args[0], "a switch label", src,
+                  any) ||
+        !parseArg("trace", "<dst>", args[1], "a switch label", dst,
+                  any))
+        return 2;
     Label n_size = 16;
     auto scheme = obs::ReplayScheme::Tsdt;
     std::vector<std::string> fault_specs;
@@ -628,11 +640,8 @@ cmdTrace(const std::vector<std::string> &args)
         }
         const std::string val = args[++i];
         if (flag == "--n") {
-            n_size = static_cast<Label>(std::atoi(val.c_str()));
-            if (!isPowerOfTwo(n_size) || n_size < 2) {
-                std::cerr << "trace: N must be a power of two >= 2\n";
+            if (!parseNetSize("trace", flag, val, n_size))
                 return 2;
-            }
         } else if (flag == "--scheme") {
             if (val == "ssdt")
                 scheme = obs::ReplayScheme::Ssdt;
@@ -880,12 +889,7 @@ cmdSweep(const std::vector<std::string> &args)
     sim::SweepOptions opts;
     opts.workers = workers;
     opts.simShards = sim_shards;
-    if (health) {
-        if (!obs::healthCompiledIn())
-            IADM_WARN("this build compiled without IADM_HEALTH; "
-                      "--health sections will report nothing");
-        opts.health = true;
-    }
+    opts.health = health;
     if (!trace_dir.empty()) {
         if (!obs::traceCompiledIn())
             IADM_WARN("this build compiled without IADM_TRACE; "
@@ -973,12 +977,8 @@ cmdServe(const std::vector<std::string> &args)
         }
         const std::string val = args[++i];
         if (flag == "--net") {
-            cfg.netSize = static_cast<Label>(std::atoi(val.c_str()));
-            if (!isPowerOfTwo(cfg.netSize) || cfg.netSize < 2) {
-                std::cerr << "serve: N must be a power of two"
-                             " >= 2\n";
+            if (!parseNetSize("serve", flag, val, cfg.netSize))
                 return 2;
-            }
         } else if (flag == "--scheme") {
             const auto s = sim::parseRoutingScheme(val);
             if (!s) {
@@ -999,14 +999,20 @@ cmdServe(const std::vector<std::string> &args)
             }
             cfg.churn = *c;
         } else if (flag == "--cache-capacity") {
-            cfg.cacheCapacity = static_cast<std::size_t>(
-                std::strtoull(val.c_str(), nullptr, 10));
+            // 0 picks RouteCache::autoCapacity().
+            constexpr std::size_t kMax = sim::RouteCache::kMaxCapacity;
+            static const std::string want =
+                "an integer in [0, " + std::to_string(kMax) + "]";
+            if (!parseArg("serve", flag, val, want.c_str(),
+                          cfg.cacheCapacity,
+                          [](std::size_t c) { return c <= kMax; }))
+                return 2;
         } else if (flag == "--tick-us") {
-            cfg.tickUs =
-                static_cast<unsigned>(std::atoi(val.c_str()));
+            if (!parseCount("serve", flag, val, cfg.tickUs))
+                return 2;
         } else if (flag == "--seed") {
-            cfg.seed = static_cast<std::uint64_t>(
-                std::strtoull(val.c_str(), nullptr, 10));
+            if (!parseU64Arg("serve", flag, val, cfg.seed))
+                return 2;
         } else {
             std::cerr << "serve: unknown flag " << flag << "\n";
             return 2;
@@ -1087,8 +1093,10 @@ main(int argc, char **argv)
         if (argc < 4)
             return missingArg("snapshot", "cycle",
                               "snapshot <trace.bin> <cycle>");
-        return cmdSnapshot(argv[2], static_cast<std::uint64_t>(
-                                        std::atoll(argv[3])));
+        std::uint64_t cycle = 0;
+        if (!parseU64Arg("snapshot", "<cycle>", argv[3], cycle))
+            return 2;
+        return cmdSnapshot(argv[2], cycle);
     }
 
     const bool known_n_cmd = cmd == "diagram" || cmd == "route" ||
@@ -1117,8 +1125,12 @@ main(int argc, char **argv)
             return missingArg(cmd.c_str(), "src", synopsis);
         if (argc < 5)
             return missingArg(cmd.c_str(), "dst", synopsis);
-        const auto src = static_cast<Label>(std::atoi(argv[3]));
-        const auto dst = static_cast<Label>(std::atoi(argv[4]));
+        Label src = 0, dst = 0;
+        if (!parseSwitchLabel(cmd.c_str(), "<src>", argv[3], n_size,
+                              src) ||
+            !parseSwitchLabel(cmd.c_str(), "<dst>", argv[4], n_size,
+                              dst))
+            return 2;
         if (cmd == "paths")
             return cmdPaths(n_size, src, dst);
         std::vector<std::string> specs(argv + 5, argv + argc);
