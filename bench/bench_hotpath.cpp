@@ -22,8 +22,6 @@
  *                   recording, not first-touch page faults);
  *   health  on/off  a HealthMonitor watching the measured cycles;
  *   churn   on/off  a geometric MTBF/MTTR fault process attached;
- *   cache   on/off  the route cache toggled at runtime (only faulted
- *                   tsdt has one; other schemes run alike twice);
  *   shards  S >= 1  injection fill + build split across S workers.
  * Each rung carries a "pair" field, "KNOB=value" (for shards the
  * effective count, clamped to N), and the console prints the B/A
@@ -38,8 +36,8 @@
  * specific size runs only that one (the perf-smoke ctest uses
  * --cycles 2000 --net-size 64).  By default every (size, scheme)
  * pair runs twice — fault-free and with 6 * (N / 64) random static
- * link blockages — so the faulted injection path (where the
- * fault-epoch route cache earns its keep) is always on the perf
+ * link blockages — so the faulted injection path (REROUTE's clear
+ * scan, and its kernel for blocked pairs) is always on the perf
  * trajectory; --faults K pins a single blockage count instead.
  * --traffic takes any scenario spec (sim/scenario.hpp, e.g.
  * "transpose" or "shape:bursty:16:64/dst:hotspot:0:0.2"), validated
@@ -84,14 +82,12 @@ enum class Knob
     Trace,
     Health,
     Churn,
-    Cache,
     Shards,
 };
 
 constexpr std::pair<const char *, Knob> kKnobs[] = {
     {"trace", Knob::Trace}, {"health", Knob::Health},
-    {"churn", Knob::Churn}, {"cache", Knob::Cache},
-    {"shards", Knob::Shards}};
+    {"churn", Knob::Churn}, {"shards", Knob::Shards}};
 
 const char *
 knobName(Knob k)
@@ -124,7 +120,6 @@ struct ConfigResult
     RoutingScheme scheme;
     Cycle cycles;
     std::size_t faultLinks;
-    bool routeCache;
     double elapsedSec;
     double cyclesPerSec;
     double hopsPerSec;
@@ -172,8 +167,6 @@ runConfig(Label n_size, RoutingScheme scheme, std::size_t fault_links,
                      .make(topo, frng);
     }
     NetworkSim s(cfg, opt.traffic.make(n_size), std::move(faults));
-    if (opt.knob == Knob::Cache && s.routeCache() != nullptr)
-        s.setRouteCacheEnabled(on);
     if (opt.knob == Knob::Trace && on) {
         static obs::TraceSink sink;
         sink.clear();
@@ -215,7 +208,6 @@ runConfig(Label n_size, RoutingScheme scheme, std::size_t fault_links,
     r.scheme = scheme;
     r.cycles = opt.cycles;
     r.faultLinks = fault_links;
-    r.routeCache = s.routeCacheEnabled();
     r.cacheHits = s.metrics().routeCacheHits();
     r.cacheMisses = s.metrics().routeCacheMisses();
     r.elapsedSec = static_cast<double>(totalNs) * 1e-9;
@@ -272,8 +264,6 @@ writeReport(std::ostream &os, const Options &opt,
         w.value(r.cycles);
         w.key("fault_links");
         w.value(static_cast<std::uint64_t>(r.faultLinks));
-        w.key("route_cache");
-        w.value(r.routeCache);
         w.key("route_cache_hits");
         w.value(r.cacheHits);
         w.key("route_cache_misses");
@@ -317,8 +307,7 @@ reportIsSchemaValid(const std::string &path)
          {"\"schema\": \"iadm-bench-hotpath-v1\"", "\"build_type\"",
           "\"configs\"", "\"cycles_per_sec\"", "\"hops_per_sec\"",
           "\"step_p50_ns\"", "\"step_p99_ns\"", "\"fault_links\"",
-          "\"route_cache\"", "\"route_cache_hits\"",
-          "\"route_cache_misses\""}) {
+          "\"route_cache_hits\"", "\"route_cache_misses\""}) {
         if (doc.find(needle) == std::string::npos) {
             std::cerr << "schema check failed: missing " << needle
                       << " in " << path << "\n";
@@ -410,7 +399,7 @@ main(int argc, char **argv)
         std::cerr << "usage: bench_hotpath [--cycles N] "
                      "[--net-size N] [--rate R] [--faults K] "
                      "[--traffic SPEC] [--out FILE] [--pair KNOB=A,B]\n"
-                     "  KNOB is trace, health, churn or cache "
+                     "  KNOB is trace, health or churn "
                      "(A, B: on or off) or shards (A, B >= 1)\n";
         return 2;
     }
@@ -435,7 +424,7 @@ main(int argc, char **argv)
         RoutingScheme::TsdtDynamic};
 
     std::vector<ConfigResult> results;
-    std::cout << "  N  scheme         faults  cache   cycles/sec"
+    std::cout << "  N  scheme         faults   cycles/sec"
                  "      hops/sec"
               << (opt.knob == Knob::None ? "    p50(ns)    p99(ns)\n"
                                          : "  B: cycles/sec  (B/A)\n");
@@ -456,11 +445,10 @@ main(int argc, char **argv)
                 results.push_back(a);
                 if (opt.knob == Knob::None) {
                     std::printf(
-                        "%5u  %-13s %6zu  %5s %12.0f  %12.0f  %9llu  "
+                        "%5u  %-13s %6zu %12.0f  %12.0f  %9llu  "
                         "%9llu\n",
                         a.netSize, routingSchemeName(a.scheme),
-                        a.faultLinks, a.routeCache ? "on" : "off",
-                        a.cyclesPerSec, a.hopsPerSec,
+                        a.faultLinks, a.cyclesPerSec, a.hopsPerSec,
                         static_cast<unsigned long long>(a.stepP50Ns),
                         static_cast<unsigned long long>(a.stepP99Ns));
                     continue;
@@ -469,11 +457,11 @@ main(int argc, char **argv)
                                          opt, opt.pair[1]);
                 results.push_back(b);
                 std::printf(
-                    "%5u  %-13s %6zu  %5s %12.0f  %12.0f  "
+                    "%5u  %-13s %6zu %12.0f  %12.0f  "
                     "%s: %12.0f  (B/A x%.3f)\n",
                     a.netSize, routingSchemeName(a.scheme),
-                    a.faultLinks, a.routeCache ? "on" : "off",
-                    a.cyclesPerSec, a.hopsPerSec, b.pair.c_str(),
+                    a.faultLinks, a.cyclesPerSec, a.hopsPerSec,
+                    b.pair.c_str(),
                     b.cyclesPerSec,
                     a.cyclesPerSec > 0 ? b.cyclesPerSec / a.cyclesPerSec
                                        : 0.0);

@@ -80,20 +80,6 @@ struct TsdtPath
         sw[i + 1] = tsdtStep(sw[i], i, dest, state, Label{1} << n);
     }
 
-    /** The path from @p src under (@p dest, @p state), traced. */
-    static TsdtPath
-    traced(Label src, unsigned n_stages, Label dest, Label state)
-    {
-        TsdtPath p;
-        p.n = n_stages;
-        p.dest = dest;
-        p.state = state;
-        p.sw[0] = src;
-        for (unsigned i = 0; i < n_stages; ++i)
-            p.traceStage(i);
-        return p;
-    }
-
     /**
      * The path whose switches @p switches already lists in
      * Packet::pathSw form under (@p dest, @p state), copied.

@@ -4,14 +4,14 @@
  * spirit (matching common/logging.hpp's role for messages).
  *
  * Components export their counters under dotted hierarchical names
- * ("sim.delivered", "route_cache.hits", "sim.stalls_by_stage"), and
+ * ("sim.delivered", "sim.fault_downs", "sim.stalls_by_stage"), and
  * every consumer — sweep JSON, iadm_tool sim, future dashboards —
  * renders the one registry instead of hand-plumbing each new field
  * through every report writer.  Naming scheme and conventions are
  * documented in docs/OBSERVABILITY.md.
  *
  * The registry is a snapshot container: providers dump values into
- * it after a run (Metrics::exportStats, RouteCache::exportStats),
+ * it after a run (Metrics::exportStats),
  * order of registration is preserved, and the JSON/text renderings
  * are deterministic — a registry built from deterministic metrics is
  * itself byte-stable, so sweep reports keep their reproducibility

@@ -113,12 +113,6 @@ class Metrics
     void recordBacktrackHop() { ++backtrackHops_; }
     void recordRouteCacheHit() { ++routeCacheHits_; }
     void recordRouteCacheMiss() { ++routeCacheMisses_; }
-    /** Fold a batch's eviction delta (RouteCache::Stats) in. */
-    void
-    recordRouteCacheEvictions(std::uint64_t n)
-    {
-        routeCacheEvictions_ += n;
-    }
     void sampleQueueDepth(unsigned stage, std::size_t depth);
 
     /**
@@ -173,16 +167,21 @@ class Metrics
     std::uint64_t totalHops() const;
     std::uint64_t backtrackHops() const { return backtrackHops_; }
 
-    /** Injection-time route-cache traffic (docs/PERF.md). */
+    /**
+     * Faulted tsdt resolutions at injection (docs/SIMULATOR.md): a
+     * hit took the clear initial path, a miss ran REROUTE's kernel.
+     */
     std::uint64_t routeCacheHits() const { return routeCacheHits_; }
     std::uint64_t routeCacheMisses() const
     {
         return routeCacheMisses_;
     }
-    std::uint64_t routeCacheEvictions() const
-    {
-        return routeCacheEvictions_;
-    }
+    /**
+     * Always 0: the simulator keeps no route table to evict from.
+     * Kept until the repository benchmark (benchmark/src) stops
+     * reading it.
+     */
+    std::uint64_t routeCacheEvictions() const { return 0; }
 
     double avgLatency() const;
     Cycle maxLatency() const { return maxLatency_; }
@@ -265,7 +264,6 @@ class Metrics
     std::uint64_t backtrackHops_ = 0;
     std::uint64_t routeCacheHits_ = 0;
     std::uint64_t routeCacheMisses_ = 0;
-    std::uint64_t routeCacheEvictions_ = 0;
     std::uint64_t dropsByReason_[kDropReasons] = {};
     std::uint64_t faultDowns_ = 0;
     std::uint64_t faultUps_ = 0;

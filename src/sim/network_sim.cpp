@@ -22,6 +22,20 @@ checkedQueueCapacity(std::size_t capacity)
 }
 
 /**
+ * @p n_size, or a fatal error above 2^Packet::kMaxTracedStages: the
+ * in-packet path (Packet::pathSw), the trace record's tag words and
+ * the daemon's route cache all hold 16-bit labels.
+ */
+Label
+checkedNetSize(Label n_size)
+{
+    if (n_size > (Label{1} << Packet::kMaxTracedStages))
+        IADM_FATAL("network size ", n_size, " above the simulator's ",
+                   Label{1} << Packet::kMaxTracedStages, " nodes");
+    return n_size;
+}
+
+/**
  * Run @p search — a REROUTE on packet @p id's behalf — with the
  * packet's identity parked in the thread-local trace bridge, so
  * reroute.cpp can emit its Reroute events into @p sink.
@@ -74,7 +88,8 @@ parseRoutingScheme(const std::string &name)
 NetworkSim::NetworkSim(const SimConfig &cfg,
                        std::unique_ptr<TrafficPattern> traffic,
                        fault::FaultSet static_faults)
-    : cfg_(cfg), topo_(cfg.netSize), faults_(std::move(static_faults)),
+    : cfg_(cfg), topo_(checkedNetSize(cfg.netSize)),
+      faults_(std::move(static_faults)),
       traffic_(std::move(traffic)), rng_(cfg.seed),
       metrics_(cfg.netSize, topo_.stages()),
       ssdtState_(cfg.netSize, core::SwitchState::C), ltab_(topo_),
@@ -93,16 +108,6 @@ NetworkSim::NetworkSim(const SimConfig &cfg,
         0);
     gated_ = traffic_->gated();
     feedback_ = traffic_->closedLoop();
-    // The route cache exists, enabled, whenever the scheme runs
-    // REROUTE at injection and the packet path cache can hold a
-    // full path; the uncached baseline is one
-    // setRouteCacheEnabled(false) away.
-    if (cfg.scheme == RoutingScheme::TsdtSender &&
-        topo_.stages() <= Packet::kMaxTracedStages) {
-        rcache_ = RouteCache(cfg.netSize, cfg.routeCacheCapacity);
-        rcacheEnabled_ = true;
-        probes_.reserve(cfg.netSize);
-    }
     attempts_.reserve(cfg.netSize);
     // Intra-sim sharding splits only the injection fill + build
     // phase, which reads no queue depths and calls no traffic hook,
@@ -112,16 +117,6 @@ NetworkSim::NetworkSim(const SimConfig &cfg,
     if (shards > 1)
         pool_ = std::make_unique<ShardPool>(shards);
     refreshFaultView();
-}
-
-void
-NetworkSim::setRouteCacheEnabled(bool on)
-{
-    IADM_ASSERT(!on || rcache_.capacity() != 0,
-                "no route cache exists for scheme ",
-                routingSchemeName(cfg_.scheme), " at N=",
-                cfg_.netSize);
-    rcacheEnabled_ = on;
 }
 
 void
@@ -209,31 +204,17 @@ void
 NetworkSim::cachePath(Packet &p) const
 {
     // The tag's state bits are the path (Lemma A1.1): decode them.
-    // Huge networks fall back to re-tracing on demand.
-    p.pathValid = ltab_.stages() <= Packet::kMaxTracedStages;
-    if (p.pathValid)
-        core::decodeDelta(p.src, p.tag.destination(), p.tag.stateBits(),
-                          ltab_.stages(), p.pathSw);
-}
-
-Label
-NetworkSim::pathSwitchAt(const Packet &p, unsigned stage) const
-{
-    if (p.pathValid)
-        return p.pathSw[stage];
-    return core::tsdtTrace(p.src, p.tag, cfg_.netSize)
-        .switchAt(stage);
+    core::decodeDelta(p.src, p.tag.destination(), p.tag.stateBits(),
+                      ltab_.stages(), p.pathSw);
 }
 
 void
 NetworkSim::inject()
 {
-    // The batch's resolution mode.  Fault-free sender tags and
-    // every dynamic packet's tag are the plain initial tags, with
-    // nothing to search or store.
-    Resolve mode = Resolve::InitialTag;
-    if (cfg_.scheme == RoutingScheme::TsdtSender && !faults_.empty())
-        mode = rcacheEnabled_ ? Resolve::Cached : Resolve::Reroute;
+    // Fault-free sender tags and every dynamic packet's tag are the
+    // plain initial tags, with nothing to search.
+    const bool resolve =
+        cfg_.scheme == RoutingScheme::TsdtSender && !faults_.empty();
 
     // Draw phase: collect this cycle's injection attempts.  The RNG
     // draw order — gate, then chance, then destination pick, per
@@ -260,45 +241,16 @@ NetworkSim::inject()
     nextPacketId_ += cnt;
     const std::uint64_t version = faults_.version();
 
-    // Probe phase (serial): each attempt's clear-path scan, then a
-    // slot claim for the blocked ones, in attempt order, so the
-    // hit/miss/eviction sequence is the one-at-a-time sequence.
-    // acquire() decides from header fields it sets itself, never
-    // from a fill's payload, so every fill can wait for the next
-    // phase.
-    probes_.clear();
-    if (mode == Resolve::Cached) {
-        const std::uint64_t evict0 = rcache_.stats().evictions;
-        for (const InjectAttempt &at : attempts_) {
-            const auto [e, hit] =
-                rcache_.acquire(topo_, fview_, at.src, at.dst, version);
-            probes_.push_back({*e, hit ? nullptr : e});
-            if (hit)
-                metrics_.recordRouteCacheHit();
-            else
-                metrics_.recordRouteCacheMiss();
-        }
-        metrics_.recordRouteCacheEvictions(rcache_.stats().evictions -
-                                           evict0);
-    }
-
     // Fill + build phase: contiguous blocks of attempts, one per
     // shard, or the whole batch on this thread when the step is
     // serial or traced (a TraceSink is single-owner).  Sources and
     // handles are distinct within a cycle, so every attempt, packet
     // and stage-0 queue is written by exactly one block.
     const auto fillBuild = [&](std::size_t lo, std::size_t hi) {
-        switch (mode) {
-          case Resolve::InitialTag:
-            return injectFillBuild<Resolve::InitialTag>(
-                version, first_id, lo, hi);
-          case Resolve::Reroute:
-            return injectFillBuild<Resolve::Reroute>(version, first_id,
-                                                     lo, hi);
-          case Resolve::Cached:
-            return injectFillBuild<Resolve::Cached>(version, first_id,
-                                                    lo, hi);
-        }
+        if (resolve)
+            injectFillBuild<true>(version, first_id, lo, hi);
+        else
+            injectFillBuild<false>(version, first_id, lo, hi);
     };
     if (pool_ != nullptr &&
         !(obs::traceCompiledIn() && trace_ != nullptr)) {
@@ -312,16 +264,16 @@ NetworkSim::inject()
         fillBuild(0, cnt);
     }
 
-    // Commit phase (serial, attempt order): write fills back to their
-    // claimed slots — a later claim of the same slot lands last, as
-    // in one-at-a-time resolution — then release the handles of
-    // attempts that built no packet and fold counters and stage-0
+    // Commit phase (serial, attempt order): release the handles of
+    // attempts that built no packet, and fold counters and stage-0
     // bookkeeping.
-    for (const CacheProbe &pr : probes_) {
-        if (pr.claim != nullptr)
-            *pr.claim = pr.entry;
-    }
     for (const InjectAttempt &at : attempts_) {
+        if (resolve) {
+            if (at.filled)
+                metrics_.recordRouteCacheMiss();
+            else
+                metrics_.recordRouteCacheHit();
+        }
         switch (at.outcome) {
           case InjectAttempt::Outcome::Unroutable:
             queues_.release(at.handle);
@@ -346,7 +298,7 @@ NetworkSim::inject()
     }
 }
 
-template <NetworkSim::Resolve M>
+template <bool Resolve>
 void
 NetworkSim::injectFillBuild(std::uint64_t version,
                             std::uint64_t first_id, std::size_t lo,
@@ -358,50 +310,28 @@ NetworkSim::injectFillBuild(std::uint64_t version,
         const Label src = at.src;
         const Label dst = at.dst;
         const std::uint64_t id = first_id + i;
-        core::TsdtTag tag;
-        unsigned reroutes = 0;
-        bool ok = true;
-        if constexpr (M == Resolve::InitialTag) {
-            tag = core::initialTag(n, dst);
-        } else if constexpr (M == Resolve::Reroute) {
-            // The sender computes a blockage-avoiding tag against
-            // the global blockage map via REROUTE.
-            core::CompactRoute cr;
-            withRouteTrace(trace_, id, now_, [&] {
-                cr = core::universalRouteCompact(topo_, fview_, src,
-                                                 dst);
-            });
-            core::auditRoute(cr, topo_, faults_, src, dst);
-            ok = cr.ok;
-            tag = cr.tag;
-            reroutes = cr.reroutes;
-        } else {
-            static_assert(M == Resolve::Cached);
-            // Memoized REROUTE: a clear pair's initial tag, or one
-            // repair per (src, dst) per fault epoch, replayed (tag,
-            // reroute count and FAIL bit alike) for every later
-            // packet.
-            CacheProbe &pr = probes_[i];
-            const bool hit = pr.claim == nullptr;
-            if (hit) {
-                RouteCache::checkUniversalHit(pr.entry, topo_, faults_,
-                                              src, dst);
-            } else {
+        core::CompactRoute cr{true, core::initialTag(n, dst), 0};
+        if constexpr (Resolve) {
+            // The sender computes a blockage-avoiding tag against the
+            // global blockage map.  REROUTE's step 1 comes first: a
+            // clear all-state-C path delivers on the initial tag
+            // (Theorem 3.1) after n bit tests, and only a blocked one
+            // runs the kernel.
+            at.filled = !core::initialPathClear(topo_, fview_, src, dst);
+            if (at.filled) {
                 withRouteTrace(trace_, id, now_, [&] {
-                    RouteCache::fillUniversal(pr.entry, topo_, fview_,
-                                              faults_, src, dst);
+                    cr = core::universalRouteCompact(topo_, fview_, src,
+                                                     dst);
                 });
             }
+            core::auditRoute(cr, topo_, faults_, src, dst);
             IADM_TRACE_EVENT(trace_,
-                             hit ? obs::EventKind::CacheHit
-                                 : obs::EventKind::CacheMiss,
+                             at.filled ? obs::EventKind::CacheMiss
+                                       : obs::EventKind::CacheHit,
                              id, now_, 0, src, obs::TraceEvent::kNoLink,
                              dst, dst, 0);
-            ok = pr.entry.ok();
-            tag = pr.entry.tagFor(n);
-            reroutes = pr.entry.reroutes;
         }
-        if (!ok) {
+        if (!cr.ok) {
             at.outcome = InjectAttempt::Outcome::Unroutable;
             IADM_TRACE_EVENT(trace_, obs::EventKind::Drop, id, now_, 0,
                              src, obs::TraceEvent::kNoLink, dst, dst, 0,
@@ -419,28 +349,27 @@ NetworkSim::injectFillBuild(std::uint64_t version,
         }
         IADM_TRACE_EVENT(trace_, obs::EventKind::Inject, id, now_, 0,
                          src, obs::TraceEvent::kNoLink, dst,
-                         static_cast<Label>(tag.destination()),
-                         static_cast<Label>(tag.stateBits()));
+                         static_cast<Label>(cr.tag.destination()),
+                         static_cast<Label>(cr.tag.stateBits()));
         // Build the packet in place under the attempt's handle;
         // every live field of the stale packet is overwritten
-        // (pathSw is only read while pathValid).
+        // (pathSw is read only by the dynamic scheme, which decodes
+        // it here).
         Packet &p = queues_.packet(at.handle);
         p.id = id;
         p.injected = now_;
         p.movedAt = ~Cycle{0};
-        p.tag = tag;
+        p.tag = cr.tag;
         p.src = src;
         p.dst = dst;
-        p.reroutes = reroutes;
+        p.reroutes = cr.reroutes;
         p.resumeStage = 0;
         // A sender tag was resolved against the current fault epoch:
         // in-flight re-resolution triggers only once the version
         // moves past this stamp.
         p.lastEpoch = static_cast<std::uint16_t>(version);
-        p.hasTag = cfg_.scheme == RoutingScheme::TsdtSender;
         p.goingBack = false;
         p.undeliverable = false;
-        p.pathValid = false;
         if (cfg_.scheme == RoutingScheme::TsdtDynamic)
             cachePath(p); // decodeDelta(src, dst, 0): the C-state path
         queues_.pushHandle(q, at.handle);
@@ -580,15 +509,12 @@ NetworkSim::chooseLink(unsigned stage, Label j, Packet &p)
         // Straight or double-nonstraight blockage: rewrite the tag
         // (Corollary 4.2 / BACKTRACK) and turn the packet around.
         // Failure leaves the packet to be dropped by the caller.
-        // BACKTRACK reads the packet's own path (or a stack re-trace
-        // for networks too large for it).
+        // BACKTRACK reads the packet's own path.
         const unsigned n = ltab_.stages();
         const Label dest = p.tag.destination();
         Label state = p.tag.stateBits();
         const core::TsdtPath path =
-            p.pathValid
-                ? core::TsdtPath::of(p.pathSw, n, dest, state)
-                : core::TsdtPath::traced(p.src, n, dest, state);
+            core::TsdtPath::of(p.pathSw, n, dest, state);
         core::BacktrackStats stats;
         const bool ok = core::backtrack(
             fview_, path, stage,
@@ -754,7 +680,7 @@ NetworkSim::advanceStageImpl(unsigned stage)
         if (h.movedAt == now_)
             return;
         if (h.goingBack) {
-            if (stage > h.resumeStage && h.pathValid)
+            if (stage > h.resumeStage)
                 queues_.prefetchTail(
                     queues_.qid(stage - 1, h.pathSw[stage - 1]));
             return;
@@ -866,7 +792,7 @@ NetworkSim::advanceStageImpl(unsigned stage)
                 // path; below the rewrite stage old and new paths
                 // coincide, so the previous switch is the new
                 // path's stage-1 switch.
-                const Label down_j = pathSwitchAt(head, stage - 1);
+                const Label down_j = head.pathSw[stage - 1];
                 if (queues_.full(queues_.qid(stage - 1, down_j))) {
                     // A backward walker stalled on a full queue can
                     // be one arc of a wait-for cycle (the queue's
@@ -1020,7 +946,7 @@ NetworkSim::healthNextQueue(unsigned stage, Label j,
     // Backward walks wait purely on queue space (the mover checks
     // only fullness, never the fault view).
     if (h.goingBack && stage > h.resumeStage)
-        return queues_.qid(stage - 1, pathSwitchAt(h, stage - 1));
+        return queues_.qid(stage - 1, h.pathSw[stage - 1]);
     if (stage + 1 == ltab_.stages())
         return kHealthNoQueue; // delivery never waits on a queue
     // A head parked on a FAIL verdict or a downed link is waiting on

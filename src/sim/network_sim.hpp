@@ -81,12 +81,6 @@ struct SimConfig
     bool crossbarSwitches = false; //!< Gamma semantics: accept up to 3
 
     /**
-     * Route-cache entries, at most RouteCache::kMaxCapacity; 0 =
-     * RouteCache::autoCapacity().
-     */
-    std::size_t routeCacheCapacity = 0;
-
-    /**
      * Stall-age cap in cycles; 0 disables it.  A head packet that
      * has been in the network longer than this and still cannot
      * move is dropped (DropReason::Expired for plain stalls,
@@ -99,9 +93,9 @@ struct SimConfig
     /**
      * Worker shards inside one simulation: each cycle's injection
      * attempts are split into this many contiguous blocks whose
-     * route fills and packet builds run in parallel (docs/
-     * SIMULATOR.md, "Intra-simulation sharding").  Draw, probe,
-     * commit and the per-stage service loop stay serial, so
+     * route resolutions and packet builds run in parallel (docs/
+     * SIMULATOR.md, "Intra-simulation sharding").  Draw, commit
+     * and the per-stage service loop stay serial, so
      * metrics, queues and report bytes are identical at any shard
      * count.  1 (the default) runs the fill + build block on the
      * caller, with no pool and no synchronization.  Clamped to
@@ -178,28 +172,12 @@ class NetworkSim
     std::size_t faultProcessCount() const { return churn_.size(); }
 
     /**
-     * The fault-epoch route cache that resolves faulted tsdt sender
-     * tags (docs/PERF.md): a clear initial path is taken after n
-     * bit tests, and only REROUTE's repairs are stored and
-     * replayed.  nullptr when the scheme runs no REROUTE at
-     * injection (every scheme but tsdt) or the network exceeds the
-     * packet path-cache size.  Exposed for tests and tools; warming
-     * it never changes routing outcomes, only hit rates.
+     * Always null: the simulator keeps no route table.  A faulted
+     * tsdt attempt resolves by REROUTE's clear scan or its kernel
+     * (docs/SIMULATOR.md); RouteCache is the daemon's.  Kept until
+     * the repository benchmark (benchmark/src) stops reading it.
      */
-    RouteCache *routeCache()
-    {
-        return rcache_.capacity() != 0 ? &rcache_ : nullptr;
-    }
-
-    /**
-     * Toggle route-cache use at runtime; an existing cache starts
-     * enabled.  Off runs REROUTE for every attempt (the uncached
-     * baseline of the same binary, e.g. from a sweep's setup hook):
-     * routing is identical either way, only speed differs.
-     * Enabling requires the cache to exist — see routeCache().
-     */
-    void setRouteCacheEnabled(bool on);
-    bool routeCacheEnabled() const { return rcacheEnabled_; }
+    RouteCache *routeCache() { return nullptr; }
 
     /**
      * Attach (or detach, with nullptr) an event-trace sink.  The
@@ -284,26 +262,16 @@ class NetworkSim
      *  code (see traffic.hpp). */
     bool feedback_ = false;
 
-    // --- batched injection through the route cache ----------------
+    // --- batched injection -----------------------------------------
     //
-    // inject() runs one cycle's attempts through four phases (docs/
+    // inject() runs one cycle's attempts through three phases (docs/
     // SIMULATOR.md, "Intra-simulation sharding"): draw (serial RNG
-    // order and packet-handle claims), probe (serial cache claims),
-    // fill + build (route fills and packet construction, split into
-    // contiguous blocks of attempts across the shard pool, or one
-    // block on the caller when the step is serial), and commit
-    // (serial: cache write-back, unused-handle release, counters,
-    // stage-0 bookkeeping).
-    RouteCache rcache_;       //!< per-sim: sweeps stay share-nothing
-    bool rcacheEnabled_ = false;
+    // order and packet-handle claims), fill + build (route
+    // resolution and packet construction, split into contiguous
+    // blocks of attempts across the shard pool, or one block on the
+    // caller when the step is serial), and commit (serial:
+    // unused-handle release, counters, stage-0 bookkeeping).
 
-    /** How one cycle's attempts resolve their routes. */
-    enum class Resolve : std::uint8_t
-    {
-        InitialTag, //!< initial tag, nothing to search
-        Reroute,    //!< sender REROUTE per attempt (no cache)
-        Cached,     //!< sender REROUTE through the route cache
-    };
     /** One injection attempt, staged between the phases. */
     struct InjectAttempt
     {
@@ -319,39 +287,29 @@ class NetworkSim
          *  releases it unless the packet was injected. */
         QueueArena::Handle handle = 0;
         Outcome outcome = Outcome::Injected;
-    };
-    /** A cached-mode attempt's probe result, index-aligned with
-     *  attempts_. */
-    struct CacheProbe
-    {
-        /** The hit's snapshot, or the claim's header plus its fill.
-         *  A snapshot because a later claim of the same batch may
-         *  evict the slot before the build reads it. */
-        RouteCache::Entry entry;
-        /** Table slot a miss writes its fill back to (commit phase,
-         *  in attempt order, so a later claim of the same slot
-         *  overwrites it exactly as it would have serially); null
-         *  on a hit. */
-        RouteCache::Entry *claim = nullptr;
+        /** A faulted tsdt attempt's initial path was blocked, so
+         *  REROUTE's kernel ran: a route-cache miss at commit (a
+         *  clear path is a hit). */
+        bool filled = false;
     };
     std::vector<InjectAttempt> attempts_; //!< scratch, size <= N
-    std::vector<CacheProbe> probes_;      //!< scratch, cached mode
     /** Runs the fill + build blocks; null when serial. */
     std::unique_ptr<ShardPool> pool_;
 
-    /** Draw, probe, fill + build and commit this cycle's attempts. */
+    /** Draw, fill + build and commit this cycle's attempts. */
     void inject();
 
     /**
      * Fill + build phase for attempts [lo, hi): resolve each route
-     * (cache fill, REROUTE or initial tag), construct the packet
-     * under the attempt's claimed handle and append the handle to
-     * its stage-0 queue.  Writes only these attempts, their probes,
-     * their packets and their (distinct) stage-0 queues, so disjoint
-     * ranges run concurrently; shared counters and the free list
-     * wait for the commit phase.
+     * (with @p Resolve, a faulted tsdt batch: REROUTE's clear scan,
+     * then its kernel for a blocked path; otherwise the initial
+     * tag), construct the packet under the attempt's claimed handle
+     * and append the handle to its stage-0 queue.  Writes only these
+     * attempts, their packets and their (distinct) stage-0 queues,
+     * so disjoint ranges run concurrently; shared counters and the
+     * free list wait for the commit phase.
      */
-    template <Resolve M>
+    template <bool Resolve>
     void injectFillBuild(std::uint64_t version, std::uint64_t first_id,
                          std::size_t lo, std::size_t hi);
 
@@ -423,9 +381,6 @@ class NetworkSim
 
     /** Refresh p.pathSw from (p.src, p.tag); see Packet::pathSw. */
     void cachePath(Packet &p) const;
-
-    /** Switch the packet's path visits at @p stage (cached or not). */
-    Label pathSwitchAt(const Packet &p, unsigned stage) const;
 
     // Queue operations with stage occupancy bookkeeping.  Inline:
     // every packet movement of every cycle funnels through these.

@@ -29,8 +29,9 @@ using Cycle = std::uint64_t;
 struct Packet
 {
     /**
-     * Largest stage count whose TSDT path fits the in-packet cache
-     * (N up to 2^16; larger networks fall back to re-tracing).
+     * Largest stage count whose TSDT path fits the in-packet cache:
+     * the simulator's bound, N <= 2^16 (NetworkSim's constructor
+     * rejects larger networks).
      */
     static constexpr unsigned kMaxTracedStages = 16;
 
@@ -44,11 +45,12 @@ struct Packet
     unsigned resumeStage = 0; //!< stage to resume forward motion at
 
     /**
-     * Cached TSDT path: the switch visited at every stage 0..n under
-     * (src, tag), refreshed whenever the tag is computed or
-     * rewritten.  Lets the dynamic scheme's backward walk and
-     * blockage classification read the path instead of re-running
-     * core::tsdtTrace every cycle.  Valid only while pathValid.
+     * Cached TSDT path of a dynamic-scheme packet: the switch
+     * visited at every stage 0..n under (src, tag), refreshed
+     * whenever the tag is computed or rewritten.  Lets the dynamic
+     * scheme's backward walk and BACKTRACK read the path instead of
+     * re-running core::tsdtTrace every cycle.  Sender-routed packets
+     * never walk backward and leave it stale.
      */
     std::uint16_t pathSw[kMaxTracedStages + 1] = {};
 
@@ -63,10 +65,8 @@ struct Packet
      */
     std::uint16_t lastEpoch = 0;
 
-    bool hasTag = false;
     bool goingBack = false;   //!< dynamic scheme: walking backward
     bool undeliverable = false; //!< dynamic scheme: BACKTRACK failed
-    bool pathValid = false;   //!< pathSw mirrors the current tag
 };
 
 // The hot-struct pin: the packet pool holds one Packet per packet in

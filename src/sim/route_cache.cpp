@@ -4,7 +4,6 @@
 #include <new>
 
 #include "common/logging.hpp"
-#include "obs/stats.hpp"
 
 namespace iadm::sim {
 
@@ -31,7 +30,7 @@ RouteCache::RouteCache(Label n_size, std::size_t capacity)
     IADM_ASSERT(n_size <= (Label{1} << 16),
                 "RouteCache supports net_size <= 65536 (16-bit key "
                 "halves and a 16-bit path-delta word); N=", n_size,
-                " does not fit — run with the cache disabled");
+                " does not fit");
     if (capacity > kMaxCapacity)
         IADM_FATAL("route cache capacity ", capacity, " above ",
                    kMaxCapacity, " entries");
@@ -176,51 +175,34 @@ store(RouteCache::Entry &e, const core::CompactRoute &cr)
         e.flags |= RouteCache::Entry::kOk;
 }
 
-} // namespace
-
-void
-RouteCache::fillUniversal(Entry &e, const topo::IadmTopology &topo,
-                          const fault::FaultSet &faults, Label src,
-                          Label dst)
+/**
+ * Probe with the clear scan over @p scan, fill a miss with the
+ * kernel over the same fault structure, and audit the answer
+ * against @p faults (a hit's replay and a view fill alike).
+ */
+template <class Faults>
+std::pair<const RouteCache::Entry *, bool>
+resolveWith(RouteCache &cache, const topo::IadmTopology &topo,
+            const fault::FaultSet &faults, const Faults &scan,
+            Label src, Label dst)
 {
-    store(e, core::universalRouteCompact(topo, faults, src, dst));
-}
-
-void
-RouteCache::fillUniversal(Entry &e, const topo::IadmTopology &topo,
-                          const fault::FaultView &view,
-                          const fault::FaultSet &faults, Label src,
-                          Label dst)
-{
-    const core::CompactRoute cr =
-        core::universalRouteCompact(topo, view, src, dst);
-    core::auditRoute(cr, topo, faults, src, dst);
-    store(e, cr);
-}
-
-void
-RouteCache::checkUniversalHit(const Entry &e,
-                              const topo::IadmTopology &topo,
-                              const fault::FaultSet &faults, Label src,
-                              Label dst)
-{
-    core::auditRoute({e.ok(), e.tagFor(topo.stages()), e.reroutes},
+    const auto [e, hit] =
+        cache.acquire(topo, scan, src, dst, faults.version());
+    if (!hit)
+        store(*e, core::universalRouteCompact(topo, scan, src, dst));
+    core::auditRoute({e->ok(), e->tagFor(topo.stages()), e->reroutes},
                      topo, faults, src, dst);
+    return {e, hit};
 }
+
+} // namespace
 
 std::pair<const RouteCache::Entry *, bool>
 RouteCache::resolveUniversal(const topo::IadmTopology &topo,
                              const fault::FaultSet &faults, Label src,
                              Label dst)
 {
-    const auto [entry, hit] =
-        acquire(topo, faults, src, dst, faults.version());
-    if (hit) {
-        checkUniversalHit(*entry, topo, faults, src, dst);
-        return {entry, true};
-    }
-    fillUniversal(*entry, topo, faults, src, dst);
-    return {entry, false};
+    return resolveWith(*this, topo, faults, faults, src, dst);
 }
 
 std::pair<const RouteCache::Entry *, bool>
@@ -229,25 +211,7 @@ RouteCache::resolveUniversal(const topo::IadmTopology &topo,
                              const fault::FaultView &view, Label src,
                              Label dst)
 {
-    const auto [entry, hit] =
-        acquire(topo, view, src, dst, faults.version());
-    if (hit) {
-        checkUniversalHit(*entry, topo, faults, src, dst);
-        return {entry, true};
-    }
-    fillUniversal(*entry, topo, view, faults, src, dst);
-    return {entry, false};
-}
-
-void
-RouteCache::exportStats(obs::StatsRegistry &reg) const
-{
-    reg.counter("route_cache.capacity", capacity());
-    reg.counter("route_cache.entry_bytes", sizeof(Entry));
-    reg.counter("route_cache.occupancy", occupied());
-    reg.counter("route_cache.hits", stats_.hits);
-    reg.counter("route_cache.misses", stats_.misses);
-    reg.counter("route_cache.evictions", stats_.evictions);
+    return resolveWith(*this, topo, faults, view, src, dst);
 }
 
 } // namespace iadm::sim

@@ -2,15 +2,16 @@
  * @file
  * Fault-epoch route cache: memoized REROUTE repairs keyed by
  * (source, destination) and stamped with the fault set's mutation
- * version.
+ * version.  The routing daemon (serve::ServerCore) resolves its
+ * route requests through it; the simulator keeps no table and runs
+ * the same clear scan and kernel per attempt (docs/SIMULATOR.md).
  *
  * Algorithm REROUTE is a pure function of (topology, fault set,
- * src, dst), and a simulation's fault set changes only at injection
- * epochs (static scenarios never, transient blockages a handful of
- * times per run).  Most pairs need no search at all: REROUTE's
- * step 1 proves a pair's initial tag (every switch in state C)
- * blockage-free with n bit tests, and by Theorem 3.1 that tag
- * delivers.  So every probe runs that scan first
+ * src, dst), and the daemon's fault set changes only when a client
+ * injects or clears a fault.  Most pairs need no search at all:
+ * REROUTE's step 1 proves a pair's initial tag (every switch in
+ * state C) blockage-free with n bit tests, and by Theorem 3.1 that
+ * tag delivers.  So every probe runs that scan first
  * (core::initialPathClear), and a clear pair takes the initial tag
  * without touching the table.  Only pairs whose initial path is
  * blocked are looked up, and only their repairs are stored:
@@ -19,8 +20,9 @@
  *
  * A resolution that runs no REROUTE fill is a hit, whether its
  * path was clear or a stored repair was replayed; a fill is a miss.
- * Hits plus misses therefore count resolutions, in the simulator,
- * the daemon and resolveUniversal()'s second result alike.
+ * Hits plus misses therefore count resolutions.  The simulator's
+ * route_cache_hits/misses counters keep the same meaning without a
+ * table: a clear initial path, or a kernel run.
  *
  * An entry stores everything a replay needs in 16 bytes: the key,
  * the epoch stamp, the per-packet reroute count, a FAIL bit so
@@ -46,8 +48,8 @@
  * full of live entries the first-probed slot is evicted — a wrong
  * answer is impossible, an evicted pair is merely recomputed.
  *
- * Under IADM_SANITIZE builds every hit (clear paths included), and
- * every fill over a FaultView, is cross-checked against REROUTE
+ * Under IADM_SANITIZE builds every resolveUniversal() answer, hit
+ * (clear paths included) or fill, is cross-checked against REROUTE
  * re-run over the FaultSet (core::auditRoute).
  */
 
@@ -61,10 +63,6 @@
 
 #include "core/reroute.hpp"
 #include "sim/packet.hpp"
-
-namespace iadm::obs {
-class StatsRegistry;
-}
 
 namespace iadm::sim {
 
@@ -180,9 +178,8 @@ class RouteCache
      * (entry, hit): on a hit the entry is valid and must not be
      * written; on a miss it has key/version set and is otherwise
      * blank, and the caller must fill delta / reroutes and the kOk
-     * flag — in place before the next acquire, or through the batch
-     * discipline below.  Either entry may be overwritten by the next
-     * acquire.  Stats are updated.
+     * flag before the next acquire.  Either entry may be overwritten
+     * by the next acquire.  Stats are updated.
      */
     std::pair<Entry *, bool> acquire(const topo::IadmTopology &topo,
                                      const fault::FaultSet &faults,
@@ -196,11 +193,11 @@ class RouteCache
                                      std::uint64_t version);
 
     /**
-     * Convenience resolution through universalRouteCompact(): probe
-     * (clear scan first), fill on miss, and (under IADM_SANITIZE
-     * builds) cross-check every hit (checkUniversalHit).  Returns
-     * (entry, hit); the entry is always filled (check ok()) and
-     * valid until the next probe.
+     * Resolution through universalRouteCompact(): probe (clear scan
+     * first), fill on miss, and (under IADM_SANITIZE builds)
+     * cross-check the answer (core::auditRoute).  Returns (entry,
+     * hit); the entry is always filled (check ok()) and valid until
+     * the next probe.
      */
     std::pair<const Entry *, bool>
     resolveUniversal(const topo::IadmTopology &topo,
@@ -220,68 +217,13 @@ class RouteCache
                      const fault::FaultView &view, Label src,
                      Label dst);
 
-    // --- split probe/fill for batch resolution --------------------
-    //
-    // A batch resolver (NetworkSim::inject) does not interleave
-    // probes and fills the way resolveUniversal() does: probes
-    // mutate the table (claims, evictions) and stay serial to keep
-    // the one-at-a-time hit/miss/eviction sequence, while fills are
-    // the expensive part and may run on any thread.  Probe decisions
-    // read only the header fields (key/version/flags) that
-    // acquire() itself sets, never the payload a fill writes, so the
-    // fills can wait.  The discipline: acquire() every attempt of
-    // the batch in order and copy each returned entry out (a hit is
-    // then a stable snapshot, a miss a claim-time header), fill the
-    // copies, and write each filled copy back to its claimed slot in
-    // attempt order.  A slot claimed twice in one batch then ends
-    // with the later claim's fill, as one-at-a-time resolution
-    // leaves it.
-
-    /**
-     * Fill a freshly acquire()d entry from REROUTE
-     * (universalRouteCompact).  A pure function of
-     * (topo, faults, src, dst) writing only @p e's payload — safe to
-     * run concurrently for distinct entries.
-     */
-    static void fillUniversal(Entry &e,
-                              const topo::IadmTopology &topo,
-                              const fault::FaultSet &faults,
-                              Label src, Label dst);
-
-    /**
-     * The same fill over @p view, a FaultView refreshed from
-     * @p faults: REROUTE's bitset instantiation, which is what the
-     * simulator and the daemon run.  Under IADM_SANITIZE the fill is
-     * audited against the FaultSet instantiation (core::auditRoute).
-     */
-    static void fillUniversal(Entry &e,
-                              const topo::IadmTopology &topo,
-                              const fault::FaultView &view,
-                              const fault::FaultSet &faults,
-                              Label src, Label dst);
-
-    /**
-     * IADM_SANITIZE cross-check of a hit (or a snapshot of one),
-     * clear-path answers included, against REROUTE re-run over
-     * @p faults
-     * (core::auditRoute).  No-op in regular builds.  Read-only —
-     * safe concurrently.
-     */
-    static void checkUniversalHit(const Entry &e,
-                                  const topo::IadmTopology &topo,
-                                  const fault::FaultSet &faults,
-                                  Label src, Label dst);
-
     std::size_t capacity() const { return table_ ? mask_ + 1 : 0; }
 
-    /** Live entries (O(capacity) scan — stats-export cold path). */
+    /** Live entries (O(capacity) scan — a cold path). */
     std::size_t occupied() const;
 
     const Stats &stats() const { return stats_; }
     void resetStats() { stats_ = Stats{}; }
-
-    /** Register counters and geometry into @p reg as route_cache.*. */
-    void exportStats(obs::StatsRegistry &reg) const;
 
     /** Drop every entry (and keep the stats). */
     void clear();

@@ -348,11 +348,6 @@ runSweep(const SweepGrid &grid, const SweepOptions &opts)
 
         ReplicateResult result(seed, simulation.metrics(),
                                grid.measureCycles);
-        if (const RouteCache *rc = simulation.routeCache()) {
-            result.cacheCapacity = rc->capacity();
-            result.cacheOccupancy = rc->occupied();
-            result.cacheEntryBytes = sizeof(RouteCache::Entry);
-        }
         if (health) {
             result.healthEnabled = true;
             result.health = health->report();
@@ -480,13 +475,6 @@ writeReplicate(JsonWriter &w, const ReplicateResult &r,
     w.value(m.routeCacheHits());
     w.key("route_cache_misses");
     w.value(m.routeCacheMisses());
-    if (m.routeCacheEvictions() != 0) {
-        // Additive like drops_by_reason: eviction-free documents
-        // (every golden fixture, and any run where the table never
-        // saturates a probe window) keep the pre-geometry schema.
-        w.key("route_cache_evictions");
-        w.value(m.routeCacheEvictions());
-    }
 
     w.key("stalls_by_stage");
     w.beginArray();
@@ -573,16 +561,6 @@ writeReplicate(JsonWriter &w, const ReplicateResult &r,
         w.key("stats");
         obs::StatsRegistry reg;
         m.exportStats(reg, cycles);
-        if (r.cacheCapacity != 0) {
-            // Cache geometry rides in the opt-in stats section only:
-            // the default document stays frozen by the goldens.
-            reg.counter("route_cache.capacity", r.cacheCapacity);
-            reg.counter("route_cache.entry_bytes",
-                        r.cacheEntryBytes);
-            reg.counter("route_cache.occupancy", r.cacheOccupancy);
-            reg.counter("route_cache.evictions",
-                        m.routeCacheEvictions());
-        }
         reg.writeJson(w);
     }
     w.endObject();

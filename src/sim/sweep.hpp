@@ -187,20 +187,9 @@ struct ReplicateResult
     Cycle measuredCycles = 0;
 
     /**
-     * Route-cache geometry snapshot taken after the measured run
-     * (all zero when the replicate ran without a cache).  Pressure
-     * counters (hits/misses/evictions) live in metrics; geometry is
-     * a property of the cache instance, which dies with the
-     * simulator, so it is captured here.
-     */
-    std::size_t cacheCapacity = 0;   //!< slots in the table
-    std::size_t cacheOccupancy = 0;  //!< live entries at run end
-    std::size_t cacheEntryBytes = 0; //!< sizeof(RouteCache::Entry)
-
-    /**
      * Liveness + steady-state summary, populated only when the sweep
-     * ran with SweepOptions::health (the monitor, like the cache
-     * geometry, dies with the simulator).
+     * ran with SweepOptions::health (the monitor dies with the
+     * simulator).
      */
     bool healthEnabled = false;
     obs::HealthReport health;

@@ -1,10 +1,9 @@
 /**
  * @file
- * Fault-epoch route cache tests: probe/fill/invalidation mechanics,
- * FAIL-bit memoization, eviction behaviour under adversarial load,
- * the clear-path scan that keeps unrepaired pairs out of the table,
- * and — the property everything rests on — that cache warm-up order
- * can never change what the simulator delivers.
+ * Fault-epoch route cache tests (the routing daemon's cache):
+ * probe/fill/invalidation mechanics, FAIL-bit memoization, eviction
+ * behaviour under adversarial load, and the clear-path scan that
+ * keeps unrepaired pairs out of the table.
  */
 
 #include <gtest/gtest.h>
@@ -21,9 +20,7 @@
 #include "fault/fault_set.hpp"
 #include "fault/fault_view.hpp"
 #include "fault/injection.hpp"
-#include "sim/network_sim.hpp"
 #include "sim/route_cache.hpp"
-#include "sim/traffic.hpp"
 #include "topology/iadm.hpp"
 
 namespace iadm {
@@ -475,170 +472,6 @@ TEST(RouteCache, StoresOnlyRepairedPairs)
         }
         expectOnlyRepairsStored(topo, faults, sample);
     }
-}
-
-/** Counters that must be identical for identically-routed runs. */
-std::vector<std::uint64_t>
-routingSignature(const Metrics &m)
-{
-    std::vector<std::uint64_t> sig{
-        m.injected(),  m.delivered(),     m.throttled(),
-        m.unroutable(), m.dropped(),      m.totalHops(),
-        m.totalReroutes(), m.totalStalls(), m.backtrackHops(),
-        m.maxLatency()};
-    for (unsigned s = 0; s < m.stages(); ++s) {
-        sig.push_back(m.stallsAt(s));
-        sig.push_back(m.reroutesAt(s));
-    }
-    return sig;
-}
-
-TEST(RouteCache, WarmupOrderCannotChangeDeliveredOutcomes)
-{
-    // Three same-seed faulted sims: cold cache, cache pre-warmed in
-    // a deliberately odd order, and cache disabled.  REROUTE is a
-    // pure function of (topology, faults, src, dst), so all three
-    // must inject, route, stall and deliver identically — the cache
-    // can only move hit/miss counters.  The dynamic scheme injects
-    // every packet with its initial tag and has no cache at all, so
-    // its three runs differ only in the flag.
-    const Label n = 32;
-    const auto schemes = {RoutingScheme::TsdtSender,
-                          RoutingScheme::TsdtDynamic};
-    for (const RoutingScheme scheme : schemes) {
-        SimConfig cfg;
-        cfg.netSize = n;
-        cfg.scheme = scheme;
-        cfg.injectionRate = 0.3;
-        cfg.seed = 77;
-
-        FaultSet faults;
-        const IadmTopology topo(n);
-        faults.blockLink(topo.plusLink(1, 3));
-        faults.blockLink(topo.straightLink(2, 20));
-        faults.blockLink(topo.minusLink(3, 9));
-
-        NetworkSim cold(cfg, std::make_unique<UniformTraffic>(n),
-                        faults);
-        NetworkSim warmed(cfg, std::make_unique<UniformTraffic>(n),
-                          faults);
-        NetworkSim off(cfg, std::make_unique<UniformTraffic>(n),
-                       faults);
-        off.setRouteCacheEnabled(false);
-
-        const bool sender = scheme == RoutingScheme::TsdtSender;
-        ASSERT_EQ(warmed.routeCache() != nullptr, sender);
-        // Backwards, strided warm-up: nothing like injection order.
-        for (Label s = n; sender && s-- > 0;)
-            for (Label d = (s * 7) & (n - 1), k = 0; k < n;
-                 ++k, d = (d + 5) & (n - 1))
-                (void)warmed.routeCache()->resolveUniversal(
-                    warmed.topology(), warmed.faults(), s, d);
-
-        cold.run(400);
-        warmed.run(400);
-        off.run(400);
-
-        EXPECT_EQ(routingSignature(cold.metrics()),
-                  routingSignature(warmed.metrics()))
-            << routingSchemeName(scheme);
-        EXPECT_EQ(routingSignature(cold.metrics()),
-                  routingSignature(off.metrics()))
-            << routingSchemeName(scheme);
-        // Hit/miss counters are the only thing allowed to move, and
-        // their sum (= resolutions attempted) cannot: injection is
-        // identical.
-        EXPECT_EQ(warmed.metrics().routeCacheHits() +
-                      warmed.metrics().routeCacheMisses(),
-                  cold.metrics().routeCacheHits() +
-                      cold.metrics().routeCacheMisses())
-            << routingSchemeName(scheme);
-        EXPECT_EQ(cold.metrics().routeCacheHits() > 0, sender)
-            << routingSchemeName(scheme);
-        EXPECT_EQ(off.metrics().routeCacheHits() +
-                      off.metrics().routeCacheMisses(),
-                  0u);
-    }
-}
-
-TEST(RouteCache, ChurnEpochBumpsKeepCachedRoutingExact)
-{
-    // Fault churn bumps FaultSet::version() hundreds of times per
-    // run, so every cached entry is repeatedly invalidated and
-    // re-resolved mid-traffic.  Across all those epochs the cache
-    // must stay pure overhead: a cache-off twin fed the identical
-    // churn schedule (same process type + seed => same transitions)
-    // routes byte-for-byte the same.  IADM_SANITIZE builds also
-    // cross-check every injection-time hit against a fresh
-    // resolution, so merely running this is the consistency audit.
-    // The dynamic scheme has no cache: its twins differ only in the
-    // flag, and neither counts a resolution.
-    const Label n = 32;
-    for (const RoutingScheme scheme :
-         {RoutingScheme::TsdtSender, RoutingScheme::TsdtDynamic}) {
-        SimConfig cfg;
-        cfg.netSize = n;
-        cfg.scheme = scheme;
-        cfg.injectionRate = 0.3;
-        cfg.seed = 78;
-
-        NetworkSim on(cfg, std::make_unique<UniformTraffic>(n));
-        NetworkSim off(cfg, std::make_unique<UniformTraffic>(n));
-        off.setRouteCacheEnabled(false);
-        for (NetworkSim *s : {&on, &off})
-            s->addFaultProcess(std::make_unique<fault::GeometricChurn>(
-                s->topology(), 250.0, 50.0, 4242));
-
-        on.run(1500);
-        off.run(1500);
-
-        // The churn schedules really were identical...
-        ASSERT_EQ(on.metrics().faultDowns(), off.metrics().faultDowns())
-            << routingSchemeName(scheme);
-        ASSERT_GT(on.metrics().faultDowns(), 0u);
-        EXPECT_EQ(on.faults().str(), off.faults().str());
-        // ...and the cache changed nothing observable but hit rates.
-        EXPECT_EQ(routingSignature(on.metrics()),
-                  routingSignature(off.metrics()))
-            << routingSchemeName(scheme);
-        EXPECT_EQ(on.metrics().routeCacheMisses() > 0,
-                  scheme == RoutingScheme::TsdtSender)
-            << routingSchemeName(scheme);
-        EXPECT_EQ(off.metrics().routeCacheHits() +
-                      off.metrics().routeCacheMisses(),
-                  0u);
-    }
-}
-
-TEST(RouteCache, SimExposesCacheOnlyForTagResolvingSchemes)
-{
-    // Only tsdt resolves its tags with REROUTE.  The dynamic
-    // scheme's injection tag is always the initial tag, which costs
-    // less to compute than to look up.
-    SimConfig cfg;
-    cfg.netSize = 16;
-    for (const auto scheme :
-         {RoutingScheme::SsdtStatic, RoutingScheme::SsdtBalanced,
-          RoutingScheme::DistanceTag, RoutingScheme::TsdtDynamic}) {
-        cfg.scheme = scheme;
-        NetworkSim s(cfg, std::make_unique<UniformTraffic>(16));
-        EXPECT_EQ(s.routeCache(), nullptr)
-            << routingSchemeName(scheme);
-        EXPECT_FALSE(s.routeCacheEnabled());
-    }
-    cfg.scheme = RoutingScheme::TsdtSender;
-    {
-        NetworkSim s(cfg, std::make_unique<UniformTraffic>(16));
-        EXPECT_NE(s.routeCache(), nullptr);
-        EXPECT_TRUE(s.routeCacheEnabled());
-    }
-    // Runtime opt-out: the cache still exists (toggleable) but is
-    // disabled.
-    cfg.scheme = RoutingScheme::TsdtSender;
-    NetworkSim s(cfg, std::make_unique<UniformTraffic>(16));
-    s.setRouteCacheEnabled(false);
-    EXPECT_NE(s.routeCache(), nullptr);
-    EXPECT_FALSE(s.routeCacheEnabled());
 }
 
 } // namespace

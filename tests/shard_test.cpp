@@ -14,9 +14,10 @@
  *
  *  - inFlight() accounting must survive park-and-retry packets,
  *    backward walks and age-outs mid-fault-epoch at any shard count;
- *  - batched injection (serial probes, fills on any shard, write-back
- *    in attempt order) must replay one-at-a-time route resolution,
- *    even when a cycle's later claims evict its earlier ones.
+ *  - batched injection (resolutions on any shard, counters folded
+ *    in attempt order at commit) must resolve every attempt as
+ *    REROUTE would one at a time: the clear scan for a clear
+ *    initial path, the kernel for a blocked one.
  */
 
 #include <gtest/gtest.h>
@@ -28,9 +29,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/reroute.hpp"
 #include "fault/injection.hpp"
 #include "obs/trace_sink.hpp"
-#include "sim/route_cache.hpp"
 #include "sim/sweep.hpp"
 
 namespace iadm {
@@ -347,24 +348,18 @@ TEST(ShardInFlight, ShardedTwinTracksSerialTwinCycleByCycle)
     EXPECT_EQ(a.routeCacheMisses(), b.routeCacheMisses());
 }
 
-// --- injection: one probe/fill/build path at every shard count ----
+// --- injection: one resolve/build path at every shard count --------
 
-/**
- * N=64 under enough static link faults that some pairs are
- * unroutable.  A 16-slot route cache is a single probe window, so
- * every busy cycle's later claims evict its earlier ones before
- * their fills are written back.
- */
+/** N=64 under enough static link faults that some pairs are
+ *  unroutable. */
 NetworkSim
-makeInjectSim(RoutingScheme scheme, unsigned shards,
-              std::size_t cache_capacity)
+makeInjectSim(RoutingScheme scheme, unsigned shards)
 {
     SimConfig cfg;
     cfg.netSize = 64;
     cfg.scheme = scheme;
     cfg.injectionRate = 0.5;
     cfg.seed = 7;
-    cfg.routeCacheCapacity = cache_capacity;
     cfg.maxPacketAge = 200;
     cfg.shards = shards;
     const topo::IadmTopology topo(cfg.netSize);
@@ -374,52 +369,47 @@ makeInjectSim(RoutingScheme scheme, unsigned shards,
 }
 
 /**
- * The batched injector (probe every attempt, then fill, then write
- * fills back in attempt order) must reproduce resolving each attempt
- * one at a time: the traced run's CacheHit/CacheMiss sequence is
- * replayed through a fresh cache one resolveUniversal() call at a
- * time, and every probe outcome, every injected tag and the final
- * hit/miss/eviction totals must agree.  Sender REROUTE searches
- * (the only source of Reroute events under static faults) must
- * belong to misses: a hit (a clear initial path or a stored repair)
- * runs no search.  The dynamic scheme has no cache: it records no
- * probe, and every packet enters with its initial tag.
+ * Every faulted tsdt attempt resolves as REROUTE would one at a
+ * time: a CacheHit is a pair whose initial path is clear, a
+ * CacheMiss one whose path is blocked, and every injected tag and
+ * every unroutable refusal is universalRouteCompact's answer for
+ * the pair.  Sender REROUTE searches (the only source of Reroute
+ * events under static faults) belong to misses.  The dynamic scheme
+ * resolves nothing at injection: no hit or miss, and every packet
+ * enters with its initial tag.  Untraced runs at 2 and 4 shards,
+ * whose resolutions run on worker threads and whose counters fold
+ * at commit, match the one-shard run counter for counter.
  */
-TEST(ShardInject, BatchedProbesReplayOneAtATimeResolution)
+TEST(ShardInject, EveryAttemptResolvesByClearScanOrKernel)
 {
-    if (!obs::traceCompiledIn())
-        GTEST_SKIP() << "needs IADM_TRACE hooks";
     for (const RoutingScheme scheme :
          {RoutingScheme::TsdtSender, RoutingScheme::TsdtDynamic}) {
-        for (const std::size_t capacity : {std::size_t{16},
-                                           std::size_t{0}}) {
-            SCOPED_TRACE(std::string(routingSchemeName(scheme)) +
-                         " capacity " + std::to_string(capacity));
-            const bool sender = scheme == RoutingScheme::TsdtSender;
-            NetworkSim s = makeInjectSim(scheme, 1, capacity);
-            ASSERT_EQ(s.routeCache() != nullptr, sender);
+        SCOPED_TRACE(routingSchemeName(scheme));
+        const bool sender = scheme == RoutingScheme::TsdtSender;
+        if (obs::traceCompiledIn()) {
             obs::TraceSink sink(std::size_t{1} << 18);
+            NetworkSim s = makeInjectSim(scheme, 1);
             s.setTraceSink(&sink);
             s.run(300);
             ASSERT_EQ(sink.droppedOldest(), 0u);
 
-            const unsigned n = s.topology().stages();
-            RouteCache ref(64, sender ? s.routeCache()->capacity() : 1);
-            std::unordered_map<std::uint64_t, RouteCache::Entry> want;
+            const topo::IadmTopology &topo = s.topology();
+            std::unordered_map<std::uint64_t, core::CompactRoute> want;
             std::unordered_map<std::uint64_t, bool> missed;
-            std::size_t probes = 0, injected = 0;
+            std::size_t hits = 0, misses = 0, injected = 0;
             std::vector<std::uint64_t> searched;
             for (const obs::TraceEvent &e : sink.snapshot()) {
                 if (e.kind == obs::EventKind::CacheHit ||
                     e.kind == obs::EventKind::CacheMiss) {
-                    const auto [entry, hit] = ref.resolveUniversal(
-                        s.topology(), s.faults(), e.sw, e.aux);
-                    ASSERT_EQ(hit, e.kind == obs::EventKind::CacheHit)
-                        << "probe " << probes << ": " << e.sw << "->"
+                    const bool miss = e.kind == obs::EventKind::CacheMiss;
+                    EXPECT_EQ(miss, !core::initialPathClear(
+                                        topo, s.faults(), e.sw, e.aux))
+                        << "packet " << e.packet << ": " << e.sw << "->"
                         << e.aux;
-                    want[e.packet] = *entry;
-                    missed[e.packet] = !hit;
-                    ++probes;
+                    want[e.packet] = core::universalRouteCompact(
+                        topo, s.faults(), e.sw, e.aux);
+                    missed[e.packet] = miss;
+                    (miss ? misses : hits) += 1;
                 } else if (e.kind == obs::EventKind::Inject) {
                     ++injected;
                     if (!sender) {
@@ -428,9 +418,9 @@ TEST(ShardInject, BatchedProbesReplayOneAtATimeResolution)
                         continue;
                     }
                     ASSERT_EQ(want.count(e.packet), 1u);
-                    const RouteCache::Entry &w = want[e.packet];
-                    EXPECT_TRUE(w.ok());
-                    EXPECT_EQ(e.tagState, w.tagFor(n).stateBits())
+                    const core::CompactRoute &w = want[e.packet];
+                    EXPECT_TRUE(w.ok);
+                    EXPECT_EQ(e.tagState, w.tag.stateBits())
                         << "packet " << e.packet;
                 } else if (e.kind == obs::EventKind::Drop &&
                            (e.flags &
@@ -438,7 +428,7 @@ TEST(ShardInject, BatchedProbesReplayOneAtATimeResolution)
                            (e.flags &
                             obs::TraceEvent::kFlagNotEnqueued)) {
                     ASSERT_EQ(want.count(e.packet), 1u);
-                    EXPECT_FALSE(want[e.packet].ok())
+                    EXPECT_FALSE(want[e.packet].ok)
                         << "packet " << e.packet;
                 } else if (e.kind == obs::EventKind::Reroute &&
                            sender) {
@@ -448,54 +438,26 @@ TEST(ShardInject, BatchedProbesReplayOneAtATimeResolution)
             }
             for (const std::uint64_t id : searched)
                 EXPECT_TRUE(missed[id])
-                    << "REROUTE ran for a cache hit, packet " << id;
+                    << "REROUTE ran for a clear path, packet " << id;
             const Metrics &m = s.metrics();
             EXPECT_GT(injected, 0u);
-            EXPECT_EQ(probes, m.routeCacheHits() + m.routeCacheMisses());
-            EXPECT_EQ(ref.stats().hits, m.routeCacheHits());
-            EXPECT_EQ(ref.stats().misses, m.routeCacheMisses());
-            EXPECT_EQ(ref.stats().evictions, m.routeCacheEvictions());
+            EXPECT_EQ(hits, m.routeCacheHits());
+            EXPECT_EQ(misses, m.routeCacheMisses());
             if (sender) {
-                EXPECT_EQ(ref.stats().evictions == 0, capacity == 0);
-                EXPECT_GT(m.routeCacheHits(), 0u);
+                EXPECT_GT(hits, 0u);
                 EXPECT_FALSE(searched.empty());
                 EXPECT_GT(m.unroutable(), 0u);
             } else {
-                EXPECT_EQ(probes, 0u);
+                EXPECT_EQ(hits + misses, 0u);
             }
         }
-    }
-}
 
-/**
- * The same in-batch eviction churn at 2 and 4 shards: fills run on
- * worker threads and land at commit, so every counter — cache
- * totals included — must match the one-shard run, which in turn
- * routes exactly like the uncached run.  The dynamic scheme has no
- * cache, so its cache totals stay zero.
- */
-TEST(ShardInject, ShardedBatchesMatchOneShardUnderInBatchEvictions)
-{
-    for (const RoutingScheme scheme :
-         {RoutingScheme::TsdtSender, RoutingScheme::TsdtDynamic}) {
-        SCOPED_TRACE(routingSchemeName(scheme));
-        NetworkSim uncached = makeInjectSim(scheme, 1, 16);
-        uncached.setRouteCacheEnabled(false);
-        uncached.run(300);
-        NetworkSim one = makeInjectSim(scheme, 1, 16);
+        NetworkSim one = makeInjectSim(scheme, 1);
         one.run(300);
-        const Metrics &u = uncached.metrics();
         const Metrics &o = one.metrics();
-        if (scheme == RoutingScheme::TsdtSender)
-            EXPECT_GT(o.routeCacheEvictions(), 0u);
-        else
-            EXPECT_EQ(o.routeCacheHits() + o.routeCacheMisses(), 0u);
-        EXPECT_EQ(o.injected(), u.injected());
-        EXPECT_EQ(o.delivered(), u.delivered());
-        EXPECT_EQ(o.unroutable(), u.unroutable());
-        EXPECT_EQ(o.totalHops(), u.totalHops());
+        EXPECT_EQ(o.routeCacheMisses() > 0, sender);
         for (const unsigned shards : {2u, 4u}) {
-            NetworkSim s = makeInjectSim(scheme, shards, 16);
+            NetworkSim s = makeInjectSim(scheme, shards);
             ASSERT_EQ(s.shards(), shards);
             s.run(300);
             const Metrics &m = s.metrics();
@@ -509,8 +471,6 @@ TEST(ShardInject, ShardedBatchesMatchOneShardUnderInBatchEvictions)
                 << shards;
             EXPECT_EQ(m.routeCacheHits(), o.routeCacheHits()) << shards;
             EXPECT_EQ(m.routeCacheMisses(), o.routeCacheMisses())
-                << shards;
-            EXPECT_EQ(m.routeCacheEvictions(), o.routeCacheEvictions())
                 << shards;
             EXPECT_EQ(s.inFlight(), one.inFlight()) << shards;
         }

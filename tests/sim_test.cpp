@@ -6,9 +6,7 @@
  */
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <new>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -19,51 +17,9 @@
 #include "sim/scenario.hpp"
 #include "topology/iadm.hpp"
 
-// Global operator new instrumented with a call counter so
-// Sim.SteadyStateStepPerformsNoHeapAllocation below can prove the
-// flat hot path's no-allocation claim (docs/PERF.md) instead of
-// asserting it by inspection.  Atomic: a sharded simulator's worker
-// threads run inside step() too.
-static std::atomic<std::uint64_t> g_heapAllocs{0};
-
-void *
-operator new(std::size_t size)
-{
-    g_heapAllocs.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size != 0 ? size : 1))
-        return p;
-    throw std::bad_alloc{};
-}
-
-void *
-operator new[](std::size_t size)
-{
-    return ::operator new(size);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
+// Calls to the global operator new so far, counted by the
+// replacement in heap_counter.cpp.
+std::uint64_t heapAllocCount();
 
 namespace iadm {
 namespace {
@@ -290,6 +246,18 @@ TEST(Sim, QueueCapacityOutsideArenaBoundIsFatal)
               s.metrics().delivered() + s.inFlight());
 }
 
+TEST(Sim, NetworkAbove65536NodesIsFatal)
+{
+    // Packet paths, trace tags and route-cache keys hold 16-bit
+    // labels: a larger network is refused before anything is sized.
+    SimConfig cfg;
+    cfg.netSize = Label{1} << (Packet::kMaxTracedStages + 1);
+    EXPECT_EXIT(NetworkSim(cfg, uniform(cfg.netSize)),
+                ::testing::ExitedWithCode(1),
+                "network size 131072 above the simulator's 65536 "
+                "nodes");
+}
+
 TEST(Sim, SteadyStateStepPerformsNoHeapAllocation)
 {
     // The flat hot path (docs/PERF.md) must not touch the heap once
@@ -312,9 +280,9 @@ TEST(Sim, SteadyStateStepPerformsNoHeapAllocation)
             NetworkSim s(cfg, uniform(32));
             ASSERT_EQ(s.shards(), shards);
             s.run(200); // fill the queues into steady state
-            const std::uint64_t before = g_heapAllocs.load();
+            const std::uint64_t before = heapAllocCount();
             s.run(100);
-            EXPECT_EQ(g_heapAllocs.load(), before)
+            EXPECT_EQ(heapAllocCount(), before)
                 << "heap allocation in steady-state step() under "
                 << routingSchemeName(scheme) << " at " << shards
                 << " shards";
@@ -322,10 +290,9 @@ TEST(Sim, SteadyStateStepPerformsNoHeapAllocation)
     }
 
     // Faulted: static link faults, straight links among them, so
-    // injection runs REROUTE fills with Corollary 4.1 and BACKTRACK
-    // repairs, and dynamic packets BACKTRACK in flight.  At N=256 a
-    // cached sim has seen only a fraction of the 65536 pairs by the
-    // measured window, so its fills keep running inside it.
+    // injection runs REROUTE's clear scan on every attempt and its
+    // kernel, with Corollary 4.1 and BACKTRACK repairs, on blocked
+    // pairs, and dynamic packets BACKTRACK in flight.
     constexpr Label kN = 256;
     const IadmTopology topo(kN);
     Rng rng(15);
@@ -339,40 +306,29 @@ TEST(Sim, SteadyStateStepPerformsNoHeapAllocation)
                                .backtracks != 0;
     ASSERT_GT(backtracked, 0u) << "no pair needs BACKTRACK";
 
-    struct Case
-    {
-        RoutingScheme scheme;
-        bool cache;
-    };
     for (const unsigned shards : {1u, 4u}) {
-        for (const Case c : {Case{RoutingScheme::TsdtSender, true},
-                             Case{RoutingScheme::TsdtSender, false},
-                             Case{RoutingScheme::TsdtDynamic, true}}) {
+        for (const RoutingScheme scheme :
+             {RoutingScheme::TsdtSender, RoutingScheme::TsdtDynamic}) {
             SimConfig cfg;
             cfg.netSize = kN;
-            cfg.scheme = c.scheme;
+            cfg.scheme = scheme;
             cfg.injectionRate = 0.35;
             cfg.shards = shards;
             NetworkSim s(cfg, uniform(kN), faults);
-            if (!c.cache)
-                s.setRouteCacheEnabled(false);
             s.run(200);
-            const RouteCache *rc = s.routeCache();
-            const std::uint64_t misses0 =
-                rc != nullptr ? rc->stats().misses : 0;
+            const std::uint64_t misses0 = s.metrics().routeCacheMisses();
             const std::uint64_t back0 = s.metrics().backtrackHops();
-            const std::uint64_t before = g_heapAllocs.load();
+            const std::uint64_t before = heapAllocCount();
             s.run(100);
-            EXPECT_EQ(g_heapAllocs.load(), before)
+            EXPECT_EQ(heapAllocCount(), before)
                 << "heap allocation in faulted step() under "
-                << routingSchemeName(c.scheme) << " (cache "
-                << (c.cache ? "on" : "off") << ") at " << shards
+                << routingSchemeName(scheme) << " at " << shards
                 << " shards";
-            if (c.scheme == RoutingScheme::TsdtSender && c.cache) {
-                EXPECT_GT(rc->stats().misses, misses0)
+            if (scheme == RoutingScheme::TsdtSender) {
+                EXPECT_GT(s.metrics().routeCacheMisses(), misses0)
                     << "no REROUTE fill inside the measured window";
             }
-            if (c.scheme == RoutingScheme::TsdtDynamic) {
+            if (scheme == RoutingScheme::TsdtDynamic) {
                 EXPECT_GT(s.metrics().backtrackHops(), back0)
                     << "no BACKTRACK inside the measured window";
             }
@@ -397,9 +353,9 @@ TEST(Sim, SteadyStateStepPerformsNoHeapAllocation)
         s.run(200);
         const std::uint64_t downs0 = s.metrics().faultDowns();
         const std::uint64_t ups0 = s.metrics().faultUps();
-        const std::uint64_t before = g_heapAllocs.load();
+        const std::uint64_t before = heapAllocCount();
         s.run(100);
-        EXPECT_EQ(g_heapAllocs.load(), before)
+        EXPECT_EQ(heapAllocCount(), before)
             << "heap allocation in a step firing windows at " << shards
             << " shards";
         EXPECT_EQ(s.metrics().faultDowns() - downs0, 8u);
@@ -432,9 +388,9 @@ TEST(Sim, SteadyStateStepPerformsNoHeapAllocation)
                     240 + 3 * j);
             s.run(200);
             const std::uint64_t rec0 = s.metrics().recoveries();
-            const std::uint64_t before = g_heapAllocs.load();
+            const std::uint64_t before = heapAllocCount();
             s.run(100);
-            allocs[t] = g_heapAllocs.load() - before;
+            allocs[t] = heapAllocCount() - before;
             if (t == 0)
                 recovered = s.metrics().recoveries() - rec0;
         }

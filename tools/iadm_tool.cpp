@@ -231,6 +231,23 @@ parseNetSize(const char *cmd, const std::string &flag,
                     [](Label n) { return n >= 2 && isPowerOfTwo(n); });
 }
 
+/**
+ * Sizes the simulator, the daemon and the trace record take: packet
+ * paths, trace tags and route-cache keys hold 16-bit labels, so
+ * N <= 2^16.
+ */
+bool
+parseSimNetSize(const char *cmd, const std::string &flag,
+                const std::string &val, Label &out)
+{
+    constexpr Label kMax = Label{1} << sim::Packet::kMaxTracedStages;
+    static const std::string want =
+        "a power of two in [2, " + std::to_string(kMax) + "]";
+    return parseArg(cmd, flag, val, want.c_str(), out, [](Label n) {
+        return n >= 2 && n <= kMax && isPowerOfTwo(n);
+    });
+}
+
 /** Switch labels: @p val must name one of N's switches. */
 bool
 parseSwitchLabel(const char *cmd, const std::string &flag,
@@ -275,6 +292,12 @@ cmdRoute(Label n_size, Label s, Label d,
             }
             if (!parseCount("route", spec, link_specs[++i], repeat))
                 return 2;
+            // The route cache's keys hold 16-bit labels.
+            if (repeat > 1 && n_size > (Label{1} << 16)) {
+                std::cerr << "route: --repeat needs N <= 65536, got "
+                          << n_size << "\n";
+                return 2;
+            }
             continue;
         }
         topo::Link l{};
@@ -288,9 +311,9 @@ cmdRoute(Label n_size, Label s, Label d,
     const auto res = core::universalRoute(net, faults, s, d);
     if (repeat > 1) {
         // Resolve the same pair through the fault-epoch route cache
-        // (what a faulted simulation does per injected packet): a
-        // clear initial path is taken every time and stores nothing;
-        // a blocked one is computed by one miss and replayed after.
+        // (what the routing daemon does per route request): a clear
+        // initial path is taken every time and stores nothing; a
+        // blocked one is computed by one miss and replayed after.
         sim::RouteCache cache(n_size);
         unsigned agree = 0;
         for (unsigned k = 0; k < repeat; ++k) {
@@ -608,8 +631,6 @@ cmdSim(Label n_size, const std::string &scheme, double rate,
     if (stats) {
         obs::StatsRegistry reg;
         s.metrics().exportStats(reg, cycles);
-        if (const sim::RouteCache *rc = s.routeCache())
-            rc->exportStats(reg);
         std::cout << reg.str();
     }
     return 0;
@@ -640,7 +661,7 @@ cmdTrace(const std::vector<std::string> &args)
         }
         const std::string val = args[++i];
         if (flag == "--n") {
-            if (!parseNetSize("trace", flag, val, n_size))
+            if (!parseSimNetSize("trace", flag, val, n_size))
                 return 2;
         } else if (flag == "--scheme") {
             if (val == "ssdt")
@@ -771,7 +792,7 @@ cmdSweep(const std::vector<std::string> &args)
             grid.netSizes.clear();
             for (const auto &v : splitOn(val, ',')) {
                 Label n = 0;
-                if (!parseNetSize("sweep", flag, v, n))
+                if (!parseSimNetSize("sweep", flag, v, n))
                     return 2;
                 grid.netSizes.push_back(n);
             }
@@ -977,7 +998,7 @@ cmdServe(const std::vector<std::string> &args)
         }
         const std::string val = args[++i];
         if (flag == "--net") {
-            if (!parseNetSize("serve", flag, val, cfg.netSize))
+            if (!parseSimNetSize("serve", flag, val, cfg.netSize))
                 return 2;
         } else if (flag == "--scheme") {
             const auto s = sim::parseRoutingScheme(val);
@@ -1111,7 +1132,8 @@ main(int argc, char **argv)
         return missingArg(cmd.c_str(), "N",
                           (cmd + " <N> ...").c_str());
     Label n_size = 0;
-    if (!parseNetSize(cmd.c_str(), "<N>", argv[2], n_size))
+    if (!(cmd == "sim" ? parseSimNetSize : parseNetSize)(
+            cmd.c_str(), "<N>", argv[2], n_size))
         return 2;
     if (cmd == "diagram")
         return cmdDiagram(n_size);
