@@ -16,16 +16,14 @@
  *                 [--pair KNOB=A,B]
  *
  * --pair runs every configuration twice, A then B, as a paired A/B
- * that differs in one knob:
- *   trace   on/off  an event-trace sink attached (both rungs of a
- *                   pair share one sink allocation, so "on" measures
- *                   recording, not first-touch page faults);
- *   health  on/off  a HealthMonitor watching the measured cycles;
- *   churn   on/off  a geometric MTBF/MTTR fault process attached;
- *   shards  S >= 1  injection fill + build split across S workers.
- * Each rung carries a "pair" field, "KNOB=value" (for shards the
- * effective count, clamped to N), and the console prints the B/A
- * cycles/sec ratio.  Every knob but churn must leave routing alone,
+ * that differs in one knob, each value on or off:
+ *   trace   an event-trace sink attached (both rungs of a pair share
+ *           one sink allocation, so "on" measures recording, not
+ *           first-touch page faults);
+ *   health  a HealthMonitor watching the measured cycles;
+ *   churn   a geometric MTBF/MTTR fault process attached.
+ * Each rung carries a "pair" field, "KNOB=value", and the console
+ * prints the B/A cycles/sec ratio.  Every knob but churn must leave routing alone,
  * so the binary exits 1 when a pair's delivered or hops differ.
  * A = B is the A/A noise-floor run (docs/PERF.md "Comparing runs").
  * The trace pair is also how the <=2% disabled-hook budget is
@@ -82,12 +80,11 @@ enum class Knob
     Trace,
     Health,
     Churn,
-    Shards,
 };
 
 constexpr std::pair<const char *, Knob> kKnobs[] = {
     {"trace", Knob::Trace}, {"health", Knob::Health},
-    {"churn", Knob::Churn}, {"shards", Knob::Shards}};
+    {"churn", Knob::Churn}};
 
 const char *
 knobName(Knob k)
@@ -106,8 +103,8 @@ struct Options
     /** Pinned blockage count; unset = ladder default {0, 6 * N / 64}. */
     std::optional<std::size_t> faults;
     Knob knob = Knob::None;
-    /** The A and B values: 1/0 for on/off, or the shard counts. */
-    unsigned pair[2] = {0, 0};
+    /** The A and B values: true for on. */
+    bool pair[2] = {false, false};
     std::vector<ScenarioSpec> traffics; //!< one per --traffic
     ScenarioSpec traffic; //!< the ladder running now (uniform default)
     std::string out = "BENCH_hotpath.json";
@@ -142,18 +139,16 @@ percentileNs(std::vector<std::uint64_t> &sorted, double q)
     return sorted[idx];
 }
 
-/** One rung, with opt.knob (if any) set to @p value. */
+/** One rung, with opt.knob (if any) switched @p on or off. */
 ConfigResult
 runConfig(Label n_size, RoutingScheme scheme, std::size_t fault_links,
-          const Options &opt, unsigned value)
+          const Options &opt, bool on)
 {
-    const bool on = value != 0;
     SimConfig cfg;
     cfg.netSize = n_size;
     cfg.scheme = scheme;
     cfg.injectionRate = opt.rate;
     cfg.seed = 97;
-    cfg.shards = opt.knob == Knob::Shards ? value : 1;
 
     // Static random-link blockages, deterministically derived from
     // (N, count) so reruns and both rungs of a pair see identical
@@ -224,9 +219,7 @@ runConfig(Label n_size, RoutingScheme scheme, std::size_t fault_links,
     r.delivered = s.metrics().delivered();
     if (opt.knob != Knob::None)
         r.pair = std::string(knobName(opt.knob)) + '=' +
-                 (opt.knob == Knob::Shards
-                      ? std::to_string(s.shards()) // after clamping
-                      : on ? "on" : "off");
+                 (on ? "on" : "off");
     return r;
 }
 
@@ -331,15 +324,9 @@ parsePair(const std::string &spec, Options &opt)
     if (opt.knob == Knob::None || values.size() != 2)
         return false;
     for (std::size_t k = 0; k < 2; ++k) {
-        const std::string &v = values[k];
-        if (opt.knob == Knob::Shards) {
-            if (!parseUnsigned(v, opt.pair[k]) || opt.pair[k] == 0)
-                return false;
-        } else if (v == "on" || v == "off") {
-            opt.pair[k] = v == "on";
-        } else {
+        if (values[k] != "on" && values[k] != "off")
             return false;
-        }
+        opt.pair[k] = values[k] == "on";
     }
     return true;
 }
@@ -399,8 +386,8 @@ main(int argc, char **argv)
         std::cerr << "usage: bench_hotpath [--cycles N] "
                      "[--net-size N] [--rate R] [--faults K] "
                      "[--traffic SPEC] [--out FILE] [--pair KNOB=A,B]\n"
-                     "  KNOB is trace, health or churn "
-                     "(A, B: on or off) or shards (A, B >= 1)\n";
+                     "  KNOB is trace, health or churn; "
+                     "A, B are on or off\n";
         return 2;
     }
     if (opt.traffics.empty())

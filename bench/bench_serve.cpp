@@ -59,6 +59,7 @@
 
 #include "bench_common.hpp"
 #include "common/json_writer.hpp"
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "core/reroute.hpp"
 #include "serve/server.hpp"
@@ -576,12 +577,33 @@ writeReport(const Options &opt,
     return 0;
 }
 
+/**
+ * Parse @p val strictly (common/parse.hpp) into @p out.  A value
+ * that does not parse, or that @p ok refuses, exits 2 with a
+ * diagnostic naming @p flag and what it wants (@p want).
+ */
+template <typename T, typename Ok>
+void
+parseFlag(const std::string &flag, const std::string &val,
+          const char *want, T &out, Ok ok)
+{
+    T v{};
+    if (!parseUnsigned(val, v) || !ok(v)) {
+        std::cerr << "bench_serve: " << flag << " wants " << want
+                  << ", got '" << val << "'\n";
+        std::exit(2);
+    }
+    out = v;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     bench::guardBuildType();
+    const auto any = [](auto) { return true; };
+    const auto positive = [](auto v) { return v >= 1; };
     Options opt;
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
@@ -593,8 +615,12 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (a == "--net")
-            opt.netSize = static_cast<Label>(
-                std::atoi(next().c_str()));
+            // 16-bit route-cache keys, as for iadm_tool serve --net.
+            parseFlag(a, next(), "a power of two in [2, 65536]",
+                      opt.netSize, [](Label n) {
+                          return n >= 2 && n <= 65536 &&
+                                 (n & (n - 1)) == 0;
+                      });
         else if (a == "--faults")
             opt.faults = next();
         else if (a == "--mix") {
@@ -604,20 +630,19 @@ main(int argc, char **argv)
             opt.scheme = next();
             opt.ladder = false;
         } else if (a == "--requests")
-            opt.requests = static_cast<std::size_t>(
-                std::strtoull(next().c_str(), nullptr, 10));
+            parseFlag(a, next(), "an integer >= 1", opt.requests,
+                      positive);
         else if (a == "--window")
-            opt.window = static_cast<std::size_t>(
-                std::strtoull(next().c_str(), nullptr, 10));
+            parseFlag(a, next(), "an integer >= 1", opt.window,
+                      positive);
         else if (a == "--burst")
-            opt.burst = static_cast<std::size_t>(
-                std::strtoull(next().c_str(), nullptr, 10));
+            parseFlag(a, next(), "an integer >= 1", opt.burst,
+                      positive);
         else if (a == "--warmup")
-            opt.warmupPasses = static_cast<unsigned>(
-                std::atoi(next().c_str()));
+            parseFlag(a, next(), "an integer >= 0", opt.warmupPasses,
+                      any);
         else if (a == "--seed")
-            opt.seed = static_cast<std::uint64_t>(
-                std::strtoull(next().c_str(), nullptr, 10));
+            parseFlag(a, next(), "an integer >= 0", opt.seed, any);
         else if (a == "--replay") {
             opt.replay = next();
             opt.ladder = false;

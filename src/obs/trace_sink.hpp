@@ -27,14 +27,6 @@
  * parks (sink, packet, cycle) in a thread-local slot around each
  * injection-time REROUTE call and reroute.cpp emits Reroute events
  * through it.
- *
- * The single-owner contract also interacts with intra-simulation
- * sharding (SimConfig::shards): a sink's event order is defined to
- * be the serial order, and recording is an unsynchronized store, so
- * a simulator with an attached sink runs its injection fill + build
- * phase (the only phase shards split) as one block on the caller —
- * sharded fills resume when the sink is detached.  See
- * docs/SIMULATOR.md "Intra-simulation sharding".
  */
 
 #ifndef IADM_OBS_TRACE_SINK_HPP

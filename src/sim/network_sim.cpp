@@ -108,14 +108,6 @@ NetworkSim::NetworkSim(const SimConfig &cfg,
         0);
     gated_ = traffic_->gated();
     feedback_ = traffic_->closedLoop();
-    attempts_.reserve(cfg.netSize);
-    // Intra-sim sharding splits only the injection fill + build
-    // phase, which reads no queue depths and calls no traffic hook,
-    // so every scheme and traffic pattern may shard.
-    const unsigned shards =
-        std::clamp<unsigned>(cfg.shards, 1, cfg.netSize);
-    if (shards > 1)
-        pool_ = std::make_unique<ShardPool>(shards);
     refreshFaultView();
 }
 
@@ -215,124 +207,49 @@ NetworkSim::inject()
     // plain initial tags, with nothing to search.
     const bool resolve =
         cfg_.scheme == RoutingScheme::TsdtSender && !faults_.empty();
-
-    // Draw phase: collect this cycle's injection attempts.  The RNG
-    // draw order — gate, then chance, then destination pick, per
-    // source in ascending order — matches the unbatched loop bit
-    // for bit, so neither batching nor sharding can perturb any
-    // random stream.  Each attempt claims its packet handle here,
-    // because the pool's free list is serial-only.
+    const unsigned n = ltab_.stages();
     if (gated_)
         traffic_->beginCycle(now_);
-    attempts_.clear();
-    for (Label s = 0; s < cfg_.netSize; ++s) {
-        const bool open = gated_ ? traffic_->gate(s, rng_) : true;
+    // One pass over the sources, each finished before the next draws:
+    // gate, chance and destination pick in that order, a packet id,
+    // the tag, then refusal or the stage-0 build.  Sources are
+    // distinct within a cycle and traffic hooks keep per-source state
+    // (traffic.hpp), so a source's onInject cannot change a later
+    // source's gate.
+    for (Label src = 0; src < cfg_.netSize; ++src) {
+        const bool open = gated_ ? traffic_->gate(src, rng_) : true;
         if (!rng_.chance(cfg_.injectionRate) || !open)
             continue;
-        attempts_.push_back(
-            {s, traffic_->pick(s, rng_), queues_.claim()});
-    }
-    if (attempts_.empty())
-        return;
-    const std::size_t cnt = attempts_.size();
-    // Attempt i consumes packet id first_id + i — before routability
-    // or queue-space checks — exactly as the unbatched loop did.
-    const std::uint64_t first_id = nextPacketId_;
-    nextPacketId_ += cnt;
-    const std::uint64_t version = faults_.version();
-
-    // Fill + build phase: contiguous blocks of attempts, one per
-    // shard, or the whole batch on this thread when the step is
-    // serial or traced (a TraceSink is single-owner).  Sources and
-    // handles are distinct within a cycle, so every attempt, packet
-    // and stage-0 queue is written by exactly one block.
-    const auto fillBuild = [&](std::size_t lo, std::size_t hi) {
-        if (resolve)
-            injectFillBuild<true>(version, first_id, lo, hi);
-        else
-            injectFillBuild<false>(version, first_id, lo, hi);
-    };
-    if (pool_ != nullptr &&
-        !(obs::traceCompiledIn() && trace_ != nullptr)) {
-        const std::size_t per =
-            (cnt + pool_->shards() - 1) / pool_->shards();
-        pool_->run([&](unsigned k) {
-            const std::size_t lo = std::min(cnt, k * per);
-            fillBuild(lo, std::min(cnt, lo + per));
-        });
-    } else {
-        fillBuild(0, cnt);
-    }
-
-    // Commit phase (serial, attempt order): release the handles of
-    // attempts that built no packet, and fold counters and stage-0
-    // bookkeeping.
-    for (const InjectAttempt &at : attempts_) {
-        if (resolve) {
-            if (at.filled)
-                metrics_.recordRouteCacheMiss();
-            else
-                metrics_.recordRouteCacheHit();
-        }
-        switch (at.outcome) {
-          case InjectAttempt::Outcome::Unroutable:
-            queues_.release(at.handle);
-            metrics_.recordUnroutable();
-            break;
-          case InjectAttempt::Outcome::Throttled:
-            queues_.release(at.handle);
-            metrics_.recordThrottled();
-            break;
-          case InjectAttempt::Outcome::Injected:
-            // Sources are distinct, so a row holding one packet was
-            // empty before this cycle's injection.
-            ++stageSize_[0];
-            noteFilled(0, at.src,
-                       queues_.size(queues_.qid(0, at.src)) == 1);
-            ++inFlight_;
-            if (feedback_)
-                traffic_->onInject(at.src);
-            metrics_.recordInjected();
-            break;
-        }
-    }
-}
-
-template <bool Resolve>
-void
-NetworkSim::injectFillBuild(std::uint64_t version,
-                            std::uint64_t first_id, std::size_t lo,
-                            std::size_t hi)
-{
-    const unsigned n = ltab_.stages();
-    for (std::size_t i = lo; i < hi; ++i) {
-        InjectAttempt &at = attempts_[i];
-        const Label src = at.src;
-        const Label dst = at.dst;
-        const std::uint64_t id = first_id + i;
+        const Label dst = traffic_->pick(src, rng_);
+        // Every attempt consumes an id, routable or not.
+        const std::uint64_t id = nextPacketId_++;
         core::CompactRoute cr{true, core::initialTag(n, dst), 0};
-        if constexpr (Resolve) {
+        if (resolve) {
             // The sender computes a blockage-avoiding tag against the
             // global blockage map.  REROUTE's step 1 comes first: a
             // clear all-state-C path delivers on the initial tag
-            // (Theorem 3.1) after n bit tests, and only a blocked one
-            // runs the kernel.
-            at.filled = !core::initialPathClear(topo_, fview_, src, dst);
-            if (at.filled) {
+            // (Theorem 3.1) after n bit tests and counts as a hit;
+            // only a blocked one runs the kernel, a miss.
+            const bool blocked =
+                !core::initialPathClear(topo_, fview_, src, dst);
+            if (blocked) {
                 withRouteTrace(trace_, id, now_, [&] {
                     cr = core::universalRouteCompact(topo_, fview_, src,
                                                      dst);
                 });
+                metrics_.recordRouteCacheMiss();
+            } else {
+                metrics_.recordRouteCacheHit();
             }
             core::auditRoute(cr, topo_, faults_, src, dst);
             IADM_TRACE_EVENT(trace_,
-                             at.filled ? obs::EventKind::CacheMiss
-                                       : obs::EventKind::CacheHit,
+                             blocked ? obs::EventKind::CacheMiss
+                                     : obs::EventKind::CacheHit,
                              id, now_, 0, src, obs::TraceEvent::kNoLink,
                              dst, dst, 0);
         }
         if (!cr.ok) {
-            at.outcome = InjectAttempt::Outcome::Unroutable;
+            metrics_.recordUnroutable();
             IADM_TRACE_EVENT(trace_, obs::EventKind::Drop, id, now_, 0,
                              src, obs::TraceEvent::kNoLink, dst, dst, 0,
                              obs::TraceEvent::kFlagNotEnqueued |
@@ -341,7 +258,7 @@ NetworkSim::injectFillBuild(std::uint64_t version,
         }
         const std::size_t q = queues_.qid(0, src);
         if (queues_.full(q)) {
-            at.outcome = InjectAttempt::Outcome::Throttled;
+            metrics_.recordThrottled();
             IADM_TRACE_EVENT(trace_, obs::EventKind::Drop, id, now_, 0,
                              src, obs::TraceEvent::kNoLink, dst, dst, 0,
                              obs::TraceEvent::kFlagNotEnqueued);
@@ -351,11 +268,11 @@ NetworkSim::injectFillBuild(std::uint64_t version,
                          src, obs::TraceEvent::kNoLink, dst,
                          static_cast<Label>(cr.tag.destination()),
                          static_cast<Label>(cr.tag.stateBits()));
-        // Build the packet in place under the attempt's handle;
-        // every live field of the stale packet is overwritten
-        // (pathSw is read only by the dynamic scheme, which decodes
-        // it here).
-        Packet &p = queues_.packet(at.handle);
+        // Build the packet in place at the queue's tail; every live
+        // field of the stale packet is overwritten (pathSw is read
+        // only by the dynamic scheme, which decodes it here).
+        const bool was_empty = queues_.empty(q);
+        Packet &p = queues_.emplaceBack(q);
         p.id = id;
         p.injected = now_;
         p.movedAt = ~Cycle{0};
@@ -367,13 +284,17 @@ NetworkSim::injectFillBuild(std::uint64_t version,
         // A sender tag was resolved against the current fault epoch:
         // in-flight re-resolution triggers only once the version
         // moves past this stamp.
-        p.lastEpoch = static_cast<std::uint16_t>(version);
+        p.lastEpoch = static_cast<std::uint16_t>(faults_.version());
         p.goingBack = false;
         p.undeliverable = false;
         if (cfg_.scheme == RoutingScheme::TsdtDynamic)
             cachePath(p); // decodeDelta(src, dst, 0): the C-state path
-        queues_.pushHandle(q, at.handle);
-        at.outcome = InjectAttempt::Outcome::Injected;
+        ++stageSize_[0];
+        noteFilled(0, src, was_empty);
+        ++inFlight_;
+        if (feedback_)
+            traffic_->onInject(src);
+        metrics_.recordInjected();
     }
 }
 

@@ -23,7 +23,7 @@
  * only for blocked links and balanced nonstraight hops), and queue
  * occupancy moves by arithmetic on the emptied and was-empty flags.
  * step() performs no heap allocation and no virtual topology calls
- * in steady state, at any shard count.
+ * in steady state.
  */
 
 #ifndef IADM_SIM_NETWORK_SIM_HPP
@@ -44,7 +44,6 @@
 #include "sim/link_table.hpp"
 #include "sim/metrics.hpp"
 #include "sim/route_cache.hpp"
-#include "sim/shard_pool.hpp"
 #include "sim/switch_model.hpp"
 #include "sim/traffic.hpp"
 #include "topology/iadm.hpp"
@@ -91,17 +90,9 @@ struct SimConfig
     Cycle maxPacketAge = 0;
 
     /**
-     * Worker shards inside one simulation: each cycle's injection
-     * attempts are split into this many contiguous blocks whose
-     * route resolutions and packet builds run in parallel (docs/
-     * SIMULATOR.md, "Intra-simulation sharding").  Draw, commit
-     * and the per-stage service loop stay serial, so
-     * metrics, queues and report bytes are identical at any shard
-     * count.  1 (the default) runs the fill + build block on the
-     * caller, with no pool and no synchronization.  Clamped to
-     * netSize.  A simulator with a trace sink attached fills
-     * serially (a TraceSink is single-owner and its event order
-     * must stay deterministic).
+     * Read by nothing: every simulation steps on its caller's
+     * thread.  Kept until the repository benchmark (benchmark/src)
+     * stops setting it.
      */
     unsigned shards = 1;
 };
@@ -125,12 +116,11 @@ class NetworkSim
     const Metrics &metrics() const { return metrics_; }
     Metrics &metrics() { return metrics_; }
 
-    /** Effective shard count (cfg.shards clamped; 1 = serial). */
-    unsigned
-    shards() const
-    {
-        return pool_ != nullptr ? pool_->shards() : 1;
-    }
+    /**
+     * Always 1: the simulator steps on one thread.  Kept until the
+     * repository benchmark (benchmark/src) stops reading it.
+     */
+    unsigned shards() const { return 1; }
     const topo::IadmTopology &topology() const { return topo_; }
     const fault::FaultSet &faults() const { return faults_; }
 
@@ -195,9 +185,8 @@ class NetworkSim
      * predicted-false branch per cycle.  When attached, step()
      * feeds it wait-for scans every HealthConfig::checkInterval
      * cycles and a steady-state rollup window every
-     * HealthConfig::windowCycles.  Unlike the trace
-     * sink the monitor does not force a sharded sim serial: it runs
-     * after the cycle's injection and service have completed.
+     * HealthConfig::windowCycles, after the cycle's injection and
+     * service have completed.
      */
     void setHealthMonitor(obs::HealthMonitor *m);
     obs::HealthMonitor *healthMonitor() const { return health_; }
@@ -258,60 +247,18 @@ class NetworkSim
     Label mask_ = 0;     //!< netSize - 1 (N is a power of two)
     bool gated_ = true;  //!< traffic_->gated(), cached at build
     /** traffic_->closedLoop(), cached at build.  When set, the
-     *  pattern gets onInject/onRetire feedback, both from serial
-     *  code (see traffic.hpp). */
+     *  pattern gets onInject/onRetire feedback (see traffic.hpp). */
     bool feedback_ = false;
 
-    // --- batched injection -----------------------------------------
-    //
-    // inject() runs one cycle's attempts through three phases (docs/
-    // SIMULATOR.md, "Intra-simulation sharding"): draw (serial RNG
-    // order and packet-handle claims), fill + build (route
-    // resolution and packet construction, split into contiguous
-    // blocks of attempts across the shard pool, or one block on the
-    // caller when the step is serial), and commit (serial:
-    // unused-handle release, counters, stage-0 bookkeeping).
-
-    /** One injection attempt, staged between the phases. */
-    struct InjectAttempt
-    {
-        enum class Outcome : std::uint8_t
-        {
-            Injected,
-            Throttled,  //!< stage-0 queue full
-            Unroutable, //!< REROUTE found no path
-        };
-        Label src;
-        Label dst;
-        /** Packet handle claimed in the draw phase; the commit phase
-         *  releases it unless the packet was injected. */
-        QueueArena::Handle handle = 0;
-        Outcome outcome = Outcome::Injected;
-        /** A faulted tsdt attempt's initial path was blocked, so
-         *  REROUTE's kernel ran: a route-cache miss at commit (a
-         *  clear path is a hit). */
-        bool filled = false;
-    };
-    std::vector<InjectAttempt> attempts_; //!< scratch, size <= N
-    /** Runs the fill + build blocks; null when serial. */
-    std::unique_ptr<ShardPool> pool_;
-
-    /** Draw, fill + build and commit this cycle's attempts. */
-    void inject();
-
     /**
-     * Fill + build phase for attempts [lo, hi): resolve each route
-     * (with @p Resolve, a faulted tsdt batch: REROUTE's clear scan,
-     * then its kernel for a blocked path; otherwise the initial
-     * tag), construct the packet under the attempt's claimed handle
-     * and append the handle to its stage-0 queue.  Writes only these
-     * attempts, their packets and their (distinct) stage-0 queues,
-     * so disjoint ranges run concurrently; shared counters and the
-     * free list wait for the commit phase.
+     * This cycle's injection: one pass over the sources in ascending
+     * order.  Each source draws gate, chance and destination, takes a
+     * packet id, resolves its tag (a faulted tsdt source: REROUTE's
+     * clear scan, then its kernel for a blocked path; otherwise the
+     * initial tag) and is refused (unroutable or throttled) or built
+     * straight into its stage-0 queue.
      */
-    template <bool Resolve>
-    void injectFillBuild(std::uint64_t version, std::uint64_t first_id,
-                         std::size_t lo, std::size_t hi);
+    void inject();
 
     /** Dispatch to the scheme-specialized service loop. */
     void advanceStage(unsigned stage);

@@ -307,7 +307,6 @@ runSweep(const SweepGrid &grid, const SweepOptions &opts)
         cfg.crossbarSwitches = cell.crossbar;
         cfg.maxPacketAge = grid.maxPacketAge;
         cfg.seed = seed;
-        cfg.shards = opts.simShards == 0 ? 1 : opts.simShards;
 
         const topo::IadmTopology topo(cell.netSize);
         Rng scenario_rng(mix64(seed ^ kScenarioSalt));

@@ -214,19 +214,6 @@ struct SweepOptions
     unsigned workers = 1;
 
     /**
-     * Intra-simulation shard count handed to every replicate's
-     * SimConfig::shards; 0 and 1 both mean serial.  Orthogonal to
-     * workers: each of the `workers` cell workers steps its own
-     * simulator, and that simulator in turn splits its injection
-     * fill + build phase across `simShards` threads — total threads
-     * ≈ workers * simShards, so size the product, not each knob, to
-     * the machine.  Sharding is metric-exact (sweep JSON is
-     * byte-identical at any value); docs/PERF.md has its measured
-     * cost.
-     */
-    unsigned simShards = 1;
-
-    /**
      * Optional pre-run hook, called once per replicate after the
      * simulator is constructed and before warmup; use it to schedule
      * transient blockages.  The Rng is derived from the replicate

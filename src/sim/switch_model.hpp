@@ -17,19 +17,8 @@
  * while their handles move from queue to queue, so a hop moves 4
  * bytes, not a 96-byte Packet.  The pool is reserved up front for
  * every packet that can be live at once, so the steady-state hot
- * path performs no heap allocation.
- *
- * Concurrency contract (intra-simulation sharding,
- * docs/SIMULATOR.md): QueueArena is not thread-safe as a whole.
- * Every ring slot and head_/tail_ cursor belongs to exactly one
- * queue, and every pooled packet to exactly one handle, so threads
- * that touch distinct queues and distinct handles may run
- * concurrently.  The pool's free list is arena-global: claim() and
- * release() are serial only.  The sharded injector claims one
- * handle per attempt serially in its draw phase and releases the
- * unused ones serially in its commit phase, so each fill + build
- * block writes only its own attempts' packets and their (distinct)
- * stage-0 rings.
+ * path performs no heap allocation.  QueueArena is not
+ * thread-safe: one simulator owns it and steps it on one thread.
  */
 
 #ifndef IADM_SIM_SWITCH_MODEL_HPP
@@ -61,13 +50,11 @@ namespace iadm::sim {
  * service scan touches memory sequentially.
  *
  * The pool is reserved for stages x N x capacity packets (every
- * queue full) plus N (one handle per source that injection holds
- * before it knows whether its packet fits), and packets are
- * constructed in it one at a time on first use, so it is never
- * value-initialized as a whole and pages nobody touches cost no
- * memory.  Released handles go on a LIFO free list: a
- * just-delivered packet's cache-hot storage is the next packet
- * built.
+ * queue full), and packets are constructed in it one at a time on
+ * first use, so it is never value-initialized as a whole and pages
+ * nobody touches cost no memory.  Released handles go on a LIFO
+ * free list: a just-delivered packet's cache-hot storage is the
+ * next packet built.
  */
 class QueueArena
 {
@@ -98,7 +85,7 @@ class QueueArena
         ring_.resize(queues_ << shift_);
         head_.assign(queues_, 0);
         tail_.assign(queues_, 0);
-        poolCap_ = queues_ * capacity + n_size;
+        poolCap_ = queues_ * capacity;
         IADM_ASSERT(poolCap_ <= std::numeric_limits<Handle>::max(),
                     "packet pool of ", poolCap_,
                     " exceeds 32-bit handles");
@@ -141,7 +128,7 @@ class QueueArena
     /**
      * Take a free handle: the most recently released one, else the
      * pool's next never-used packet.  Its packet holds stale
-     * contents to overwrite.  Serial only.
+     * contents to overwrite.
      */
     Handle
     claim()
@@ -160,7 +147,7 @@ class QueueArena
         return static_cast<Handle>(poolBuilt_++);
     }
 
-    /** Return @p h to the free list.  Serial only. */
+    /** Return @p h to the free list. */
     void
     release(Handle h)
     {
@@ -170,16 +157,6 @@ class QueueArena
         released_[h] = true;
 #endif
         free_.push_back(h);
-    }
-
-    /**
-     * Append claimed handle @p h to the tail of @p q (the caller
-     * must have checked the queue is not full).
-     */
-    void
-    pushHandle(std::size_t q, Handle h)
-    {
-        ring_[(q << shift_) + (tail_[q]++ & mask_)] = h;
     }
 
     /**
@@ -278,6 +255,13 @@ class QueueArena
     std::size_t poolSize() const { return poolBuilt_; }
 
   private:
+    /** Append claimed handle @p h to the tail of @p q. */
+    void
+    pushHandle(std::size_t q, Handle h)
+    {
+        ring_[(q << shift_) + (tail_[q]++ & mask_)] = h;
+    }
+
     /** Cache line size; pooled packets start 0 or 32 bytes into a
      *  line, so each spans exactly two. */
     static constexpr std::size_t kLine = 64;

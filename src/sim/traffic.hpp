@@ -7,17 +7,16 @@
  * parse, validate and build traffic through it, and load shapers
  * (bursts, ramps, closed-loop windows) exist only as its clauses.
  *
- * Concurrency contract: the simulator invokes every mutating hook —
- * gate(), pick(), beginCycle(), onInject(), onRetire() — from serial
- * code only, at any shard count.  gate/pick/beginCycle run in the
- * injection draw phase (the RNG stream must not depend on the shard
- * count); onInject fires from the serial injection commit; and
- * onRetire fires from the service loop, which is always serial.
- * Only the injection fill + build phase runs on shard threads, and
- * it calls no hook.  Patterns may therefore keep plain per-source
- * state, but that state must be per-source *bytes or wider* — never
- * std::vector<bool>, whose packed words would make any future
- * concurrent use a data race by construction.
+ * Injection contract: the simulator's injection is one pass over
+ * the sources in ascending order, and each source finishes —
+ * gate(), then pick(), then onInject() if its packet entered —
+ * before the next source's gate() runs; onRetire() fires from the
+ * service loop.  A source's onInject() may therefore change only
+ * state that no other source's gate() or pick() reads in the same
+ * cycle: hooks keep per-source state, indexed by the source label
+ * they are given.  State shared across sources would let one
+ * source's injection steer a later source's draws and tie the
+ * random stream to the injection order.
  */
 
 #ifndef IADM_SIM_TRAFFIC_HPP
@@ -45,8 +44,8 @@ class TrafficPattern
      * cycle before the rate draw; patterns with temporal structure
      * (bursts, ramps, closed-loop windows) override it.  Default:
      * always open.  Implementations must draw the same number of
-     * random values per call regardless of the outcome, so serial
-     * and sharded runs stay stream-identical.
+     * random values per call regardless of the outcome, so the
+     * random stream does not depend on the gate's state.
      */
     virtual bool
     gate(Label, Rng &)
@@ -78,7 +77,7 @@ class TrafficPattern
     /**
      * True when the pattern needs injection/retirement feedback
      * (closed-loop load).  The simulator then calls onInject /
-     * onRetire, both from serial code (see the file comment).
+     * onRetire (see the file comment).
      */
     virtual bool
     closedLoop() const

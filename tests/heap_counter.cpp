@@ -3,8 +3,8 @@
  * Global operator new instrumented with a call counter, so
  * sim_test's Sim.SteadyStateStepPerformsNoHeapAllocation can prove
  * the flat hot path's no-allocation claim (docs/PERF.md) instead of
- * asserting it by inspection.  Atomic: a sharded simulator's worker
- * threads run inside step() too.
+ * asserting it by inspection.  A plain counter: the simulator
+ * steps on the test's one thread.
  *
  * The replacements live in a translation unit of their own.  Where
  * the compiler can see that operator delete calls std::free, it
@@ -14,14 +14,13 @@
  * std::malloc and the pairing is correct.
  */
 
-#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
 
 namespace {
 
-std::atomic<std::uint64_t> g_heapAllocs{0};
+std::uint64_t g_heapAllocs = 0;
 
 } // namespace
 
@@ -29,13 +28,13 @@ std::atomic<std::uint64_t> g_heapAllocs{0};
 std::uint64_t
 heapAllocCount()
 {
-    return g_heapAllocs.load();
+    return g_heapAllocs;
 }
 
 void *
 operator new(std::size_t size)
 {
-    g_heapAllocs.fetch_add(1, std::memory_order_relaxed);
+    ++g_heapAllocs;
     if (void *p = std::malloc(size != 0 ? size : 1))
         return p;
     throw std::bad_alloc{};

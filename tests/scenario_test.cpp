@@ -4,8 +4,8 @@
  * and rejection regressions for the composable traffic subsystem,
  * statistical checks of every destination source and shaper, the
  * closed-loop feedback contract, and sweep determinism for the new
- * scenario axis — byte-identical reports across worker counts and
- * shard counts, pinned by a dedicated golden fixture
+ * scenario axis — byte-identical reports across worker counts,
+ * pinned by a dedicated golden fixture
  * (tests/data/golden_sweep_scenarios_n64.json).
  *
  * Regenerating the fixture (only after an *intentional* behaviour
@@ -405,46 +405,6 @@ TEST(ScenarioClosedLoop, WindowGatesAfterOutstandingLimit)
     EXPECT_TRUE(pattern->gate(0, rng));
 }
 
-TEST(ScenarioClosedLoop, ShardedRunKeepsWindowAndMatchesSerial)
-{
-    // Closed-loop feedback fires from serial code only (onInject at
-    // the injection commit, onRetire from the service loop), so a
-    // sharded simulator keeps its shards and must stay in lockstep
-    // with its one-shard twin.
-    const auto make = [](unsigned shards) {
-        SimConfig cfg;
-        cfg.netSize = 64;
-        cfg.scheme = RoutingScheme::TsdtSender;
-        cfg.injectionRate = 0.9;
-        cfg.shards = shards;
-        cfg.seed = 3;
-        return NetworkSim(
-            cfg,
-            ScenarioSpec::parse("shape:closed:2").value().make(64));
-    };
-    NetworkSim serial = make(1);
-    NetworkSim sharded = make(8);
-    ASSERT_EQ(sharded.shards(), 8u);
-    for (Cycle c = 0; c < 400; ++c) {
-        serial.step();
-        sharded.step();
-        // The window cap binds: with at most 2 outstanding per
-        // source, the live packet count can never exceed 2N.
-        ASSERT_LE(sharded.inFlight(), std::size_t{128})
-            << "window exceeded at cycle " << c;
-        ASSERT_EQ(sharded.inFlight(), serial.inFlight())
-            << "sharded twin diverged at cycle " << c;
-    }
-    const Metrics &a = serial.metrics();
-    const Metrics &b = sharded.metrics();
-    EXPECT_GT(b.delivered(), 0u);
-    EXPECT_EQ(a.injected(), b.injected());
-    EXPECT_EQ(a.delivered(), b.delivered());
-    EXPECT_EQ(a.throttled(), b.throttled());
-    EXPECT_EQ(a.totalHops(), b.totalHops());
-    EXPECT_EQ(a.latencyHistogram(), b.latencyHistogram());
-}
-
 TEST(ScenarioClosedLoop, OutstandingWindowBoundsInFlightEveryCycle)
 {
     SimConfig cfg;
@@ -470,9 +430,8 @@ TEST(ScenarioClosedLoop, OutstandingWindowBoundsInFlightEveryCycle)
 
 /**
  * The frozen scenario grid (fixture
- * tests/data/golden_sweep_scenarios_n64.json).  Replicated verbatim
- * in tests/shard_test.cpp, which pins the same fixture at 2/4/8
- * shards; any edit here invalidates that copy and the fixture.
+ * tests/data/golden_sweep_scenarios_n64.json); any edit here
+ * invalidates the fixture.
  */
 SweepGrid
 scenarioGrid()
@@ -503,12 +462,11 @@ scenarioGrid()
 }
 
 std::string
-runScenarioGrid(unsigned workers, unsigned sim_shards)
+runScenarioGrid(unsigned workers)
 {
     const SweepGrid grid = scenarioGrid();
     SweepOptions opts;
     opts.workers = workers;
-    opts.simShards = sim_shards;
     return sweepReportJson(grid, runSweep(grid, opts));
 }
 
@@ -517,7 +475,7 @@ const char *const kScenarioFixturePath =
 
 TEST(ScenarioSweep, MatchesGoldenFixtureByteForByte)
 {
-    const std::string report = runScenarioGrid(2, 1);
+    const std::string report = runScenarioGrid(2);
 
     if (std::getenv("IADM_REGEN_GOLDEN") != nullptr) {
         std::ofstream os(kScenarioFixturePath, std::ios::binary);
@@ -539,24 +497,9 @@ TEST(ScenarioSweep, MatchesGoldenFixtureByteForByte)
 
 TEST(ScenarioSweep, ReportBytesIdenticalAcrossWorkerCounts)
 {
-    const std::string one = runScenarioGrid(1, 1);
-    EXPECT_EQ(one, runScenarioGrid(4, 1));
-    EXPECT_EQ(one, runScenarioGrid(8, 1));
-}
-
-/**
- * The bursty-gate race regression: the per-source on/off bytes are
- * mutated from gate() in the serial draw phase, so any shard count
- * must reproduce the serial bytes exactly — and under TSan (this
- * suite is in the tsan preset) a word-sharing regression like the
- * old std::vector<bool> state would be flagged as a data race.
- */
-TEST(ScenarioSweep, ReportBytesIdenticalAcrossShardCounts)
-{
-    const std::string serial = runScenarioGrid(2, 1);
-    for (const unsigned shards : {2u, 4u, 8u})
-        EXPECT_EQ(serial, runScenarioGrid(2, shards))
-            << "shards=" << shards;
+    const std::string one = runScenarioGrid(1);
+    EXPECT_EQ(one, runScenarioGrid(4));
+    EXPECT_EQ(one, runScenarioGrid(8));
 }
 
 } // namespace

@@ -73,8 +73,7 @@ printUsage(std::ostream &os)
         << "                   [--scenario SPEC]\n"
         << "                   [--churn bernoulli:PF:PR|"
            "geometric:MTBF:MTTR|burst:IVL:DUR:SPAN]\n"
-        << "                   [--max-age CYCLES] [--shards S]"
-           " [--health]\n"
+        << "                   [--max-age CYCLES] [--health]\n"
         << "  iadm_tool sweep  [--sizes 8,16] [--schemes "
            "ssdt,tsdt,...]\n"
         << "                   [--rates 0.1,0.3] [--caps 4]\n"
@@ -84,8 +83,8 @@ printUsage(std::ostream &os)
            "[--max-age CYCLES]\n"
         << "                   [--crossbar 0,1] [--replicates R]\n"
         << "                   [--warmup C] [--cycles C] [--seed S]\n"
-        << "                   [--workers W] [--shards S] "
-           "[--out FILE] [--no-timing]\n"
+        << "                   [--workers W] [--out FILE] "
+           "[--no-timing]\n"
         << "                   [--stats] [--trace-dir DIR] "
            "[--health]\n"
         << "    SPEC (--traffic is an alias of --scenario) is the "
@@ -193,7 +192,7 @@ parseU64Arg(const char *cmd, const std::string &flag,
                     [](std::uint64_t) { return true; });
 }
 
-/** Thread counts (--workers, --shards) and replicates. */
+/** Worker counts (--workers) and replicates. */
 template <typename T>
 bool
 parseCount(const char *cmd, const std::string &flag,
@@ -529,10 +528,6 @@ cmdSim(Label n_size, const std::string &scheme, double rate,
                              cfg.maxPacketAge))
                 return 2;
             ++i;
-        } else if (extra[i] == "--shards" && i + 1 < extra.size()) {
-            if (!parseCount("sim", extra[i], extra[i + 1], cfg.shards))
-                return 2;
-            ++i;
         } else {
             std::cerr << "sim: bad flag " << extra[i] << "\n";
             return 2;
@@ -756,7 +751,6 @@ cmdSweep(const std::vector<std::string> &args)
     grid.measureCycles = 1000;
     grid.warmupCycles = 200;
     unsigned workers = 1;
-    unsigned sim_shards = 1;
     std::string out_path, trace_dir;
     bool timing = true;
     bool stats = false;
@@ -874,9 +868,6 @@ cmdSweep(const std::vector<std::string> &args)
         } else if (flag == "--workers") {
             if (!parseCount("sweep", flag, val, workers))
                 return 2;
-        } else if (flag == "--shards") {
-            if (!parseCount("sweep", flag, val, sim_shards))
-                return 2;
         } else if (flag == "--out") {
             out_path = val;
         } else if (flag == "--trace-dir") {
@@ -909,7 +900,6 @@ cmdSweep(const std::vector<std::string> &args)
     const bool progress = !out_path.empty();
     sim::SweepOptions opts;
     opts.workers = workers;
-    opts.simShards = sim_shards;
     opts.health = health;
     if (!trace_dir.empty()) {
         if (!obs::traceCompiledIn())
