@@ -182,5 +182,67 @@ TEST(GoldenSweep, FaultedGridMatchesFixtureByteForByte)
         << "faulted sweep diverged from the golden fixture";
 }
 
+// --- crossbar switches and queue capacities -----------------------
+
+const char *const kCrossbarCapsFixturePath =
+    IADM_TEST_DATA_DIR "/golden_sweep_n64_crossbar_caps.json";
+
+/**
+ * The frozen crossbar/capacity grid: every scheme with one- and
+ * three-packet acceptance per switch per cycle, at queue capacities
+ * that make the ring one slot (1), a padded power of two (3 in 4
+ * slots) and deeper than the other fixtures (8), so the acceptance
+ * counts and the ring masks of the service loop are pinned.  The age
+ * cap keeps faulted ssdt and distance-tag cells from wedging.
+ */
+SweepGrid
+goldenCrossbarCapsGrid()
+{
+    SweepGrid grid;
+    grid.netSizes = {64};
+    grid.schemes = {RoutingScheme::SsdtStatic,
+                    RoutingScheme::SsdtBalanced,
+                    RoutingScheme::TsdtSender,
+                    RoutingScheme::DistanceTag,
+                    RoutingScheme::TsdtDynamic};
+    grid.injectionRates = {0.25};
+    grid.queueCapacities = {1, 3, 8};
+    grid.faults = {FaultScenario{FaultScenario::Kind::RandomLinks, 6}};
+    grid.traffics = {ScenarioSpec{}};
+    grid.crossbarModes = {false, true};
+    grid.replicates = 2;
+    grid.warmupCycles = 200;
+    grid.measureCycles = 1200;
+    grid.masterSeed = 20261019;
+    grid.maxPacketAge = 500;
+    return grid;
+}
+
+TEST(GoldenSweep, CrossbarAndCapacityGridMatchesFixtureByteForByte)
+{
+    SweepOptions opts;
+    opts.workers = 2;
+    const SweepGrid grid = goldenCrossbarCapsGrid();
+    const std::string report =
+        sweepReportJson(grid, runSweep(grid, opts));
+
+    if (std::getenv("IADM_REGEN_GOLDEN") != nullptr) {
+        std::ofstream os(kCrossbarCapsFixturePath, std::ios::binary);
+        ASSERT_TRUE(os) << "cannot write " << kCrossbarCapsFixturePath;
+        os << report;
+        GTEST_SKIP() << "fixture regenerated at "
+                     << kCrossbarCapsFixturePath;
+    }
+
+    std::ifstream is(kCrossbarCapsFixturePath, std::ios::binary);
+    ASSERT_TRUE(is) << "missing fixture " << kCrossbarCapsFixturePath
+                    << " (run with IADM_REGEN_GOLDEN=1 to create)";
+    std::ostringstream fixture;
+    fixture << is.rdbuf();
+    ASSERT_EQ(report.size(), fixture.str().size());
+    EXPECT_TRUE(report == fixture.str())
+        << "crossbar/capacity sweep diverged from the golden fixture";
+}
+
 } // namespace
 } // namespace iadm
