@@ -4,12 +4,16 @@
 
 namespace iadm::core {
 
-TsdtTag::TsdtTag(unsigned n_stages, Label dest, Label state_bits)
-    : n_(n_stages), dest_(dest), state_(state_bits)
+void
+TsdtTag::rejectRange(unsigned n_stages, Label dest, Label state_bits)
 {
-    IADM_ASSERT(n_ >= 1 && n_ <= 31, "bad stage count ", n_);
-    IADM_ASSERT(dest_ < (Label{1} << n_), "destination out of range");
-    IADM_ASSERT(state_ < (Label{1} << n_), "state bits out of range");
+    IADM_ASSERT(n_stages >= 1 && n_stages <= 31, "bad stage count ",
+                n_stages);
+    IADM_ASSERT(dest < (Label{1} << n_stages),
+                "destination out of range");
+    IADM_ASSERT(state_bits < (Label{1} << n_stages),
+                "state bits out of range");
+    IADM_PANIC("TSDT tag out of range");
 }
 
 unsigned
@@ -107,12 +111,6 @@ tsdtTrace(Label src, const TsdtTag &tag, Label n_size)
         sw.push_back(j);
     }
     return {std::move(sw), std::move(kinds)};
-}
-
-TsdtTag
-initialTag(unsigned n_stages, Label dest)
-{
-    return {n_stages, dest, 0};
 }
 
 TsdtTag

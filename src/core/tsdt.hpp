@@ -46,7 +46,14 @@ class TsdtTag
      * @param dest      destination bits b_0..b_{n-1}
      * @param state_bits state bits b_n..b_{2n-1} (bit i = stage i)
      */
-    TsdtTag(unsigned n_stages, Label dest, Label state_bits = 0);
+    TsdtTag(unsigned n_stages, Label dest, Label state_bits = 0)
+        : n_(n_stages), dest_(dest), state_(state_bits)
+    {
+        // Inline with one range test: the simulator builds a tag
+        // per injected packet.  The diagnostic is out of line.
+        if (n_ < 1 || n_ > 31 || ((dest_ | state_) >> n_) != 0)
+            rejectRange(n_stages, dest, state_bits);
+    }
 
     unsigned stages() const { return n_; }
 
@@ -88,6 +95,11 @@ class TsdtTag
     }
 
   private:
+    /** Panic naming which of (n, dest, state) is out of range. */
+    [[noreturn, gnu::cold]] static void rejectRange(unsigned n_stages,
+                                                   Label dest,
+                                                   Label state_bits);
+
     unsigned n_ = 0;
     Label dest_ = 0;
     Label state_ = 0;
@@ -147,7 +159,11 @@ tsdtKindOf(Label j, unsigned i, Label dest, Label state)
  * network emulates the ICube network and the path visits
  * d_{0/i-1} s_{i/n-1} at stage i.
  */
-TsdtTag initialTag(unsigned n_stages, Label dest);
+inline TsdtTag
+initialTag(unsigned n_stages, Label dest)
+{
+    return {n_stages, dest, 0};
+}
 
 /**
  * Reconstruct a tag that drives a message along @p path

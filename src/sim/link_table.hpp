@@ -44,18 +44,14 @@ class LinkTable
         return fault::linkIndex(stage, j, kind, n_);
     }
 
-    /** Destination label of link (stage, j, kind); no arithmetic. */
+    /** Destination label of the link at flat index @p idx. */
+    Label to(std::size_t idx) const { return to_[idx]; }
+
+    /** Destination label of link (stage, j, kind). */
     Label
     to(unsigned stage, Label j, topo::LinkKind kind) const
     {
-        return to_[index(stage, j, kind)];
-    }
-
-    /** Materialize the Link struct straight from the table. */
-    topo::Link
-    link(unsigned stage, Label j, topo::LinkKind kind) const
-    {
-        return {stage, j, to(stage, j, kind), kind};
+        return to(index(stage, j, kind));
     }
 
   private:

@@ -1,6 +1,5 @@
 #include "sim/metrics.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <sstream>
@@ -32,20 +31,13 @@ Metrics::Metrics(Label n_size, unsigned n_stages)
 }
 
 void
-Metrics::recordDelivered(const Packet &p, Cycle now)
+Metrics::noteLatencyCapped(Cycle lat)
 {
-    ++delivered_;
-    const Cycle lat = now - p.injected;
-    latencySum_ += lat;
-    maxLatency_ = std::max(maxLatency_, lat);
-    if (lat > kLatencyCap && !latencyCapped_) {
-        latencyCapped_ = true;
-        IADM_WARN("latency ", lat, " exceeds the histogram cap of ",
-                  kLatencyCap,
-                  " cycles; high percentiles are now lower bounds "
-                  "(latency_capped will be set in reports)");
-    }
-    ++latencyHist_[std::min<Cycle>(lat, kLatencyCap)];
+    latencyCapped_ = true;
+    IADM_WARN("latency ", lat, " exceeds the histogram cap of ",
+              kLatencyCap,
+              " cycles; high percentiles are now lower bounds "
+              "(latency_capped will be set in reports)");
 }
 
 void

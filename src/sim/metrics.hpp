@@ -6,11 +6,13 @@
 #ifndef IADM_SIM_METRICS_HPP
 #define IADM_SIM_METRICS_HPP
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/logging.hpp"
+#include "fault/fault_view.hpp"
 #include "sim/packet.hpp"
 #include "topology/topology.hpp"
 
@@ -64,7 +66,22 @@ class Metrics
         ++dropsByReason_[static_cast<unsigned>(DropReason::Legacy)];
     }
 
-    void recordDelivered(const Packet &p, Cycle now);
+    /**
+     * Always inlined: called once per delivered packet.  Only the
+     * first latency past latencyCap() leaves it, for the one-time
+     * warning.
+     */
+    [[gnu::always_inline]] void
+    recordDelivered(const Packet &p, Cycle now)
+    {
+        ++delivered_;
+        const Cycle lat = now - p.injected;
+        latencySum_ += lat;
+        maxLatency_ = std::max(maxLatency_, lat);
+        if (__builtin_expect(lat > kLatencyCap && !latencyCapped_, 0))
+            noteLatencyCapped(lat);
+        ++latencyHist_[std::min<Cycle>(lat, kLatencyCap)];
+    }
 
     /** A delivery that happened while any link was blocked. */
     void recordFaultedDelivery() { ++deliveredDuringFaults_; }
@@ -87,25 +104,22 @@ class Metrics
         recoveryWaitSum_ += wait;
     }
 
-    /** Inline: called once per forward hop of every packet. */
-    void
-    recordHop(const topo::Link &l)
-    {
-        ++hopsByLink_[linkIndex(l.stage, l.from, l.kind)];
-    }
     /**
-     * Hint recordHop's counter slots for switch @p from of @p stage
-     * into cache: hopsByLink_ outgrows L2 on large networks, so the
+     * One forward hop over the link at flat index @p link
+     * (fault::linkIndex).  Inline: called once per hop of every
+     * packet.
+     */
+    void recordHop(std::size_t link) { ++hopsByLink_[link]; }
+
+    /**
+     * Hint recordHop's counter slot for flat link index @p link into
+     * cache: hopsByLink_ outgrows L2 on large networks, so the
      * increment is a miss unless issued ahead of use.
      */
     void
-    prefetchHopCounters(unsigned stage, Label from) const
+    prefetchHopCounters(std::size_t link) const
     {
-        __builtin_prefetch(
-            &hopsByLink_[(static_cast<std::size_t>(stage) * nSize_ +
-                          from) *
-                         3],
-            1);
+        __builtin_prefetch(&hopsByLink_[link], 1);
     }
 
     void recordStall(unsigned stage) { ++stalls_[stage]; }
@@ -278,14 +292,15 @@ class Metrics
     std::vector<std::uint64_t> depthSamples_; //!< per stage
     std::vector<std::uint64_t> latencyHist_; //!< [latency cycles]
 
+    /** Cold half of recordDelivered: flag and warn once. */
+    __attribute__((noinline, cold)) void noteLatencyCapped(Cycle lat);
+
     std::size_t
     linkIndex(unsigned stage, Label from, topo::LinkKind kind) const
     {
         IADM_ASSERT(kind != topo::LinkKind::Exchange,
                     "IADM links only in the simulator");
-        return (static_cast<std::size_t>(stage) * nSize_ + from) *
-                   3 +
-               static_cast<std::size_t>(kind);
+        return fault::linkIndex(stage, from, kind, nSize_);
     }
 };
 

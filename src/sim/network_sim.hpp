@@ -22,8 +22,11 @@
  * digits), an open link is taken at once (chooseLink's logic runs
  * only for blocked links and balanced nonstraight hops), and queue
  * occupancy moves by arithmetic on the emptied and was-empty flags.
- * step() performs no heap allocation and no virtual topology calls
- * in steady state.
+ * A hop is index arithmetic: chooseLink answers with the link's flat
+ * index, which the fault view, the link table and the hop counters
+ * share, a stage's counts live in locals for its scan, and nothing
+ * on the hop path is an out-of-line call.  step() performs no heap
+ * allocation and no virtual topology calls in steady state.
  */
 
 #ifndef IADM_SIM_NETWORK_SIM_HPP
@@ -270,7 +273,10 @@ class NetworkSim
      * sink is attached: with Traced == false the trace hooks fold
      * away entirely, so a compiled-in-but-disabled build runs the
      * same loop body as a trace-off build (the sink test is paid
-     * once per stage call in advanceStage(), not per event).
+     * once per stage call in advanceStage(), not per event).  The
+     * scan's invariants (clock, epoch, queue and link bases) and
+     * this stage's and the next stage's StageCounts are locals;
+     * the counts are stored back once when the scan ends.
      */
     template <RoutingScheme S, bool Traced>
     void advanceStageImpl(unsigned stage);
@@ -287,13 +293,21 @@ class NetworkSim
     topo::LinkKind headKind(unsigned stage, Label j,
                             const Packet &h) const;
 
+    /** chooseLink's answer for a head that does not move forward. */
+    static constexpr std::size_t kStall = ~std::size_t{0};
+
     /**
      * Choose the output link for the head packet of (stage, j) under
-     * scheme @p S; returns nullopt to stall this cycle.
+     * scheme @p S: the link's flat index (fault::linkIndex, which
+     * LinkTable, FaultView and Metrics share), or kStall to stall
+     * this cycle.  Always inlined, as are the queue moves and the
+     * delivery record: the service loop's ten instantiations share
+     * one translation unit, and GCC's unit-growth limit otherwise
+     * leaves such calls out of line on the hop path.
      */
     template <RoutingScheme S, bool Traced>
-    std::optional<topo::Link> chooseLink(unsigned stage, Label j,
-                                         Packet &p);
+    [[gnu::always_inline]] std::size_t chooseLink(unsigned stage,
+                                                  Label j, Packet &p);
 
     /**
      * Cold body of the per-cycle health hook: cadences rollup
@@ -329,59 +343,54 @@ class NetworkSim
     /** Refresh p.pathSw from (p.src, p.tag); see Packet::pathSw. */
     void cachePath(Packet &p) const;
 
-    // Queue operations with stage occupancy bookkeeping.  Inline:
-    // every packet movement of every cycle funnels through these.
-    // Occupancy is kept without branches: a queue that just received
-    // a packet gets its bit set whether or not it was set, and one
-    // that gave a packet away clears its bit by its emptied flag
-    // (0 or 1) shifted into place; stageOccupied_ moves by the same
-    // flags.
-
-    std::uint64_t &
-    occWord(unsigned stage, Label j)
+    /**
+     * One stage's queue bookkeeping, copied into locals for a pass
+     * over the stage (countsOf) and stored back once at its end
+     * (storeCounts).  Every move, drop and injection goes through
+     * filled/drained, and occupancy moves without branches: a queue
+     * that received a packet sets its bit whether or not it was set,
+     * and one that gave its head away clears its bit by its emptied
+     * flag (0 or 1) shifted into place; the nonempty count moves by
+     * the same flags.
+     */
+    struct StageCounts
     {
-        return occWords_[static_cast<std::size_t>(stage) *
-                             occWordsPerStage_ +
-                         (j >> 6)];
+        std::uint64_t *words;   //!< the stage's occupancy bits
+        std::uint32_t size;     //!< packets queued (stageSize_)
+        std::uint32_t occupied; //!< nonempty queues (stageOccupied_)
+
+        /** Switch @p j's queue received a packet. */
+        void
+        filled(Label j, bool was_empty)
+        {
+            ++size;
+            occupied += was_empty;
+            words[j >> 6] |= std::uint64_t{1} << (j & 63);
+        }
+
+        /** Switch @p j's queue gave its head packet away. */
+        void
+        drained(Label j, bool emptied)
+        {
+            --size;
+            occupied -= emptied;
+            words[j >> 6] &= ~(std::uint64_t{emptied} << (j & 63));
+        }
+    };
+
+    StageCounts
+    countsOf(unsigned stage)
+    {
+        return {occWords_.data() +
+                    static_cast<std::size_t>(stage) * occWordsPerStage_,
+                stageSize_[stage], stageOccupied_[stage]};
     }
 
-    /** Bookkeeping after (stage, j) received a packet. */
     void
-    noteFilled(unsigned stage, Label j, bool was_empty)
+    storeCounts(unsigned stage, const StageCounts &c)
     {
-        stageOccupied_[stage] += was_empty;
-        occWord(stage, j) |= std::uint64_t{1} << (j & 63);
-    }
-
-    /** Bookkeeping after (stage, j) gave its head packet away. */
-    void
-    noteDrained(unsigned stage, Label j, bool emptied)
-    {
-        stageOccupied_[stage] -= emptied;
-        occWord(stage, j) &= ~(std::uint64_t{emptied} << (j & 63));
-    }
-
-    void
-    dropAt(unsigned stage, Label j)
-    {
-        const std::size_t q = queues_.qid(stage, j);
-        queues_.dropFront(q);
-        --stageSize_[stage];
-        noteDrained(stage, j, queues_.empty(q));
-    }
-
-    void
-    moveAt(unsigned from_stage, Label from_j, unsigned to_stage,
-           Label to_j)
-    {
-        const std::size_t from_q = queues_.qid(from_stage, from_j);
-        const std::size_t to_q = queues_.qid(to_stage, to_j);
-        const bool was_empty = queues_.empty(to_q);
-        queues_.moveFront(from_q, to_q);
-        --stageSize_[from_stage];
-        ++stageSize_[to_stage];
-        noteDrained(from_stage, from_j, queues_.empty(from_q));
-        noteFilled(to_stage, to_j, was_empty);
+        stageSize_[stage] = c.size;
+        stageOccupied_[stage] = c.occupied;
     }
 
     /**

@@ -98,7 +98,7 @@ class QueueArena
             (reinterpret_cast<std::uintptr_t>(poolMem_.get()) +
              kLine - 1) &
             ~std::uintptr_t{kLine - 1});
-        free_.reserve(poolCap_);
+        free_.reset(new Handle[poolCap_]);
 #ifdef IADM_SANITIZE_BUILD
         released_.assign(poolCap_, false);
 #endif
@@ -133,9 +133,8 @@ class QueueArena
     Handle
     claim()
     {
-        if (!free_.empty()) {
-            const Handle h = free_.back();
-            free_.pop_back();
+        if (freeCount_ != 0) {
+            const Handle h = free_[--freeCount_];
 #ifdef IADM_SANITIZE_BUILD
             released_[h] = false;
 #endif
@@ -156,7 +155,7 @@ class QueueArena
                     "packet handle ", h, " released twice");
         released_[h] = true;
 #endif
-        free_.push_back(h);
+        free_[freeCount_++] = h;
     }
 
     /**
@@ -193,8 +192,9 @@ class QueueArena
         return p;
     }
 
-    /** Discard the head packet, releasing its handle. */
-    void
+    /** Discard the head packet, releasing its handle.  Always
+     *  inlined, like moveFront: every hop ends in one of the two. */
+    [[gnu::always_inline]] void
     dropFront(std::size_t q)
     {
         release(ring_[headSlot(q)]);
@@ -206,7 +206,7 @@ class QueueArena
      * changes rings and the packet stays where it is.  The caller
      * must have checked that src is nonempty and dst is not full.
      */
-    void
+    [[gnu::always_inline]] void
     moveFront(std::size_t src, std::size_t dst)
     {
         pushHandle(dst, ring_[headSlot(src)]);
@@ -248,7 +248,7 @@ class QueueArena
     std::size_t
     liveHandles() const
     {
-        return poolBuilt_ - free_.size();
+        return poolBuilt_ - freeCount_;
     }
 
     /** Packets the pool has ever built: the live high-water mark. */
@@ -282,7 +282,10 @@ class QueueArena
     Packet *pool_ = nullptr;    //!< kLine-aligned within poolMem_
     std::size_t poolBuilt_ = 0; //!< packets constructed so far
     std::size_t poolCap_ = 0;   //!< packets poolMem_ holds
-    std::vector<Handle> free_;  //!< LIFO free list, reserved once
+    /** LIFO free list: every handle fits, so a release never grows
+     *  it (and the hop path carries no vector growth code). */
+    std::unique_ptr<Handle[]> free_;
+    std::size_t freeCount_ = 0; //!< handles on free_
 #ifdef IADM_SANITIZE_BUILD
     std::vector<bool> released_; //!< handle is on free_
 #endif

@@ -313,8 +313,7 @@ TEST(Metrics, ZeroSampleGuardsOnPartialData)
     // A metrics object with traffic on some stages but none on
     // others: the untouched stages must read 0, not NaN/UB.
     sim::Metrics m(16, 4);
-    topo::IadmTopology net(16);
-    m.recordHop(net.plusLink(0, 1));
+    m.recordHop(fault::linkIndex(0, 1, topo::LinkKind::Plus, 16));
     m.sampleQueueDepth(0, 3);
 
     EXPECT_GT(m.nonstraightImbalance(0), 0.0);
