@@ -45,6 +45,13 @@
  * them all, comma-separated.  The binary re-reads and schema-checks
  * its own report before exiting, so a malformed document fails the
  * run.
+ *
+ * Every rung caps packet age at 500 cycles (SimConfig::maxPacketAge,
+ * the cap of the repository benchmark's sims and sweep-grid): heads
+ * stalled behind a fault they cannot route around would otherwise
+ * wedge a faulted ssdt or distance-tag network during warm-up, and
+ * the rung would time a scan over a frozen network.  A rung that
+ * still delivers nothing exits 1 naming the rung (the wedge guard).
  */
 
 #include <algorithm>
@@ -149,6 +156,7 @@ runConfig(Label n_size, RoutingScheme scheme, std::size_t fault_links,
     cfg.scheme = scheme;
     cfg.injectionRate = opt.rate;
     cfg.seed = 97;
+    cfg.maxPacketAge = 500;
 
     // Static random-link blockages, deterministically derived from
     // (N, count) so reruns and both rungs of a pair see identical
@@ -221,6 +229,21 @@ runConfig(Label n_size, RoutingScheme scheme, std::size_t fault_links,
         r.pair = std::string(knobName(opt.knob)) + '=' +
                  (on ? "on" : "off");
     return r;
+}
+
+/** The wedge guard: false, naming the rung, if @p r delivered none. */
+bool
+delivers(const ConfigResult &r)
+{
+    if (r.delivered != 0)
+        return true;
+    std::cerr << "bench_hotpath: rung N=" << r.netSize << " "
+              << routingSchemeName(r.scheme) << " faults=" << r.faultLinks
+              << " traffic=" << r.traffic
+              << (r.pair.empty() ? "" : " " + r.pair)
+              << " delivered no packet in " << r.cycles
+              << " measured cycles: the network is wedged\n";
+    return false;
 }
 
 void
@@ -429,6 +452,8 @@ main(int argc, char **argv)
             for (const RoutingScheme scheme : schemes) {
                 const auto a = runConfig(n_size, scheme, fault_links,
                                          opt, opt.pair[0]);
+                if (!delivers(a))
+                    return 1;
                 results.push_back(a);
                 if (opt.knob == Knob::None) {
                     std::printf(
@@ -442,6 +467,8 @@ main(int argc, char **argv)
                 }
                 const auto b = runConfig(n_size, scheme, fault_links,
                                          opt, opt.pair[1]);
+                if (!delivers(b))
+                    return 1;
                 results.push_back(b);
                 std::printf(
                     "%5u  %-13s %6zu %12.0f  %12.0f  "
