@@ -23,7 +23,7 @@ fatalImpl(const char *file, int line, const std::string &msg)
 }
 
 void
-warnImpl(const std::string &msg)
+warnImpl(std::string_view msg)
 {
     std::cerr << "warn: " << msg << std::endl;
 }

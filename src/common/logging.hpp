@@ -15,6 +15,7 @@
 
 #include <sstream>
 #include <string>
+#include <string_view>
 
 namespace iadm {
 
@@ -34,7 +35,9 @@ concat(Args &&...args)
                             const std::string &msg);
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
-void warnImpl(const std::string &msg);
+/** Takes a view, so a caller that must not allocate can format
+ *  into a stack buffer (Metrics' latency-cap warning). */
+void warnImpl(std::string_view msg);
 void informImpl(const std::string &msg);
 
 } // namespace detail

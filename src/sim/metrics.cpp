@@ -1,6 +1,8 @@
 #include "sim/metrics.hpp"
 
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
 #include <numeric>
 #include <sstream>
 
@@ -25,26 +27,33 @@ Metrics::Metrics(Label n_size, unsigned n_stages)
       dropsByStage_(n_stages, 0), stalls_(n_stages, 0),
       reroutes_(n_stages, 0),
       hopsByLink_(static_cast<std::size_t>(n_stages) * n_size * 3, 0),
-      depthSum_(n_stages, 0), depthSamples_(n_stages, 0),
-      latencyHist_(kLatencyCap + 1, 0)
+      depthSum_(n_stages, 0), depthSamples_(n_stages, 0)
 {
+    // Reserved once, so the simulator's own Metrics grows its
+    // histogram without allocating; copies carry only the used
+    // prefix.
+    latencyHist_.reserve(kLatencyCap + 1);
 }
 
-void
-Metrics::noteLatencyCapped(Cycle lat)
+std::size_t
+Metrics::growLatencyHistogram(Cycle lat)
 {
-    latencyCapped_ = true;
-    IADM_WARN("latency ", lat, " exceeds the histogram cap of ",
-              kLatencyCap,
-              " cycles; high percentiles are now lower bounds "
-              "(latency_capped will be set in reports)");
-}
-
-void
-Metrics::sampleQueueDepth(unsigned stage, std::size_t depth)
-{
-    depthSum_[stage] += depth;
-    ++depthSamples_[stage];
+    const std::size_t bucket = std::min<Cycle>(lat, kLatencyCap);
+    if (bucket >= latencyHist_.size())
+        latencyHist_.resize(bucket + 1);
+    if (lat > kLatencyCap && !latencyCapped_) {
+        latencyCapped_ = true;
+        // Formatted on the stack: this runs inside step(), which
+        // never allocates (docs/PERF.md).
+        char msg[192];
+        std::snprintf(msg, sizeof msg,
+                      "latency %" PRIu64 " exceeds the histogram cap "
+                      "of %zu cycles; high percentiles are now lower "
+                      "bounds (latency_capped will be set in reports)",
+                      lat, kLatencyCap);
+        detail::warnImpl(msg);
+    }
+    return bucket;
 }
 
 std::uint64_t

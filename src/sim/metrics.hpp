@@ -31,7 +31,7 @@ enum class DropReason : std::uint8_t
 {
     Unroutable = 0, //!< REROUTE/BACKTRACK proved no path exists
     Expired = 1,    //!< stall-age cap (SimConfig::maxPacketAge) hit
-    Legacy = 2,     //!< recorded through the reasonless legacy API
+    Legacy = 2,     //!< never recorded; kept for its frozen report keys
 };
 
 /** Number of distinct DropReason values. */
@@ -59,17 +59,11 @@ class Metrics
         ++dropsByStage_[stage];
     }
 
-    /** Legacy reasonless drop (external callers; stage unknown). */
-    void recordDropped()
-    {
-        ++dropped_;
-        ++dropsByReason_[static_cast<unsigned>(DropReason::Legacy)];
-    }
-
     /**
-     * Always inlined: called once per delivered packet.  Only the
-     * first latency past latencyCap() leaves it, for the one-time
-     * warning.
+     * Always inlined: called once per delivered packet.  Only a
+     * latency past the histogram's current size leaves it, to grow
+     * the histogram (inside its reserved capacity, so the simulator
+     * never allocates here) or to clamp into the overflow bucket.
      */
     [[gnu::always_inline]] void
     recordDelivered(const Packet &p, Cycle now)
@@ -78,9 +72,10 @@ class Metrics
         const Cycle lat = now - p.injected;
         latencySum_ += lat;
         maxLatency_ = std::max(maxLatency_, lat);
-        if (__builtin_expect(lat > kLatencyCap && !latencyCapped_, 0))
-            noteLatencyCapped(lat);
-        ++latencyHist_[std::min<Cycle>(lat, kLatencyCap)];
+        std::size_t bucket = lat;
+        if (__builtin_expect(lat >= latencyHist_.size(), 0))
+            bucket = growLatencyHistogram(lat);
+        ++latencyHist_[bucket];
     }
 
     /** A delivery that happened while any link was blocked. */
@@ -127,14 +122,13 @@ class Metrics
     void recordBacktrackHop() { ++backtrackHops_; }
     void recordRouteCacheHit() { ++routeCacheHits_; }
     void recordRouteCacheMiss() { ++routeCacheMisses_; }
-    void sampleQueueDepth(unsigned stage, std::size_t depth);
 
     /**
-     * Aggregate form of sampleQueueDepth: add @p total_depth over
-     * @p n_switches samples in one call.  Valid whenever per-switch
-     * depths are summable at a single instant (queues of a stage do
-     * not change while that stage's service scan runs, so the sum
-     * over switches equals the sum of individual samples).
+     * Add @p total_depth over @p n_switches queue-depth samples of
+     * one stage in one call.  Valid whenever per-switch depths are
+     * summable at a single instant (queues of a stage do not change
+     * while that stage's service scan runs, so the sum over switches
+     * equals the sum of individual samples).
      */
     void
     sampleStageDepths(unsigned stage, std::uint64_t total_depth,
@@ -246,8 +240,11 @@ class Metrics
     }
 
     /**
-     * Exact latency histogram, indexed by latency in cycles; the
-     * final bucket (kLatencyCap) also counts every longer latency.
+     * Exact latency histogram, indexed by latency in cycles.  It
+     * holds buckets 0..min(maxLatency(), latencyCap()) and no more,
+     * so its last bucket is nonzero whenever a packet was delivered
+     * (empty before that); once latencyCapped(), the last bucket
+     * (latencyCap()) also counts every longer latency.
      */
     const std::vector<std::uint64_t> &latencyHistogram() const
     {
@@ -290,10 +287,18 @@ class Metrics
     std::vector<std::uint64_t> hopsByLink_; //!< [stage][switch][kind]
     std::vector<std::uint64_t> depthSum_;   //!< per stage
     std::vector<std::uint64_t> depthSamples_; //!< per stage
-    std::vector<std::uint64_t> latencyHist_; //!< [latency cycles]
+    /** [latency cycles], sized by content; reserved to
+     *  kLatencyCap + 1 at construction. */
+    std::vector<std::uint64_t> latencyHist_;
 
-    /** Cold half of recordDelivered: flag and warn once. */
-    __attribute__((noinline, cold)) void noteLatencyCapped(Cycle lat);
+    /**
+     * Cold half of recordDelivered for a latency past the
+     * histogram's size: grow it to reach @p lat, or to the overflow
+     * bucket with a one-time flag and warning.  Returns @p lat's
+     * bucket.
+     */
+    __attribute__((noinline, cold)) std::size_t
+    growLatencyHistogram(Cycle lat);
 
     std::size_t
     linkIndex(unsigned stage, Label from, topo::LinkKind kind) const

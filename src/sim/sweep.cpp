@@ -285,7 +285,8 @@ runSweep(const SweepGrid &grid, const SweepOptions &opts)
 
     std::atomic<std::size_t> next{0};
 
-    // The collector guards only progress bookkeeping; metrics flow
+    // The collector guards only progress bookkeeping and the
+    // callback's loan of a finished cell's slots; metrics flow
     // through the lock-free slots above.
     std::mutex collectorMx;
     std::vector<unsigned> repsDone(cells, 0);
@@ -360,11 +361,18 @@ runSweep(const SweepGrid &grid, const SweepOptions &opts)
         if (++repsDone[ci] == grid.replicates) {
             ++cellsDone;
             if (opts.onCellDone) {
+                // Lend the cell's replicates rather than copy each
+                // Metrics under the lock.  No worker writes
+                // slots[ci] again, so they move in for the call and
+                // back out after it.
                 CellResult done;
                 done.cell = cell;
-                for (const auto &slot : slots[ci])
-                    done.replicates.push_back(*slot);
+                done.replicates.reserve(grid.replicates);
+                for (auto &slot : slots[ci])
+                    done.replicates.push_back(std::move(*slot));
                 opts.onCellDone(done, cellsDone, cells);
+                for (unsigned r = 0; r < grid.replicates; ++r)
+                    slots[ci][r] = std::move(done.replicates[r]);
             }
         }
     };
@@ -694,7 +702,7 @@ sweepReportJson(const SweepGrid &grid,
 {
     std::ostringstream os;
     writeSweepReport(os, grid, results, ropts);
-    return os.str();
+    return std::move(os).str();
 }
 
 } // namespace iadm::sim

@@ -16,7 +16,8 @@
  * an atomic counter; each owns its NetworkSim (no shared mutable
  * state) and deposits the finished Metrics snapshot into its
  * preallocated result slot.  A mutex-guarded collector serializes
- * only the optional progress callback.
+ * only the optional progress callback, which borrows a finished
+ * cell's slots for the call.
  */
 
 #ifndef IADM_SIM_SWEEP_HPP
@@ -179,7 +180,13 @@ std::uint64_t deriveSeed(std::uint64_t master_seed,
                          std::uint64_t cell_index,
                          std::uint64_t replicate);
 
-/** Result of one replicate run: the seed used and a Metrics copy. */
+/**
+ * Result of one replicate run: the seed used and a copy of the
+ * simulator's Metrics after the measured cycles.  The copy is
+ * compact: its latency histogram holds only the buckets up to the
+ * highest latency recorded (Metrics::latencyHistogram()), beside
+ * the per-stage counters and one hop counter per link.
+ */
 struct ReplicateResult
 {
     std::uint64_t seed = 0;
@@ -195,7 +202,6 @@ struct ReplicateResult
     obs::HealthReport health;
     obs::SteadyStateTracker::Result steady;
 
-    ReplicateResult() : metrics(2, 1) {}
     ReplicateResult(std::uint64_t s, Metrics m, Cycle c)
         : seed(s), metrics(std::move(m)), measuredCycles(c) {}
 };
@@ -226,7 +232,10 @@ struct SweepOptions
 
     /**
      * Progress callback, invoked under the collector mutex as each
-     * cell completes (all replicates done); never concurrent.
+     * cell completes (all replicates done); never concurrent.  The
+     * CellResult is lent, not copied: its replicates move in for the
+     * call and back out after it, so they are valid only during the
+     * call (copy what must outlive it).
      */
     std::function<void(const CellResult &, std::size_t done,
                        std::size_t total)>

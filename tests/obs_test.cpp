@@ -304,8 +304,41 @@ TEST(Metrics, LatencyCapSetsHonestyFlag)
 
     m.recordDelivered(p, sim::Metrics::latencyCap() + 50);
     EXPECT_TRUE(m.latencyCapped());
-    // The overflow bucket clamps the percentile to the cap.
+    // The overflow bucket clamps the percentile to the cap, and the
+    // histogram stops growing there.
     EXPECT_EQ(m.latencyPercentile(1.0), sim::Metrics::latencyCap());
+    EXPECT_EQ(m.latencyHistogram().size(),
+              sim::Metrics::latencyCap() + 1);
+    m.recordDelivered(p, 3 * sim::Metrics::latencyCap());
+    EXPECT_EQ(m.latencyHistogram().size(),
+              sim::Metrics::latencyCap() + 1);
+    EXPECT_EQ(m.latencyHistogram().back(), 2u);
+}
+
+TEST(Metrics, LatencyHistogramHoldsOnlyItsUsedPrefix)
+{
+    // Sized by content: buckets 0..highest latency, so a copy (a
+    // sweep's ReplicateResult) carries no trailing zeros.
+    sim::Metrics m(16, 4);
+    EXPECT_TRUE(m.latencyHistogram().empty());
+    sim::Packet p;
+    p.injected = 0;
+    for (const sim::Cycle lat : {3, 10, 7})
+        m.recordDelivered(p, lat);
+    ASSERT_EQ(m.latencyHistogram().size(), 11u);
+    EXPECT_EQ(m.latencyHistogram()[10], 1u);
+
+    sim::Metrics copy = m;
+    EXPECT_EQ(copy.latencyHistogram(), m.latencyHistogram());
+    EXPECT_EQ(copy.latencyPercentile(1.0), 10u);
+
+    // A copy keeps no spare capacity to grow into, and still grows.
+    copy.recordDelivered(p, 40);
+    ASSERT_EQ(copy.latencyHistogram().size(), 41u);
+    EXPECT_EQ(copy.latencyHistogram()[40], 1u);
+    EXPECT_EQ(copy.latencyPercentile(1.0), 40u);
+    EXPECT_EQ(m.latencyHistogram().size(), 11u);
+    EXPECT_FALSE(copy.latencyCapped());
 }
 
 TEST(Metrics, ZeroSampleGuardsOnPartialData)
@@ -314,7 +347,7 @@ TEST(Metrics, ZeroSampleGuardsOnPartialData)
     // others: the untouched stages must read 0, not NaN/UB.
     sim::Metrics m(16, 4);
     m.recordHop(fault::linkIndex(0, 1, topo::LinkKind::Plus, 16));
-    m.sampleQueueDepth(0, 3);
+    m.sampleStageDepths(0, 3, 1);
 
     EXPECT_GT(m.nonstraightImbalance(0), 0.0);
     EXPECT_DOUBLE_EQ(m.avgQueueDepth(0), 3.0);

@@ -389,6 +389,25 @@ TEST(Sim, SteadyStateStepPerformsNoHeapAllocation)
         << "no in-flight repair inside the measured window";
 }
 
+TEST(Sim, NewLatencyHighsPerformNoHeapAllocation)
+{
+    // The latency histogram is sized by content inside a capacity
+    // reserved at construction: every new high a step delivers, up
+    // to the overflow bucket and the one-time cap warning past it,
+    // grows it without touching the heap.
+    Metrics m(32, 5);
+    Packet p;
+    p.injected = 0;
+    const std::uint64_t before = heapAllocCount();
+    for (Cycle lat = 0; lat <= Metrics::latencyCap() + 2; ++lat)
+        m.recordDelivered(p, lat);
+    EXPECT_EQ(heapAllocCount(), before)
+        << "heap allocation while the latency histogram grew";
+    EXPECT_EQ(m.latencyHistogram().size(), Metrics::latencyCap() + 1);
+    EXPECT_EQ(m.latencyHistogram().back(), 3u);
+    EXPECT_TRUE(m.latencyCapped());
+}
+
 /**
  * Conservation: injected packets either deliver, drop or stay in
  * flight — at every cycle, through fault epochs, backward walks and

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
 #include <sstream>
@@ -296,6 +297,70 @@ TEST(Sweep, CollectorReportsEachCellExactlyOnce)
     EXPECT_EQ(calls.load(), g.cellCount());
     for (const bool s : seen)
         EXPECT_TRUE(s);
+}
+
+TEST(Sweep, LentCellResultsMatchTheFinalResults)
+{
+    // onCellDone borrows each finished cell's replicates: it sees
+    // the same seeds and counts the caller gets back, and lending
+    // them leaves the report untouched.
+    const auto g = smallGrid();
+    SweepOptions opts;
+    opts.workers = 4;
+    const std::string plain = sweepReportJson(g, runSweep(g, opts));
+
+    std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>>
+        lent(g.cellCount());
+    opts.onCellDone = [&](const CellResult &r, std::size_t,
+                          std::size_t) {
+        for (const auto &rep : r.replicates)
+            lent[r.cell.cellIndex].emplace_back(
+                rep.seed, rep.metrics.delivered());
+    };
+    const auto results = runSweep(g, opts);
+    EXPECT_EQ(sweepReportJson(g, results), plain);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        ASSERT_EQ(lent[i].size(), g.replicates) << "cell " << i;
+        for (unsigned r = 0; r < g.replicates; ++r) {
+            const auto &rep = results[i].replicates[r];
+            EXPECT_EQ(lent[i][r].first, rep.seed);
+            EXPECT_EQ(lent[i][r].second, rep.metrics.delivered());
+        }
+    }
+}
+
+TEST(Sweep, ReplicateHistogramsHoldOnlyTheirUsedBuckets)
+{
+    // Each replicate's latency histogram ends at its highest
+    // latency, not at Metrics::latencyCap(): the sizes differ from
+    // replicate to replicate.  Faulted tsdt-dynamic with no age cap
+    // gives the grid its longest tail.
+    SweepGrid g;
+    g.netSizes = {16};
+    g.schemes = {RoutingScheme::SsdtStatic, RoutingScheme::TsdtDynamic};
+    g.injectionRates = {0.6};
+    g.faults = {FaultScenario{},
+                FaultScenario{FaultScenario::Kind::RandomLinks, 12}};
+    g.replicates = 2;
+    g.warmupCycles = 50;
+    g.measureCycles = 600;
+    g.maxPacketAge = 0;
+    g.masterSeed = 41;
+    SweepOptions opts;
+    opts.workers = 2;
+    std::set<std::size_t> sizes;
+    for (const auto &cell : runSweep(g, opts))
+        for (const auto &rep : cell.replicates) {
+            const Metrics &m = rep.metrics;
+            ASSERT_GT(m.delivered(), 0u);
+            const auto &hist = m.latencyHistogram();
+            EXPECT_EQ(hist.size(),
+                      std::min(m.maxLatency(), Metrics::latencyCap()) +
+                          1);
+            EXPECT_NE(hist.back(), 0u);
+            sizes.insert(hist.size());
+        }
+    EXPECT_GT(sizes.size(), 1u) << "every histogram has one size";
 }
 
 TEST(Sweep, FaultScenarioCellsDeliverUnderFaults)
